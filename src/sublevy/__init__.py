@@ -15,7 +15,6 @@ from .core import (
     ConditionAudit,
     ControlGrid,
     JumpReferenceMeasure,
-    LevyTriplet,
     Quadrature,
     QuadratureError,
     TruncationFunction,

@@ -207,9 +207,14 @@ class _Artifacts:
         self.outdir = outdir
         self.written: list = []
 
-    def write(self, name: str, content: str) -> str:
+    def path(self, name: str) -> str:
+        """Register an artifact before anything is written to it."""
         path = os.path.join(self.outdir, name)
         self.written.append(path)
+        return path
+
+    def write(self, name: str, content: str) -> str:
+        path = self.path(name)
         with open(path, "w") as fh:
             fh.write(content)
         return path
@@ -239,19 +244,10 @@ def _meta_text(metadata: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _value_csv(fieldU) -> str:
-    xs = fieldU.grid.xs()
-    lines = ["t,x,u"]
-    for t, row in zip(fieldU.times, fieldU.values):
-        for x, v in zip(xs, row):
-            lines.append(f"{float(t)!r},{float(x)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _run_solve(cfg: RunConfig, art: _Artifacts):
     p = cfg["pide"]
     fieldU = solve(cfg.field(), cfg.psi(), p["t_horizon"], cfg.grid(), p["cfl_safety"])
-    art.write("u.csv", _value_csv(fieldU))
+    fieldU.write_csv(art.path("u.csv"))
     art.write("meta.txt", _meta_text(fieldU.metadata))
     return 0, None
 

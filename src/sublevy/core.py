@@ -28,7 +28,6 @@ __all__ = [
     "ConditionAudit",
     "ControlGrid",
     "JumpReferenceMeasure",
-    "LevyTriplet",
     "Quadrature",
     "QuadratureError",
     "TruncationFunction",
@@ -271,36 +270,6 @@ class CoefficientField:
         lo, hi = self.state_box
         if not lo < hi:
             raise ValueError("state_box must be a nonempty interval")
-
-    def freeze(self, f, x) -> "LevyTriplet":
-        """Location/scale/jump description at one (control, state) pair."""
-        sig = float(np.asarray(self.dispersion(f, x), dtype=float))
-        return LevyTriplet(
-            drift=float(np.asarray(self.drift(f, x), dtype=float)),
-            covariance=sig * sig,
-            reference=self.reference,
-            control=tuple(f),
-            state=float(x),
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class LevyTriplet:
-    """Coefficients frozen at one (control, state) pair.
-
-    The jump part is the reference measure pushed through the jump map at
-    the stored pair; ``reference`` plus ``(control, state)`` identify it.
-    """
-
-    drift: float
-    covariance: float
-    reference: JumpReferenceMeasure
-    control: tuple
-    state: float
-
-    def __post_init__(self):
-        if self.covariance < 0:
-            raise ValueError("covariance must be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)

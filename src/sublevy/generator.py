@@ -97,7 +97,7 @@ def gaussian_bump(amplitude: float = 1.0, center: float = 0.0, width: float = 1.
     )
 
 
-def _freeze_jump(field: CoefficientField, f, x):
+def _jump_sizes(field: CoefficientField, f, x):
     quad = field.reference.quadrature
     kappa = np.asarray(field.jump_density_map(f, x, quad.nodes), dtype=float)
     if kappa.shape != quad.nodes.shape:
@@ -126,7 +126,7 @@ def apply_generator(
         raise ValueError(f"non-finite coefficients at control {f}, x {x}")
     g = float(np.asarray(phi.gradient(x), dtype=float))
     hess = float(np.asarray(phi.hessian(x), dtype=float))
-    quad, kappa = _freeze_jump(field, f, x)
+    quad, kappa = _jump_sizes(field, f, x)
     if not np.all(np.isfinite(kappa)):
         bad = quad.nodes[~np.isfinite(kappa)][0]
         raise ValueError(f"non-finite jump size at control {f}, x {x}, mark {bad}")
@@ -163,7 +163,7 @@ def symbol(field: CoefficientField, f, x: float, xi):
     xv = np.atleast_1d(xi_arr)
     b = float(np.asarray(field.drift(f, x), dtype=float))
     sig = float(np.asarray(field.dispersion(f, x), dtype=float))
-    quad, kappa = _freeze_jump(field, f, x)
+    quad, kappa = _jump_sizes(field, f, x)
     h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
     term = (
         1.0
@@ -213,7 +213,7 @@ def drift_correction(field: CoefficientField, f, x: float, gamma=None) -> float:
     to |z|.
     """
     x = float(x)
-    quad, kappa = _freeze_jump(field, f, x)
+    quad, kappa = _jump_sizes(field, f, x)
     h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
     if gamma is None:
         gamma = field.gamma

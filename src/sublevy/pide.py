@@ -11,6 +11,15 @@ is what makes the scheme monotone and the discrete field a semigroup
 (constants preserved, pointwise monotone in the payoff, stable in sup
 norm).
 
+All controls are held as one envelope of (n_controls, nx) coefficient
+arrays.  Each control's jump map is evaluated on the full grid-by-mark
+table, and controls with identical tables share one jump term.  The
+route of a term is decided from that table, not from sample states: a
+table whose rows are all equal is state-free and becomes a correlation
+on a numpy FFT with the kernel transform cached, any other table is
+interpolated node by node (gather), and a zero-mass measure has no jump
+term at all.
+
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.
 """
@@ -21,7 +30,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .core import CoefficientField
 
@@ -33,9 +41,6 @@ __all__ = [
     "solve",
     "viscosity_residual",
 ]
-
-# direct correlation below this many products per apply, FFT above
-_CONV_DIRECT_LIMIT = 1_000_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,128 +105,130 @@ class ValueField:
                     fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r}\n")
 
 
-class _ControlOperator:
-    """One control's spatial operator, precomputed on a grid.
+def _conv_term(kappa, weights, dx, nx):
+    """Jump term of a state-free table: one correlation with interpolation taps.
 
-    ``apply`` acts on the shifted field w = u - u[mid]; it is linear, and
-    identically zero on w = 0, which is what keeps constants exact.
+    The field is padded by constant extension and correlated on a numpy FFT
+    whose kernel transform is computed here, once.  Any FFT length of at
+    least the padded length works, because the circular wrap-around lands
+    outside the kept window; a power of two avoids slow prime-size
+    transforms.
+    """
+    pos = kappa / dx
+    i0 = np.floor(pos).astype(int)
+    frac = pos - i0
+    m_min = int(i0.min())
+    m_max = int(i0.max()) + 1
+    taps = np.zeros(m_max - m_min + 1)
+    np.add.at(taps, i0 - m_min, weights * (1.0 - frac))
+    np.add.at(taps, i0 - m_min + 1, weights * frac)
+    pad_l = max(0, -m_min)
+    pad_r = max(0, m_max)
+    k0 = pad_l + m_min
+    n_fft = 1 << (pad_l + nx + pad_r - 1).bit_length()
+    kernel = np.conj(np.fft.rfft(taps, n_fft))
+
+    def term(w):
+        p = np.concatenate([np.full(pad_l, w[0]), w, np.full(pad_r, w[-1])])
+        return np.fft.irfft(np.fft.rfft(p, n_fft) * kernel, n_fft)[k0 : k0 + nx]
+
+    return term
+
+
+def _gather_term(ktab, weights, dx, nx):
+    """Jump term of a state-dependent table: interpolate w at every x + jump."""
+    pos = np.clip(np.arange(nx)[:, None] + ktab / dx, 0.0, nx - 1.0)
+    idx = np.minimum(np.floor(pos).astype(int), nx - 2)
+    frac = pos - idx
+    lo = 1.0 - frac
+
+    def term(w):
+        return (w[idx] * lo + w[idx + 1] * frac) @ weights
+
+    return term
+
+
+class _Envelope:
+    """Every control's spatial operator on one grid, as (n_controls, nx) arrays.
+
+    ``apply`` acts on the shifted field w = u - u[mid]; each row is linear
+    in w and identically zero on w = 0, which is what keeps constants
+    exact.  Controls with byte-identical jump tables share one jump term,
+    so they also tie exactly.
     """
 
-    def __init__(self, field: CoefficientField, grid: SpatialGrid, f):
-        self.f = f
+    def __init__(self, field: CoefficientField, grid: SpatialGrid):
         xs = grid.xs()
         dx = grid.dx
         nx = grid.nx
-        b = np.broadcast_to(np.asarray(field.drift(f, xs), dtype=float), xs.shape)
-        sig = np.broadcast_to(np.asarray(field.dispersion(f, xs), dtype=float), xs.shape)
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
-            raise ValueError(f"non-finite coefficients at control {f}")
-        a = sig * sig
+        controls = field.control_grid.points
         quad = field.reference.quadrature
         nodes, weights = quad.nodes, quad.weights
         self.mass = quad.mass
         h_of = field.truncation.evaluate
-
-        if self.mass == 0.0:
-            self.route = "none"
-            comp_vec = np.zeros(nx)
-        else:
-            probe_idx = np.unique([0, nx // 3, nx // 2, (2 * nx) // 3, nx - 1])
-            probes = xs[probe_idx]
-            ktab = np.asarray(
-                field.jump_density_map(f, probes[:, None], nodes[None, :]), dtype=float
-            )
-            ktab = np.broadcast_to(ktab, (probes.size, nodes.size))
+        b = np.empty((len(controls), nx))
+        a = np.empty_like(b)
+        comp = np.zeros_like(b)
+        self._group_of = np.zeros(len(controls), dtype=int)
+        self._terms = []
+        routes = []
+        group_comps = []
+        group_by_table = {}
+        for i, f in enumerate(controls):
+            b[i] = np.asarray(field.drift(f, xs), dtype=float)
+            sig = np.broadcast_to(np.asarray(field.dispersion(f, xs), dtype=float), xs.shape)
+            if not (np.all(np.isfinite(b[i])) and np.all(np.isfinite(sig))):
+                raise ValueError(f"non-finite coefficients at control {f}")
+            a[i] = sig * sig
+            if self.mass == 0.0:
+                continue
+            # the full table is exact on every node the march touches
+            ktab = np.asarray(field.jump_density_map(f, xs[:, None], nodes[None, :]), dtype=float)
+            ktab = np.broadcast_to(ktab, (nx, nodes.size))
             if not np.all(np.isfinite(ktab)):
                 raise ValueError(f"non-finite jump map at control {f}")
-            x_independent = bool(np.all(ktab == ktab[0]))
-            if x_independent:
-                kappa = ktab[0]
-                comp_vec = np.full(nx, float(np.asarray(h_of(kappa), dtype=float) @ weights))
-                self._setup_conv(kappa, weights, dx, nx)
-                self.route = "conv"
-            else:
-                full = np.asarray(
-                    field.jump_density_map(f, xs[:, None], nodes[None, :]), dtype=float
-                )
-                full = np.broadcast_to(full, (nx, nodes.size)).copy()
-                if not np.all(np.isfinite(full)):
-                    raise ValueError(f"non-finite jump map at control {f}")
-                comp_vec = (np.asarray(h_of(full), dtype=float) * weights[None, :]).sum(axis=1)
-                self._setup_gather(full, weights, dx, nx)
-                self.route = "gather"
+            key = ktab.tobytes()
+            if key not in group_by_table:
+                group_by_table[key] = len(self._terms)
+                if np.all(ktab == ktab[0]):
+                    routes.append("conv")
+                    self._terms.append(_conv_term(ktab[0], weights, dx, nx))
+                    group_comps.append(float(np.asarray(h_of(ktab[0]), dtype=float) @ weights))
+                else:
+                    routes.append("gather")
+                    self._terms.append(_gather_term(ktab, weights, dx, nx))
+                    h = np.asarray(h_of(ktab), dtype=float)
+                    group_comps.append((h * weights[None, :]).sum(axis=1))
+            self._group_of[i] = group_by_table[key]
+            comp[i] = group_comps[self._group_of[i]]
+        self.routes = sorted(set(routes)) if self._terms else ["none"]
 
-        eff = b - comp_vec
+        eff = b - comp
         self.bp = np.maximum(eff, 0.0) / dx
         self.bm = np.maximum(-eff, 0.0) / dx
         self.diff = a / (2.0 * dx * dx)
-        # CFL bookkeeping: reported sups use |drift| + |compensator|
-        self.a_max = float(a.max())
-        self.b_max = float((np.abs(b) + np.abs(comp_vec)).max())
-        self.stiffness = float((self.bp + self.bm + 2.0 * self.diff).max() + self.mass)
+        # the one CFL denominator; its drift sup uses |drift| + |compensator|
+        a_max = float(a.max())
+        b_max = float((np.abs(b) + np.abs(comp)).max())
+        self.denom = a_max / (dx * dx) + b_max / dx + self.mass
 
-    def _setup_conv(self, kappa, weights, dx, nx):
-        pos = kappa / dx
-        i0 = np.floor(pos).astype(int)
-        frac = pos - i0
-        m_min = int(i0.min())
-        m_max = int(i0.max()) + 1
-        taps = np.zeros(m_max - m_min + 1)
-        np.add.at(taps, i0 - m_min, weights * (1.0 - frac))
-        np.add.at(taps, i0 - m_min + 1, weights * frac)
-        self._taps = taps
-        self._pad_l = max(0, -m_min)
-        self._pad_r = max(0, m_max)
-        self._k0 = self._pad_l + m_min
-        self._fft = taps.size * nx > _CONV_DIRECT_LIMIT
-
-    def _setup_gather(self, ktab, weights, dx, nx):
-        pos = np.arange(nx)[:, None] + ktab / dx
-        pos = np.clip(pos, 0.0, nx - 1.0)
-        idx = np.minimum(np.floor(pos).astype(int), nx - 2)
-        self._g_idx = idx
-        self._g_frac = pos - idx
-        self._g_weights = weights
-
-    def _jump(self, w):
-        if self.route == "none":
-            return 0.0
-        if self.route == "conv":
-            p = np.concatenate(
-                [np.full(self._pad_l, w[0]), w, np.full(self._pad_r, w[-1])]
-            )
-            if self._fft:
-                corr = fftconvolve(p, self._taps[::-1], mode="valid")
-            else:
-                corr = np.correlate(p, self._taps, mode="valid")
-            return corr[self._k0 : self._k0 + w.size]
-        vals = w[self._g_idx] * (1.0 - self._g_frac) + w[self._g_idx + 1] * self._g_frac
-        return vals @ self._g_weights
+    def timestep(self, safety: float, dt_max: float) -> float:
+        """Stable explicit step safety / denom, capped at ``dt_max``."""
+        if not 0.0 < safety <= 1.0:
+            raise ValueError("safety must be in (0, 1]")
+        if dt_max <= 0:
+            raise ValueError("dt_max must be positive")
+        if self.denom == 0.0:
+            return float(dt_max)
+        return float(min(safety / self.denom, dt_max))
 
     def apply(self, w):
+        """The (n_controls, nx) stack of L_f w."""
         d = np.diff(w)
         dp = np.append(d, 0.0)
         dm = np.concatenate(([0.0], -d))
-        return self.bp * dp + self.bm * dm + self.diff * (dp + dm) + self._jump(w) - self.mass * w
-
-
-def _build_operators(field: CoefficientField, grid: SpatialGrid):
-    return [_ControlOperator(field, grid, f) for f in field.control_grid.points]
-
-
-def _cfl_from_ops(ops, grid, safety, dt_max):
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must be in (0, 1]")
-    if dt_max <= 0:
-        raise ValueError("dt_max must be positive")
-    dx = grid.dx
-    a_max = max(op.a_max for op in ops)
-    b_max = max(op.b_max for op in ops)
-    rate = max(op.mass for op in ops)
-    denom = a_max / (dx * dx) + b_max / dx + rate
-    if denom == 0.0:
-        return float(dt_max)
-    return float(min(safety / denom, dt_max))
+        jump = np.stack([term(w) for term in self._terms])[self._group_of] if self._terms else 0.0
+        return self.bp * dp + self.bm * dm + self.diff * (dp + dm) + jump - self.mass * w
 
 
 def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, dt_max: float = 1.0) -> float:
@@ -232,14 +239,7 @@ def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, d
     rate is the quadrature mass.  Zero coefficients cap the step at
     ``dt_max``.
     """
-    return _cfl_from_ops(_build_operators(field, grid), grid, safety, dt_max)
-
-
-def _sup_generator(ops, w):
-    out = ops[0].apply(w)
-    for op in ops[1:]:
-        np.maximum(out, op.apply(w), out=out)
-    return out
+    return _Envelope(field, grid).timestep(safety, dt_max)
 
 
 def solve(
@@ -266,8 +266,8 @@ def solve(
         raise ValueError("psi must give one value per grid node")
     if not np.all(np.isfinite(u)):
         raise ValueError("psi must be finite on the grid")
-    ops = _build_operators(field, grid)
-    dt = _cfl_from_ops(ops, grid, safety, dt_max)
+    env = _Envelope(field, grid)
+    dt = env.timestep(safety, dt_max)
     mid = grid.nx // 2
     psi_sup = float(np.max(np.abs(u)))
 
@@ -289,7 +289,7 @@ def solve(
             )
         max_sub = max(max_sub, sub_dt)
         for i in range(n_sub):
-            u = u + sub_dt * _sup_generator(ops, u - u[mid])
+            u = u + sub_dt * env.apply(u - u[mid]).max(axis=0)
             if not np.all(np.isfinite(u)):
                 raise RuntimeError(
                     f"non-finite value at step {n_steps + 1}, t = {t + (i + 1) * sub_dt}"
@@ -300,11 +300,6 @@ def solve(
         t = target
         times[-1] = t  # land exactly, clearing accumulated roundoff
 
-    dx = grid.dx
-    a_max = max(op.a_max for op in ops)
-    b_max = max(op.b_max for op in ops)
-    rate = max(op.mass for op in ops)
-    denom = a_max / (dx * dx) + b_max / dx + rate
     tail_rate = field.reference.tail_mass_outside_window()
     metadata = {
         "scheme": "explicit-upwind-monotone",
@@ -313,11 +308,11 @@ def solve(
         "max_substep": max_sub,
         "n_steps": n_steps,
         "safety": safety,
-        "cfl_ratio": max_sub * denom,
+        "cfl_ratio": max_sub * env.denom,
         "tail_mass_rate": tail_rate,
         "tail_value_error_bound": 2.0 * psi_sup * tail_rate * float(T),
         "psi_sup": psi_sup,
-        "routes": sorted({op.route for op in ops}),
+        "routes": env.routes,
     }
     return ValueField(grid=grid, times=np.asarray(times), values=np.asarray(rows), metadata=metadata)
 
@@ -327,13 +322,12 @@ def viscosity_residual(fieldU: ValueField, field: CoefficientField, t_index: int
     nt = fieldU.times.size
     if not 0 < t_index < nt - 1:
         raise ValueError(f"t_index must be interior to 0..{nt - 1}")
-    ops = _build_operators(field, fieldU.grid)
     mid = fieldU.grid.nx // 2
     u = fieldU.values[t_index]
     du = (fieldU.values[t_index + 1] - fieldU.values[t_index - 1]) / (
         fieldU.times[t_index + 1] - fieldU.times[t_index - 1]
     )
-    return du - _sup_generator(ops, u - u[mid])
+    return du - _Envelope(field, fieldU.grid).apply(u - u[mid]).max(axis=0)
 
 
 def restart(

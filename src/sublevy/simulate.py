@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import CoefficientField
-from .pide import ValueField, _build_operators, _sup_generator
+from .pide import ValueField, _Envelope
 
 __all__ = [
     "CHUNK",
@@ -304,16 +304,10 @@ def policy_from_pide(fieldU: ValueField, field: CoefficientField) -> PolicySched
     At elapsed time s the policy uses the stored row at remaining time
     T - s; ties pick the first control in grid order.
     """
-    ops = _build_operators(field, fieldU.grid)
+    env = _Envelope(field, fieldU.grid)
     mid = fieldU.grid.nx // 2
-    nt = fieldU.times.size
     T = float(fieldU.times[-1])
-    rows_idx = []
-    for irow in range(nt - 1, -1, -1):
-        u = fieldU.values[irow]
-        w = u - u[mid]
-        stack = np.stack([op.apply(w) for op in ops])
-        rows_idx.append(np.argmax(stack, axis=0))
+    rows_idx = [env.apply(u - u[mid]).argmax(axis=0) for u in fieldU.values[::-1]]
     knots = T - fieldU.times[::-1]
     knots[0] = 0.0
     return PolicySchedule(

@@ -1,10 +1,13 @@
 import filecmp
 import os
 import subprocess
+import sys
 
 import pytest
 
+import sublevy
 from sublevy.cli import ConfigError, main, parse_config
+from sublevy.pide import ValueField
 
 FAST_SOLVE = ["--set", "pide.nx=201", "--set", "pide.t_horizon=0.2"]
 
@@ -211,6 +214,31 @@ class TestErrorChannels:
                           "--out", str(out))
         assert code == 0
         assert (out / "u.csv").exists()
+
+    def test_failed_value_write_removes_partial_file(self, capsys, tmp_path, monkeypatch):
+        def half_write(self, path):
+            with open(path, "w") as fh:
+                fh.write("t,x,u\n")
+            raise RuntimeError("disk gave out")
+
+        monkeypatch.setattr(ValueField, "write_csv", half_write)
+        out = tmp_path / "art"
+        code, _, err = _run(capsys, "solve", "--out", str(out), *FAST_SOLVE)
+        assert code == 3
+        assert err.startswith("RUNTIME_FAILURE")
+        assert not (out / "u.csv").exists()
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sublevy.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, sublevy.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConsoleScript:

@@ -149,14 +149,6 @@ class TestJumpReferenceMeasure:
 
 
 class TestCoefficientField:
-    def test_freeze_returns_triplet(self, degenerate_field):
-        f = degenerate_field.control_grid.points[0]
-        trip = degenerate_field.freeze(f, 0.3)
-        assert trip.drift == pytest.approx(0.05)
-        assert trip.covariance == pytest.approx(0.2)
-        assert trip.state == 0.3
-        assert trip.control == tuple(f)
-
     def test_bad_state_box_rejected(self):
         with pytest.raises(ValueError):
             CoefficientField(

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from sublevy.core import ControlGrid
+from sublevy.kou import GaussianBump, KouSpec, build_field
 from sublevy.pide import (
     SpatialGrid,
     ValueField,
+    _Envelope,
     cfl_timestep,
     restart,
     solve,
@@ -272,3 +274,107 @@ class TestRestart:
         gap = np.max(np.abs(again.values[-1][grid.inner_mask()]
                             - direct.values[-1][grid.inner_mask()]))
         assert gap <= 5e-3
+
+
+def _state_dependent_field():
+    """Intensity with a tent at x = 1.5 and constant 1 elsewhere."""
+    spec = KouSpec(b_lo=0.0, b_hi=0.0, a_lo=0.2, a_hi=0.2,
+                   lam_lo=lambda x: 1.0 + 0.9 * np.maximum(0.0, 1.0 - np.abs(x - 1.5)),
+                   lam_hi=2.0, lam_star=2.0, lam_floor=0.5)
+    return build_field(spec, 1)
+
+
+def _reference_stack(field, grid, w):
+    """Per-control loop over the plain formulas of the scheme.
+
+    A table whose rows are all equal is applied as a direct np.correlate
+    with interpolation taps on the constant-extended field; any other table
+    interpolates w at every x + jump.
+    """
+    xs, dx, nx = grid.xs(), grid.dx, grid.nx
+    quad = field.reference.quadrature
+    nodes, weights = quad.nodes, quad.weights
+    h_of = field.truncation.evaluate
+    d = np.diff(w)
+    dp = np.append(d, 0.0)
+    dm = np.concatenate(([0.0], -d))
+    rows = []
+    for f in field.control_grid.points:
+        b = np.broadcast_to(np.asarray(field.drift(f, xs), dtype=float), xs.shape)
+        sig = np.broadcast_to(np.asarray(field.dispersion(f, xs), dtype=float), xs.shape)
+        comp, jump = 0.0, 0.0
+        if quad.mass > 0:
+            ktab = np.broadcast_to(
+                np.asarray(field.jump_density_map(f, xs[:, None], nodes[None, :]), dtype=float),
+                (nx, nodes.size))
+            if np.all(ktab == ktab[0]):
+                kappa = ktab[0]
+                comp = float(h_of(kappa) @ weights)
+                pos = kappa / dx
+                i0 = np.floor(pos).astype(int)
+                frac = pos - i0
+                m_min, m_max = int(i0.min()), int(i0.max()) + 1
+                taps = np.zeros(m_max - m_min + 1)
+                np.add.at(taps, i0 - m_min, weights * (1.0 - frac))
+                np.add.at(taps, i0 - m_min + 1, weights * frac)
+                pad_l, pad_r = max(0, -m_min), max(0, m_max)
+                p = np.concatenate([np.full(pad_l, w[0]), w, np.full(pad_r, w[-1])])
+                k0 = pad_l + m_min
+                jump = np.correlate(p, taps, mode="valid")[k0:k0 + nx]
+            else:
+                comp = (h_of(ktab) * weights[None, :]).sum(axis=1)
+                pos = np.clip(np.arange(nx)[:, None] + ktab / dx, 0.0, nx - 1.0)
+                idx = np.minimum(np.floor(pos).astype(int), nx - 2)
+                frac = pos - idx
+                jump = (w[idx] * (1.0 - frac) + w[idx + 1] * frac) @ weights
+        eff = b - comp
+        bp = np.maximum(eff, 0.0) / dx
+        bm = np.maximum(-eff, 0.0) / dx
+        diff = sig * sig / (2.0 * dx * dx)
+        rows.append(bp * dp + bm * dm + diff * (dp + dm) + jump - quad.mass * w)
+    return np.asarray(rows)
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("case", ["march", "cli", "state-dependent", "zero-mass"])
+    def test_stack_matches_per_control_formulas(self, case, kou_spec, degenerate_spec):
+        field, nx, route = {
+            "march": (lambda: build_field(kou_spec, 2), 1601, "conv"),
+            "cli": (lambda: build_field(degenerate_spec, 2), 801, "conv"),
+            "state-dependent": (_state_dependent_field, 801, "gather"),
+            "zero-mass": (lambda: constant_drift_field(
+                0.0, sigma=0.3, controls=ControlGrid.uniform((-1.0,), (1.0,), 3)), 801, "none"),
+        }[case]
+        field = field()
+        grid = SpatialGrid(-10.0, 10.0, nx)
+        xs = grid.xs()
+        psi = np.exp(-0.5 * (xs - 0.3) ** 2) + 0.2 * np.tanh(xs)
+        w = psi - psi[nx // 2]
+        tol = 1e-13 * float(np.max(np.abs(w)))
+        env = _Envelope(field, grid)
+        stack = env.apply(w)
+        want = _reference_stack(field, grid, w)
+        assert stack.shape == (len(field.control_grid.points), nx)
+        assert float(np.max(np.abs(stack - want))) <= tol
+        assert env.routes == [route]
+
+    def test_controls_with_one_jump_table_share_one_term(self, kou_spec):
+        grid = SpatialGrid(-10.0, 10.0, 201)
+        eight = build_field(kou_spec, 2)
+        twenty_seven = build_field(kou_spec, 3)
+        assert len(eight.control_grid.points) == 8
+        assert len(_Envelope(eight, grid)._terms) == 2
+        assert len(twenty_seven.control_grid.points) == 27
+        assert len(_Envelope(twenty_seven, grid)._terms) == 3
+
+    def test_state_dependent_intensity_is_not_mistaken_for_state_free(self):
+        # the tent equals 1 at every sample state a coarse probe set would
+        # use on this grid, so only the full table shows its state dependence
+        field = _state_dependent_field()
+        bump = GaussianBump(center=1.5)
+        plain = solve(field, bump.value, 1.0, SpatialGrid(-10.0, 10.0, 801))
+        x_min = 1.5 - 266 * 0.025
+        aligned = solve(field, bump.value, 1.0, SpatialGrid(x_min, x_min + 20.0, 801))
+        assert plain.metadata["routes"] == ["gather"]
+        assert abs(float(plain.terminal_value(1.5))
+                   - float(aligned.terminal_value(1.5))) <= 1e-2
