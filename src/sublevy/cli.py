@@ -109,9 +109,14 @@ class RunConfig:
             self.values[section][key] = raw
         else:
             try:
-                self.values[section][key] = conv(raw)
+                value = conv(raw)
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from e
+            values = value if isinstance(value, tuple) else (value,)
+            # nan passes every `x > tol` gate as False, so it must not get in
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+            self.values[section][key] = value
 
     def validate(self) -> None:
         p = self["pide"]

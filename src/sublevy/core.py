@@ -10,7 +10,10 @@ and a sampling-based audit of the regularity the numerics rely on
 Conventions: the engine is one-dimensional.  Coefficient callables follow
 NumPy broadcasting -- ``drift(f, x)`` maps an array of states to an array
 of drifts, and ``jump_density_map(f, x, z)`` broadcasts states against
-marks (pass ``x[:, None]`` and ``z[None, :]`` for a full table).
+marks (pass ``x[:, None]`` and ``z[None, :]`` for a full table).  A result
+that comes back without a state axis (a number for drift or dispersion,
+a single row for the jump table) declares that coefficient state-free;
+the Monte Carlo relies on this and evaluates only the others per state.
 """
 
 from __future__ import annotations

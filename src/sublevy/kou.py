@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable
 
 import numpy as np
 
@@ -46,12 +45,9 @@ __all__ = [
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _as_state_fn(bound):
-    """Lift a number to a constant state function; pass callables through."""
-    if callable(bound):
-        return bound
-    c = float(bound)
-    return lambda x: c + 0.0 * np.asarray(x, dtype=float)
+def _at(bound, x):
+    """A bound's value at states x; a constant bound stays a plain number."""
+    return bound(x) if callable(bound) else float(bound)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,9 +76,9 @@ class KouSpec:
         if not self.lam_star > 0:
             raise ValueError("lam_star must be positive")
         xs = np.asarray(sample_states, dtype=float)
-        blo, bhi = _as_state_fn(self.b_lo)(xs), _as_state_fn(self.b_hi)(xs)
-        alo, ahi = _as_state_fn(self.a_lo)(xs), _as_state_fn(self.a_hi)(xs)
-        llo, lhi = _as_state_fn(self.lam_lo)(xs), _as_state_fn(self.lam_hi)(xs)
+        blo, bhi = _at(self.b_lo, xs), _at(self.b_hi, xs)
+        alo, ahi = _at(self.a_lo, xs), _at(self.a_hi, xs)
+        llo, lhi = _at(self.lam_lo, xs), _at(self.lam_hi, xs)
         if np.any(blo > bhi):
             raise ValueError("b_lo > b_hi")
         if np.any(alo < 0) or np.any(alo > ahi):
@@ -157,17 +153,18 @@ def clamp_jump(z, log_ratio):
 
 
 def control_coefficients(spec: KouSpec, f, x):
-    """Pointwise (drift, variance, intensity) at control f and state x."""
-    b_lo, b_hi = _as_state_fn(spec.b_lo), _as_state_fn(spec.b_hi)
-    a_lo, a_hi = _as_state_fn(spec.a_lo), _as_state_fn(spec.a_hi)
-    l_lo, l_hi = _as_state_fn(spec.lam_lo), _as_state_fn(spec.lam_hi)
-    blo = b_lo(x)
-    alo = a_lo(x)
-    llo = l_lo(x)
+    """Pointwise (drift, variance, intensity) at control f and state x.
+
+    A coefficient whose bounds are both constants comes back as a plain
+    number, without the state axis, which tells callers it is state-free.
+    """
+    blo = _at(spec.b_lo, x)
+    alo = _at(spec.a_lo, x)
+    llo = _at(spec.lam_lo, x)
     return (
-        blo + f[0] * (b_hi(x) - blo),
-        alo + f[1] * (a_hi(x) - alo),
-        llo + f[2] * (l_hi(x) - llo),
+        blo + f[0] * (_at(spec.b_hi, x) - blo),
+        alo + f[1] * (_at(spec.a_hi, x) - alo),
+        llo + f[2] * (_at(spec.lam_hi, x) - llo),
     )
 
 
@@ -220,9 +217,9 @@ def build_field(
 
     xs = np.linspace(state_box[0], state_box[1], 201)
     b_mag = float(
-        max(np.max(np.abs(_as_state_fn(spec.b_lo)(xs))), np.max(np.abs(_as_state_fn(spec.b_hi)(xs))))
+        max(np.max(np.abs(_at(spec.b_lo, xs))), np.max(np.abs(_at(spec.b_hi, xs))))
     )
-    sig_mag = float(math.sqrt(np.max(_as_state_fn(spec.a_hi)(xs))))
+    sig_mag = float(math.sqrt(np.max(_at(spec.a_hi, xs))))
     declared_bound = b_mag + sig_mag + lam_star * _CAPPED_MOMENT + 1e-3
 
     return CoefficientField(

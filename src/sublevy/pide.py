@@ -99,10 +99,11 @@ class ValueField:
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("t,x,u\n")
-            xs = self.grid.xs()
-            for t, row in zip(self.times, self.values):
-                for x, v in zip(xs, row):
-                    fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r}\n")
+            xs = [f"{x!r}," for x in self.grid.xs().tolist()]
+            # row by row: the whole timeline as Python floats costs ~19 MB more
+            for t, row in zip(self.times.tolist(), self.values):
+                head = f"{t!r},"
+                fh.write("".join([f"{head}{x}{v!r}\n" for x, v in zip(xs, row.tolist())]))
 
 
 def _conv_term(kappa, weights, dx, nx):
@@ -148,6 +149,17 @@ def _gather_term(ktab, weights, dx, nx):
     return term
 
 
+def _compensator(field, ktab, weights):
+    """Truncated-jump compensator of a jump table, one value per table row.
+
+    A one-row table is state-free and gives a plain number.
+    """
+    h = np.asarray(field.truncation.evaluate(ktab), dtype=float)
+    if h.shape[0] == 1:
+        return float(h[0] @ weights)
+    return (h * weights[None, :]).sum(axis=1)
+
+
 class _Envelope:
     """Every control's spatial operator on one grid, as (n_controls, nx) arrays.
 
@@ -165,7 +177,6 @@ class _Envelope:
         quad = field.reference.quadrature
         nodes, weights = quad.nodes, quad.weights
         self.mass = quad.mass
-        h_of = field.truncation.evaluate
         b = np.empty((len(controls), nx))
         a = np.empty_like(b)
         comp = np.zeros_like(b)
@@ -193,12 +204,11 @@ class _Envelope:
                 if np.all(ktab == ktab[0]):
                     routes.append("conv")
                     self._terms.append(_conv_term(ktab[0], weights, dx, nx))
-                    group_comps.append(float(np.asarray(h_of(ktab[0]), dtype=float) @ weights))
+                    group_comps.append(_compensator(field, ktab[:1], weights))
                 else:
                     routes.append("gather")
                     self._terms.append(_gather_term(ktab, weights, dx, nx))
-                    h = np.asarray(h_of(ktab), dtype=float)
-                    group_comps.append((h * weights[None, :]).sum(axis=1))
+                    group_comps.append(_compensator(field, ktab, weights))
             self._group_of[i] = group_by_table[key]
             comp[i] = group_comps[self._group_of[i]]
         self.routes = sorted(set(routes)) if self._terms else ["none"]

@@ -5,8 +5,11 @@ jumps: the reference measure (finite mass only) drives jump times, marks
 are drawn from its normalized law, and each jump applies the control's jump
 map to the pre-jump state.  The continuous drift is the raw drift minus the
 truncated-jump compensator, so path laws match the generator the PIDE
-solver discretizes.  Estimates under the time-reversed argmax policy of a
-solved field give a lower bound on the PIDE value up to scheme tolerance.
+solver discretizes.  A control whose coefficients come back without a
+state axis is read from a table; every other control is evaluated at its
+own paths' states each step.  Estimates under the time-reversed argmax
+policy of a solved field give a lower bound on the PIDE value up to
+scheme tolerance.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so estimates are bit-identical for a
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from .core import CoefficientField
-from .pide import ValueField, _Envelope
+from .pide import ValueField, _compensator, _Envelope
 
 __all__ = [
     "CHUNK",
@@ -68,6 +71,9 @@ class PolicySchedule:
             raise ValueError("time knots must start at 0")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("time knots must increase strictly")
+        # np.interp in control_indices assumes this and does not check it
+        if centers.ndim != 1 or centers.size == 0 or not np.all(np.diff(centers) > 0):
+            raise ValueError("cell centers must be nonempty, 1-d and increase strictly")
         if idx.shape != (knots.size, centers.size):
             raise ValueError("indices must be one row per knot over the cells")
         if idx.size and (idx.min() < 0 or idx.max() >= len(self.controls)):
@@ -107,14 +113,21 @@ class SamplePath:
     jump_log: tuple
 
 
-def _comp_of(field, f, probes, nodes, weights):
-    """Truncated-jump compensator; scalar when the jump map is state-free."""
-    h_of = field.truncation.evaluate
-    ktab = np.asarray(field.jump_density_map(f, probes[:, None], nodes[None, :]), dtype=float)
-    ktab = np.broadcast_to(ktab, (probes.size, nodes.size))
-    if np.all(ktab == ktab[0]):
-        return float(np.asarray(h_of(ktab[0]), dtype=float) @ weights)
-    return None
+def _coefficients(field, f, x):
+    """(drift - compensator, dispersion) of control f at states x.
+
+    Results are not broadcast to x's shape: by the broadcasting contract of
+    the coefficient callables, one that comes back without a state axis
+    does not vary with the state.
+    """
+    b = np.asarray(field.drift(f, x), dtype=float)
+    s = np.asarray(field.dispersion(f, x), dtype=float)
+    if field.reference.total_mass > 0:
+        quad = field.reference.quadrature
+        ktab = np.asarray(field.jump_density_map(f, x[:, None], quad.nodes[None, :]), dtype=float)
+        ktab = np.broadcast_to(ktab, np.broadcast_shapes(ktab.shape, (1, quad.nodes.size)))
+        b = b - _compensator(field, ktab, quad.weights)
+    return b, s
 
 
 def _simulate_chunk(
@@ -136,33 +149,20 @@ def _simulate_chunk(
     if mass > 0 and measure.sampler is None:
         raise ValueError("jump measure has positive mass but no sampler")
     controls = field.control_grid.points
-    quad = measure.quadrature
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
     sq = math.sqrt(dt_eff)
 
-    lo, hi = field.state_box
-    probes = np.array([lo, 0.5 * (lo + hi), hi])
-    comp_cache = [
-        _comp_of(field, f, probes, quad.nodes, quad.weights) if mass > 0 else 0.0
-        for f in controls
-    ]
-    h_of = field.truncation.evaluate
-
-    # state-free drift/dispersion for every control allows table lookup per step
-    btab = np.empty(len(controls))
-    stab = np.empty(len(controls))
-    tables_ok = all(c is not None for c in comp_cache)
-    if tables_ok:
-        for ci, f in enumerate(controls):
-            bv = np.broadcast_to(np.asarray(field.drift(f, probes), dtype=float), probes.shape)
-            sv = np.broadcast_to(np.asarray(field.dispersion(f, probes), dtype=float), probes.shape)
-            if np.all(bv == bv[0]) and np.all(sv == sv[0]):
-                btab[ci] = bv[0] - comp_cache[ci]
-                stab[ci] = sv[0]
-            else:
-                tables_ok = False
-                break
+    # two states tell a state-free one-row jump table from a single state's row
+    btab = np.zeros(len(controls))
+    stab = np.zeros(len(controls))
+    per_state = np.zeros(len(controls), dtype=bool)
+    for ci, f in enumerate(controls):
+        b, s = _coefficients(field, f, np.full(2, float(x0)))
+        if b.ndim == 0 and s.ndim == 0:
+            btab[ci], stab[ci] = b, s
+        else:
+            per_state[ci] = True
 
     x = np.full(n, float(x0))
     times = [0.0]
@@ -173,27 +173,11 @@ def _simulate_chunk(
     for step in range(n_steps):
         t = step * dt_eff
         fidx = np.asarray(policy.control_indices(t, x), dtype=int)
-        if tables_ok:
-            beff = btab[fidx]
-            sig = stab[fidx]
-        else:
-            beff = np.empty(n)
-            sig = np.empty(n)
-            for ci in np.unique(fidx):
-                m = fidx == ci
-                f = controls[ci]
-                xm = x[m]
-                b = np.broadcast_to(np.asarray(field.drift(f, xm), dtype=float), xm.shape)
-                s = np.broadcast_to(np.asarray(field.dispersion(f, xm), dtype=float), xm.shape)
-                comp = comp_cache[ci]
-                if comp is None:
-                    ktab = np.asarray(
-                        field.jump_density_map(f, xm[:, None], quad.nodes[None, :]), dtype=float
-                    )
-                    ktab = np.broadcast_to(ktab, (xm.size, quad.nodes.size))
-                    comp = (np.asarray(h_of(ktab), dtype=float) * quad.weights[None, :]).sum(axis=1)
-                beff[m] = b - comp
-                sig[m] = s
+        beff = btab[fidx]
+        sig = stab[fidx]
+        for ci in np.unique(fidx[per_state[fidx]]):
+            m = fidx == ci
+            beff[m], sig[m] = _coefficients(field, controls[ci], x[m])
         dw = rng.standard_normal(n)
         counts = rng.poisson(mass * dt_eff, n) if mass > 0 else np.zeros(n, dtype=int)
         x = x + beff * dt_eff + sig * sq * dw

@@ -199,6 +199,20 @@ class TestErrorChannels:
         assert code == 2
         assert err.startswith("CONFIG_INVALID")
 
+    @pytest.mark.parametrize("sub, entry", [
+        ("fourier-check", "fourier.tolerance=nan"),
+        ("dpp-check", "dpp.tolerance=nan"),
+        ("solve", "pide.x_min=-inf"),
+        ("solve", "model.b_hi=inf"),
+        ("fourier-check", "fourier.check_points=0.0,nan"),
+    ])
+    def test_non_finite_number_rejected(self, capsys, tmp_path, sub, entry):
+        # a nan tolerance would pass every `worst > tolerance` gate
+        code, _, err = _run(capsys, sub, "--out", str(tmp_path), "--set", entry)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID")
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_override(self, capsys, tmp_path):
         code, _, err = _run(capsys, "solve", "--out", str(tmp_path),
                             "--set", "justakey")

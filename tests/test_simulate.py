@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from sublevy.core import (
     JumpReferenceMeasure,
     Quadrature,
     TruncationFunction,
+    zero_jump_measure,
 )
+from sublevy.kou import double_exponential_measure
 from sublevy.pide import SpatialGrid, solve
 from sublevy.simulate import (
     CHUNK,
@@ -27,8 +30,6 @@ from tests.conftest import constant_drift_field
 def _linear_decay_field():
     """Deterministic ODE x' = -x: exact solution x0 exp(-t)."""
     grid = ControlGrid.uniform((0.0,), (0.0,), 1)
-    from sublevy.core import zero_jump_measure
-
     return CoefficientField(
         dimension=1,
         drift=lambda f, x: -np.asarray(x, dtype=float),
@@ -78,6 +79,16 @@ class TestPolicySchedule:
                            indices=np.array([[0]]),
                            cell_centers=np.array([0.0]),
                            controls=((0.0,),), provenance="oracle")
+
+    def test_cell_centers_must_increase_strictly(self):
+        # np.interp does not check its abscissae: these centers would send
+        # state 1.0 to cell 2 instead of cell 0
+        for centers in ([1.0, 0.0, -1.0], [0.0, 0.0, 1.0], [[0.0, 1.0, 2.0]]):
+            with pytest.raises(ValueError, match="cell centers"):
+                PolicySchedule(time_knots=np.array([0.0]),
+                               indices=np.zeros((1, 3), dtype=int),
+                               cell_centers=np.array(centers),
+                               controls=((0.0,),), provenance="user")
 
     def test_control_indices_select_time_row_and_nearest_cell(self):
         p = PolicySchedule(
@@ -138,6 +149,78 @@ class TestSamplePath:
             sample_path(degenerate_field, policy, 0.0, 1.0, 0.0, seed=0)
         with pytest.raises(ValueError):
             sample_path(degenerate_field, policy, 0.0, 0.0, 0.1, seed=0)
+
+
+def _tent(x):
+    """Zero at the states -10, 0 and 10, one at |x| = 5."""
+    return np.maximum(0.0, 1.0 - np.abs(np.abs(x) - 5.0) / 5.0)
+
+
+def _one_control_field(drift, dispersion, jump_density_map, reference):
+    return CoefficientField(
+        dimension=1,
+        drift=drift,
+        dispersion=dispersion,
+        jump_density_map=jump_density_map,
+        reference=reference,
+        truncation=TruncationFunction.clip(),
+        control_grid=ControlGrid.uniform((0.0,), (0.0,), 1),
+    )
+
+
+class TestStateDependence:
+    """Coefficients are evaluated at the paths' own states, never at sample states."""
+
+    def test_drift_vanishing_at_box_edges_and_midpoint(self):
+        field = _one_control_field(
+            lambda f, x: x * (x * x - 100.0) / 100.0,
+            lambda f, x: 0.0 * x,
+            lambda f, x, z: 0.0 * (x + z),
+            zero_jump_measure(),
+        )
+        policy = PolicySchedule.constant(field.control_grid.points)
+        p = sample_path(field, policy, 5.0, 0.1, 0.01, seed=0)
+        assert p.states[1] == pytest.approx(5.0 - 3.75 * 0.01, abs=1e-14)
+
+    @pytest.mark.parametrize("zero", [lambda f, x: 0.0 * x, lambda f, x: 0.0],
+                             ids=["array", "scalar"])
+    def test_compensator_of_a_state_dependent_jump_map(self, zero):
+        # the scalar form leaves only the jump table to show the state
+        # dependence, and one path gives a one-row table at each step
+        measure = double_exponential_measure(1.0)
+        field = _one_control_field(zero, zero,
+                                   lambda f, x, z: _tent(x) * np.abs(z), measure)
+        policy = PolicySchedule.constant(field.control_grid.points)
+        p = sample_path(field, policy, 5.0, 0.02, 0.001, seed=3)
+        assert p.jump_log == ()
+        quad = measure.quadrature
+        comp = float(np.clip(np.abs(quad.nodes), -1.0, 1.0) @ quad.weights)
+        assert p.states[1] == pytest.approx(5.0 - 0.001 * comp, abs=1e-14)
+        assert p.states[1] == pytest.approx(4.998735849813832, abs=1e-14)
+
+    def test_full_shape_coefficients_agree_with_state_free_ones(self, kou_field):
+        def full(fn):
+            return lambda f, *args: np.broadcast_to(
+                fn(f, *args), np.broadcast_shapes(*(np.shape(a) for a in args)))
+
+        per_state = dataclasses.replace(
+            kou_field,
+            drift=full(kou_field.drift),
+            dispersion=full(kou_field.dispersion),
+            jump_density_map=full(kou_field.jump_density_map),
+        )
+        n_controls = len(kou_field.control_grid.points)
+        policy = PolicySchedule(
+            time_knots=np.array([0.0, 0.25]),
+            indices=np.array([[0, 3, 5, 7], [6, 1, 4, 2]]) % n_controls,
+            cell_centers=np.array([-1.5, -0.5, 0.5, 1.5]),
+            controls=kou_field.control_grid.points,
+            provenance="user",
+        )
+        args = (policy, np.tanh, 0.0, 0.5, 0.01, 2000)
+        m_table, _ = estimate_value(kou_field, *args, seed=9)
+        m_state, _ = estimate_value(per_state, *args, seed=9)
+        assert abs(m_table - m_state) <= 1e-12
 
 
 class TestEstimateValue:
