@@ -12,8 +12,9 @@ NumPy broadcasting -- ``drift(f, x)`` maps an array of states to an array
 of drifts, and ``jump_density_map(f, x, z)`` broadcasts states against
 marks (pass ``x[:, None]`` and ``z[None, :]`` for a full table).  A result
 that comes back without a state axis (a number for drift or dispersion,
-a single row for the jump table) declares that coefficient state-free;
-the Monte Carlo relies on this and evaluates only the others per state.
+a single row for the jump table) declares that coefficient state-free.
+The solver (its jump route), the Monte Carlo and the audit all rely on
+this, and read jump tables only through ``_jump_table``, which keeps it.
 """
 
 from __future__ import annotations
@@ -104,10 +105,6 @@ class ControlGrid:
             for v, lo, hi in zip(p, self.box_lo, self.box_hi):
                 if not (lo - 1e-12 <= v <= hi + 1e-12):
                     raise ValueError(f"control point {p} outside box")
-
-    @property
-    def dim(self) -> int:
-        return len(self.box_lo)
 
     @classmethod
     def uniform(cls, box_lo, box_hi, resolution) -> "ControlGrid":
@@ -306,9 +303,11 @@ def _coeff_pair(field, f, xs):
     return b, s
 
 
-def _kappa_table(field, f, xs, nodes):
-    k = np.asarray(field.jump_density_map(f, xs[:, None], nodes[None, :]), dtype=float)
-    return np.broadcast_to(k, (xs.size, nodes.size))
+def _jump_table(field, f, x):
+    """Jump sizes at states x (rows) and quadrature nodes; one row if the map is state-free."""
+    nodes = field.reference.quadrature.nodes
+    k = np.asarray(field.jump_density_map(f, x[:, None], nodes[None, :]), dtype=float)
+    return np.broadcast_to(k, np.broadcast_shapes(k.shape, (1, nodes.size)))
 
 
 def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int) -> ConditionAudit:
@@ -359,7 +358,7 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
         mag = np.abs(b) + np.abs(s)
         sup_bs = max(sup_bs, float(mag.max()))
 
-        kappa = _kappa_table(field, f, xs, nodes)
+        kappa = np.broadcast_to(_jump_table(field, f, xs), (xs.size, nodes.size))
         if not np.all(np.isfinite(kappa)):
             bad = np.argwhere(~np.isfinite(kappa))[0]
             raise AuditError(
@@ -400,7 +399,7 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
                     "drift-dispersion-lipschitz",
                     (f, float(xs[i]), float(ys[i]), rmax),
                 )
-            kappa2 = _kappa_table(field, f, ys, nodes)
+            kappa2 = _jump_table(field, f, ys)
             inc = np.abs(kappa - kappa2)[ok] / dx[ok, None]
             gamma_nodes = np.maximum(gamma_nodes, inc.max(axis=0))
             if gamma_declared is not None:
@@ -499,9 +498,7 @@ def pushforward_tail(field: CoefficientField, f, x, threshold: float) -> float:
         raise ValueError("threshold must be nonzero")
     measure = field.reference
     nodes = measure.quadrature.nodes
-    kappa = np.asarray(field.jump_density_map(f, x, nodes), dtype=float).reshape(-1)
-    if kappa.shape != nodes.shape:
-        raise ValueError("jump map must return one value per mark")
+    kappa = _jump_table(field, f, np.array([x], dtype=float))[0]
     if threshold > 0:
         ind = kappa >= threshold
     else:

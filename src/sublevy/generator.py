@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .core import CoefficientField
+from .core import CoefficientField, _jump_table
 
 __all__ = [
     "TestFunction",
@@ -97,14 +97,6 @@ def gaussian_bump(amplitude: float = 1.0, center: float = 0.0, width: float = 1.
     )
 
 
-def _jump_sizes(field: CoefficientField, f, x):
-    quad = field.reference.quadrature
-    kappa = np.asarray(field.jump_density_map(f, x, quad.nodes), dtype=float)
-    if kappa.shape != quad.nodes.shape:
-        kappa = np.broadcast_to(kappa, quad.nodes.shape)
-    return quad, kappa
-
-
 def apply_generator(
     field: CoefficientField,
     f,
@@ -126,7 +118,8 @@ def apply_generator(
         raise ValueError(f"non-finite coefficients at control {f}, x {x}")
     g = float(np.asarray(phi.gradient(x), dtype=float))
     hess = float(np.asarray(phi.hessian(x), dtype=float))
-    quad, kappa = _jump_sizes(field, f, x)
+    quad = field.reference.quadrature
+    kappa = _jump_table(field, f, np.array([x]))[0]
     if not np.all(np.isfinite(kappa)):
         bad = quad.nodes[~np.isfinite(kappa)][0]
         raise ValueError(f"non-finite jump size at control {f}, x {x}, mark {bad}")
@@ -163,7 +156,8 @@ def symbol(field: CoefficientField, f, x: float, xi):
     xv = np.atleast_1d(xi_arr)
     b = float(np.asarray(field.drift(f, x), dtype=float))
     sig = float(np.asarray(field.dispersion(f, x), dtype=float))
-    quad, kappa = _jump_sizes(field, f, x)
+    quad = field.reference.quadrature
+    kappa = _jump_table(field, f, np.array([x]))[0]
     h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
     term = (
         1.0
@@ -213,7 +207,8 @@ def drift_correction(field: CoefficientField, f, x: float, gamma=None) -> float:
     to |z|.
     """
     x = float(x)
-    quad, kappa = _jump_sizes(field, f, x)
+    quad = field.reference.quadrature
+    kappa = _jump_table(field, f, np.array([x]))[0]
     h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
     if gamma is None:
         gamma = field.gamma

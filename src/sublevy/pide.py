@@ -12,13 +12,13 @@ is what makes the scheme monotone and the discrete field a semigroup
 norm).
 
 All controls are held as one envelope of (n_controls, nx) coefficient
-arrays.  Each control's jump map is evaluated on the full grid-by-mark
-table, and controls with identical tables share one jump term.  The
-route of a term is decided from that table, not from sample states: a
-table whose rows are all equal is state-free and becomes a correlation
-on a numpy FFT with the kernel transform cached, any other table is
-interpolated node by node (gather), and a zero-mass measure has no jump
-term at all.
+arrays, and controls with identical jump tables share one jump term.  The
+route of a term is read from the table's shape (the contract in ``core``):
+a one-row table is state-free and becomes a correlation on a numpy FFT
+with the kernel transform cached, any other table is interpolated node by
+node (gather), and a zero-mass measure has no jump term at all.  The
+envelope applies itself into buffers it owns and ``solve`` sizes its
+timeline before it marches, so no step allocates a new stack or row.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import CoefficientField
+from .core import CoefficientField, _jump_table
 
 __all__ = [
     "SpatialGrid",
@@ -52,10 +52,10 @@ class SpatialGrid:
     nx: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError("need x_min < x_max")
-        if self.nx < 3:
-            raise ValueError("need nx >= 3")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max) and self.x_min < self.x_max):
+            raise ValueError("need finite x_min < x_max")
+        if isinstance(self.nx, bool) or not isinstance(self.nx, (int, np.integer)) or self.nx < 3:
+            raise ValueError("need an integer nx >= 3")
 
     @property
     def dx(self) -> float:
@@ -175,7 +175,6 @@ class _Envelope:
         nx = grid.nx
         controls = field.control_grid.points
         quad = field.reference.quadrature
-        nodes, weights = quad.nodes, quad.weights
         self.mass = quad.mass
         b = np.empty((len(controls), nx))
         a = np.empty_like(b)
@@ -183,8 +182,7 @@ class _Envelope:
         self._group_of = np.zeros(len(controls), dtype=int)
         self._terms = []
         routes = []
-        group_comps = []
-        group_by_table = {}
+        group_by_table = {}  # table bytes -> (term index, compensator)
         for i, f in enumerate(controls):
             b[i] = np.asarray(field.drift(f, xs), dtype=float)
             sig = np.broadcast_to(np.asarray(field.dispersion(f, xs), dtype=float), xs.shape)
@@ -193,24 +191,19 @@ class _Envelope:
             a[i] = sig * sig
             if self.mass == 0.0:
                 continue
-            # the full table is exact on every node the march touches
-            ktab = np.asarray(field.jump_density_map(f, xs[:, None], nodes[None, :]), dtype=float)
-            ktab = np.broadcast_to(ktab, (nx, nodes.size))
+            ktab = _jump_table(field, f, xs)
             if not np.all(np.isfinite(ktab)):
                 raise ValueError(f"non-finite jump map at control {f}")
             key = ktab.tobytes()
             if key not in group_by_table:
-                group_by_table[key] = len(self._terms)
-                if np.all(ktab == ktab[0]):
+                group_by_table[key] = (len(self._terms), _compensator(field, ktab, quad.weights))
+                if ktab.shape[0] == 1:
                     routes.append("conv")
-                    self._terms.append(_conv_term(ktab[0], weights, dx, nx))
-                    group_comps.append(_compensator(field, ktab[:1], weights))
+                    self._terms.append(_conv_term(ktab[0], quad.weights, dx, nx))
                 else:
                     routes.append("gather")
-                    self._terms.append(_gather_term(ktab, weights, dx, nx))
-                    group_comps.append(_compensator(field, ktab, weights))
-            self._group_of[i] = group_by_table[key]
-            comp[i] = group_comps[self._group_of[i]]
+                    self._terms.append(_gather_term(ktab, quad.weights, dx, nx))
+            self._group_of[i], comp[i] = group_by_table[key]
         self.routes = sorted(set(routes)) if self._terms else ["none"]
 
         eff = b - comp
@@ -221,6 +214,8 @@ class _Envelope:
         a_max = float(a.max())
         b_max = float((np.abs(b) + np.abs(comp)).max())
         self.denom = a_max / (dx * dx) + b_max / dx + self.mass
+        self._stacks = (np.empty_like(b), np.empty_like(b))
+        self._rows = np.zeros((3, nx))
 
     def timestep(self, safety: float, dt_max: float) -> float:
         """Stable explicit step safety / denom, capped at ``dt_max``."""
@@ -233,12 +228,23 @@ class _Envelope:
         return float(min(safety / self.denom, dt_max))
 
     def apply(self, w):
-        """The (n_controls, nx) stack of L_f w."""
-        d = np.diff(w)
-        dp = np.append(d, 0.0)
-        dm = np.concatenate(([0.0], -d))
-        jump = np.stack([term(w) for term in self._terms])[self._group_of] if self._terms else 0.0
-        return self.bp * dp + self.bm * dm + self.diff * (dp + dm) + jump - self.mass * w
+        """The (n_controls, nx) stack of L_f w, in a buffer the next call overwrites.
+
+        It sums bp*dp + bm*dm + diff*(dp + dm) + jump - mass*w in that order.
+        """
+        out, tmp = self._stacks
+        dp, dm, s = self._rows  # dp[-1] and dm[0] stay 0
+        np.subtract(w[1:], w[:-1], out=dp[:-1])
+        np.negative(dp[:-1], out=dm[1:])
+        np.multiply(self.bp, dp, out=out)
+        out += np.multiply(self.bm, dm, out=tmp)
+        np.add(dp, dm, out=s)
+        out += np.multiply(self.diff, s, out=tmp)
+        jumps = [term(w) for term in self._terms] or [0.0]  # no jump term still adds 0.0
+        for row, g in zip(out, self._group_of):
+            row += jumps[g]
+        out -= np.multiply(self.mass, w, out=s)
+        return out
 
 
 def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, dt_max: float = 1.0) -> float:
@@ -281,42 +287,41 @@ def solve(
     mid = grid.nx // 2
     psi_sup = float(np.max(np.abs(u)))
 
-    targets = sorted({float(T)} | {float(c) for c in checkpoints if 0.0 < float(c) <= T})
+    targets = sorted({float(c) for c in (*checkpoints, T) if 0.0 < float(c) <= T})
     times = [0.0]
-    rows = [u.copy()]
+    sub_dts = []  # sub_dts[k - 1] is the step that ends at times[k]
     t = 0.0
-    n_steps = 0
-    max_sub = 0.0
     for target in targets:
         span = target - t
-        if span <= 0.0:
-            continue
         n_sub = max(1, math.ceil(span / dt - 1e-12))
         sub_dt = span / n_sub
         if sub_dt > dt * (1.0 + 1e-9):
             raise RuntimeError(
                 f"internal CFL violation: step {sub_dt} exceeds stable step {dt}"
             )
-        max_sub = max(max_sub, sub_dt)
-        for i in range(n_sub):
-            u = u + sub_dt * env.apply(u - u[mid]).max(axis=0)
-            if not np.all(np.isfinite(u)):
-                raise RuntimeError(
-                    f"non-finite value at step {n_steps + 1}, t = {t + (i + 1) * sub_dt}"
-                )
-            n_steps += 1
-            times.append(t + (i + 1) * sub_dt)
-            rows.append(u.copy())
+        times += [t + (i + 1) * sub_dt for i in range(n_sub)]
+        sub_dts += [sub_dt] * n_sub
         t = target
         times[-1] = t  # land exactly, clearing accumulated roundoff
+    values = np.empty((len(times), grid.nx))
+    values[0] = u
+    w = np.empty_like(u)
+    for k, sub_dt in enumerate(sub_dts, start=1):
+        np.subtract(u, u[mid], out=w)
+        step = env.apply(w).max(axis=0, out=values[k])
+        step *= sub_dt
+        u = np.add(u, step, out=step)
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError(f"non-finite value at step {k}, t = {times[k]}")
 
+    max_sub = max(sub_dts, default=0.0)
     tail_rate = field.reference.tail_mass_outside_window()
     metadata = {
         "scheme": "explicit-upwind-monotone",
         "nx": grid.nx,
         "dt": dt,
         "max_substep": max_sub,
-        "n_steps": n_steps,
+        "n_steps": len(sub_dts),
         "safety": safety,
         "cfl_ratio": max_sub * env.denom,
         "tail_mass_rate": tail_rate,
@@ -324,7 +329,7 @@ def solve(
         "psi_sup": psi_sup,
         "routes": env.routes,
     }
-    return ValueField(grid=grid, times=np.asarray(times), values=np.asarray(rows), metadata=metadata)
+    return ValueField(grid=grid, times=times, values=values, metadata=metadata)
 
 
 def viscosity_residual(fieldU: ValueField, field: CoefficientField, t_index: int) -> np.ndarray:

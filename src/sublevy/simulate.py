@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import CoefficientField
+from .core import CoefficientField, _jump_table
 from .pide import ValueField, _compensator, _Envelope
 
 __all__ = [
@@ -62,18 +62,20 @@ class PolicySchedule:
 
     def __post_init__(self):
         knots = np.asarray(self.time_knots, dtype=float)
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.asarray(self.indices)
         centers = np.asarray(self.cell_centers, dtype=float)
         object.__setattr__(self, "time_knots", knots)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "cell_centers", centers)
         if knots.ndim != 1 or knots.size == 0 or knots[0] != 0.0:
             raise ValueError("time knots must start at 0")
-        if np.any(np.diff(knots) <= 0):
-            raise ValueError("time knots must increase strictly")
+        if not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0):
+            raise ValueError("time knots must be finite and increase strictly")
         # np.interp in control_indices assumes this and does not check it
         if centers.ndim != 1 or centers.size == 0 or not np.all(np.diff(centers) > 0):
             raise ValueError("cell centers must be nonempty, 1-d and increase strictly")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError("indices must be integers")
         if idx.shape != (knots.size, centers.size):
             raise ValueError("indices must be one row per knot over the cells")
         if idx.size and (idx.min() < 0 or idx.max() >= len(self.controls)):
@@ -123,10 +125,8 @@ def _coefficients(field, f, x):
     b = np.asarray(field.drift(f, x), dtype=float)
     s = np.asarray(field.dispersion(f, x), dtype=float)
     if field.reference.total_mass > 0:
-        quad = field.reference.quadrature
-        ktab = np.asarray(field.jump_density_map(f, x[:, None], quad.nodes[None, :]), dtype=float)
-        ktab = np.broadcast_to(ktab, np.broadcast_shapes(ktab.shape, (1, quad.nodes.size)))
-        b = b - _compensator(field, ktab, quad.weights)
+        ktab = _jump_table(field, f, x)
+        b = b - _compensator(field, ktab, field.reference.quadrature.weights)
     return b, s
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,18 @@ class TestSpatialGrid:
             SpatialGrid(1.0, 1.0, 11)
         with pytest.raises(ValueError):
             SpatialGrid(0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("args", [
+        (-np.inf, 0.0, 5), (0.0, np.inf, 5), (np.nan, 1.0, 5),
+        (0.0, 1.0, 3.0), (0.0, 1.0, np.float64(5.0)), (0.0, 1.0, True), (0.0, 1.0, "5"),
+    ], ids=["-inf", "inf", "nan", "float-nx", "numpy-float-nx", "bool-nx", "str-nx"])
+    def test_non_finite_bounds_and_non_integer_nx_rejected(self, args):
+        with pytest.raises(ValueError):
+            SpatialGrid(*args)
+
+    @pytest.mark.parametrize("nx", [5, np.int32(5), np.int64(5)])
+    def test_python_and_numpy_integer_nx_accepted(self, nx):
+        assert SpatialGrid(0.0, 1.0, nx).xs().size == 5
 
     def test_inner_mask_trims_both_sides(self, coarse_grid):
         mask = coarse_grid.inner_mask(0.5)
@@ -366,6 +379,30 @@ class TestEnvelope:
         assert len(_Envelope(eight, grid)._terms) == 2
         assert len(twenty_seven.control_grid.points) == 27
         assert len(_Envelope(twenty_seven, grid)._terms) == 3
+
+    def test_route_is_read_from_the_table_shape(self, kou_field):
+        # the same jump map returned with a state axis: its rows are all
+        # equal, but only a one-row table declares the map state-free
+        kmap = kou_field.jump_density_map
+        full = dataclasses.replace(
+            kou_field, jump_density_map=lambda f, x, z: kmap(f, x, z) + 0.0 * x)
+        grid = SpatialGrid(-10.0, 10.0, 401)
+        assert _Envelope(kou_field, grid).routes == ["conv"]
+        assert _Envelope(full, grid).routes == ["gather"]
+        bump = GaussianBump()
+        conv = solve(kou_field, bump.value, 1.0, grid)
+        gather = solve(full, bump.value, 1.0, grid)
+        assert conv.values.shape == gather.values.shape
+        assert float(np.max(np.abs(conv.times - gather.times))) <= 1e-13
+        assert float(np.max(np.abs(conv.values - gather.values))) <= 1e-13
+
+    def test_apply_reuses_its_buffer(self, kou_field):
+        grid = SpatialGrid(-10.0, 10.0, 201)
+        env = _Envelope(kou_field, grid)
+        w = np.sin(grid.xs())
+        first = env.apply(w).copy()
+        assert env.apply(2.0 * w) is env.apply(w)
+        assert np.array_equal(env.apply(w), first)
 
     def test_state_dependent_intensity_is_not_mistaken_for_state_free(self):
         # the tent equals 1 at every sample state a coarse probe set would

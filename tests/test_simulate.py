@@ -90,6 +90,23 @@ class TestPolicySchedule:
                                cell_centers=np.array(centers),
                                controls=((0.0,),), provenance="user")
 
+    def test_indices_must_be_integers(self):
+        # a float index would be truncated: 0.9 -> 0 and 1.6 -> 1
+        with pytest.raises(ValueError, match="indices must be integers"):
+            PolicySchedule(time_knots=np.array([0.0]),
+                           indices=np.array([[0.9, 1.6]]),
+                           cell_centers=np.array([0.0, 1.0]),
+                           controls=((0.0,), (1.0,)), provenance="user")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_knots_must_be_finite(self, bad):
+        # nan <= 0 is False, so a strict-increase test alone lets nan through
+        with pytest.raises(ValueError, match="time knots"):
+            PolicySchedule(time_knots=np.array([0.0, bad]),
+                           indices=np.zeros((2, 1), dtype=int),
+                           cell_centers=np.array([0.0]),
+                           controls=((0.0,),), provenance="user")
+
     def test_control_indices_select_time_row_and_nearest_cell(self):
         p = PolicySchedule(
             time_knots=np.array([0.0, 0.5]),
