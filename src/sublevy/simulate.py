@@ -7,9 +7,11 @@ map to the pre-jump state.  The continuous drift is the raw drift minus the
 truncated-jump compensator, so path laws match the generator the PIDE
 solver discretizes.  A control whose coefficients come back without a
 state axis is read from a table; every other control is evaluated at its
-own paths' states each step.  Estimates under the time-reversed argmax
-policy of a solved field give a lower bound on the PIDE value up to
-scheme tolerance.
+own paths' states each step; a chunk with no such control does no
+per-state work at all.  Estimates under the time-reversed argmax policy of
+a solved field give a lower bound on the PIDE value up to scheme
+tolerance.  The policy lives on the solver's uniform grid, so each path
+finds its cell by arithmetic, at a cost that does not grow with the grid.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so estimates are bit-identical for a
@@ -24,7 +26,7 @@ import math
 import numpy as np
 
 from .core import CoefficientField, _jump_table
-from .pide import ValueField, _compensator, _Envelope
+from .pide import SpatialGrid, ValueField, _compensator, _Envelope
 
 __all__ = [
     "CHUNK",
@@ -34,7 +36,6 @@ __all__ = [
     "mc_lower_bound",
     "policy_from_pide",
     "sample_path",
-    "write_paths_csv",
 ]
 
 CHUNK = 4096
@@ -48,35 +49,34 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 @dataclasses.dataclass(frozen=True)
 class PolicySchedule:
-    """Piecewise-constant-in-time feedback rule on a spatial cell grid.
+    """Piecewise-constant-in-time feedback rule on the solver's spatial grid.
 
     ``indices[m, c]`` is the control-grid index used from knot m on, for
-    states nearest cell center c.  Knots start at 0 and increase strictly.
+    states nearest node c of ``grid``; with ``grid`` None there is one cell
+    and every state uses column 0.  Knots start at 0 and increase strictly.
     """
 
     time_knots: np.ndarray
     indices: np.ndarray
-    cell_centers: np.ndarray
+    grid: SpatialGrid | None
     controls: tuple
     provenance: str
 
     def __post_init__(self):
         knots = np.asarray(self.time_knots, dtype=float)
         idx = np.asarray(self.indices)
-        centers = np.asarray(self.cell_centers, dtype=float)
         object.__setattr__(self, "time_knots", knots)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "cell_centers", centers)
         if knots.ndim != 1 or knots.size == 0 or knots[0] != 0.0:
             raise ValueError("time knots must start at 0")
         if not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0):
             raise ValueError("time knots must be finite and increase strictly")
-        # np.interp in control_indices assumes this and does not check it
-        if centers.ndim != 1 or centers.size == 0 or not np.all(np.diff(centers) > 0):
-            raise ValueError("cell centers must be nonempty, 1-d and increase strictly")
+        if self.grid is not None and not isinstance(self.grid, SpatialGrid):
+            raise ValueError("grid must be a SpatialGrid or None")
         if not np.issubdtype(idx.dtype, np.integer):
             raise ValueError("indices must be integers")
-        if idx.shape != (knots.size, centers.size):
+        n_cells = 1 if self.grid is None else self.grid.nx
+        if idx.shape != (knots.size, n_cells):
             raise ValueError("indices must be one row per knot over the cells")
         if idx.size and (idx.min() < 0 or idx.max() >= len(self.controls)):
             raise ValueError("control index out of range")
@@ -88,22 +88,27 @@ class PolicySchedule:
         return cls(
             time_knots=np.array([0.0]),
             indices=np.array([[index]]),
-            cell_centers=np.array([0.0]),
+            grid=None,
             controls=tuple(controls),
             provenance="constant",
         )
 
     def control_indices(self, t: float, x) -> np.ndarray:
-        """Control-grid indices for states x at elapsed time t."""
+        """Control-grid indices for states x at elapsed time t.
+
+        A state takes its nearest grid node, ties to the even node; states
+        beyond the grid take the edge node.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         m = int(np.searchsorted(self.time_knots, t + 1e-12, side="right")) - 1
-        m = max(m, 0)
-        if self.cell_centers.size == 1:
-            cells = np.zeros(x.shape, dtype=int)
-        else:
-            frac = np.interp(x, self.cell_centers, np.arange(self.cell_centers.size))
-            cells = np.round(frac).astype(int)
-        return self.indices[m, cells]
+        row = self.indices[max(m, 0)]
+        g = self.grid
+        if g is None:
+            return np.full(x.shape, row[0])
+        # divide by dx: multiplying by 1/dx can move a state at a tie
+        u = (x - g.x_min) / g.dx
+        np.clip(u, 0, g.nx - 1, out=u)
+        return row.take(np.rint(u, out=u).astype(np.intp))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,6 +154,8 @@ def _simulate_chunk(
     if mass > 0 and measure.sampler is None:
         raise ValueError("jump measure has positive mass but no sampler")
     controls = field.control_grid.points
+    if tuple(policy.controls) != controls:
+        raise ValueError("policy was built for another control grid")
     n_steps = max(1, int(round(T / dt)))
     dt_eff = T / n_steps
     sq = math.sqrt(dt_eff)
@@ -163,6 +170,7 @@ def _simulate_chunk(
             btab[ci], stab[ci] = b, s
         else:
             per_state[ci] = True
+    any_per_state = bool(per_state.any())
 
     x = np.full(n, float(x0))
     times = [0.0]
@@ -175,9 +183,10 @@ def _simulate_chunk(
         fidx = np.asarray(policy.control_indices(t, x), dtype=int)
         beff = btab[fidx]
         sig = stab[fidx]
-        for ci in np.unique(fidx[per_state[fidx]]):
-            m = fidx == ci
-            beff[m], sig[m] = _coefficients(field, controls[ci], x[m])
+        if any_per_state:
+            for ci in np.unique(fidx[per_state[fidx]]):
+                m = fidx == ci
+                beff[m], sig[m] = _coefficients(field, controls[ci], x[m])
         dw = rng.standard_normal(n)
         counts = rng.poisson(mass * dt_eff, n) if mass > 0 else np.zeros(n, dtype=int)
         x = x + beff * dt_eff + sig * sq * dw
@@ -189,7 +198,7 @@ def _simulate_chunk(
             z = measure.sampler(rng.random(act.size))
             applied = np.empty(act.size)
             fa = fidx[act]
-            for ci in np.unique(fa):
+            for ci in np.flatnonzero(np.bincount(fa, minlength=len(controls))):
                 mm = fa == ci
                 sel = act[mm]
                 k = np.asarray(
@@ -297,7 +306,7 @@ def policy_from_pide(fieldU: ValueField, field: CoefficientField) -> PolicySched
     return PolicySchedule(
         time_knots=knots,
         indices=np.asarray(rows_idx),
-        cell_centers=fieldU.grid.xs(),
+        grid=fieldU.grid,
         controls=field.control_grid.points,
         provenance="argmax-from-pide",
     )
@@ -325,13 +334,3 @@ def mc_lower_bound(
     pide_value = float(fieldU.terminal_value(x0))
     return mean, stderr, pide_value
 
-
-def write_paths_csv(paths, path) -> None:
-    """Dump paths as CSV rows path_id,t,x,jump_flag."""
-    with open(path, "w") as fh:
-        fh.write("path_id,t,x,jump_flag\n")
-        for pid, p in enumerate(paths):
-            jump_times = {round(t, 12) for t, _, _ in p.jump_log}
-            for t, xval in zip(p.times, p.states):
-                flag = 1 if round(float(t), 12) in jump_times else 0
-                fh.write(f"{pid},{float(t)!r},{float(xval)!r},{flag}\n")

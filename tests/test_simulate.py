@@ -12,7 +12,7 @@ from sublevy.core import (
     TruncationFunction,
     zero_jump_measure,
 )
-from sublevy.kou import double_exponential_measure
+from sublevy.kou import build_field, double_exponential_measure
 from sublevy.pide import SpatialGrid, solve
 from sublevy.simulate import (
     CHUNK,
@@ -22,7 +22,6 @@ from sublevy.simulate import (
     mc_lower_bound,
     policy_from_pide,
     sample_path,
-    write_paths_csv,
 )
 from tests.conftest import constant_drift_field
 
@@ -51,51 +50,66 @@ class TestPolicySchedule:
         with pytest.raises(ValueError):
             PolicySchedule(time_knots=np.array([0.1]),
                            indices=np.array([[0]]),
-                           cell_centers=np.array([0.0]),
+                           grid=None,
                            controls=((0.0,),), provenance="user")
 
     def test_knots_must_increase(self):
         with pytest.raises(ValueError):
             PolicySchedule(time_knots=np.array([0.0, 0.0]),
                            indices=np.zeros((2, 1), dtype=int),
-                           cell_centers=np.array([0.0]),
+                           grid=None,
                            controls=((0.0,),), provenance="user")
 
     def test_index_shape_and_range_checked(self):
         with pytest.raises(ValueError):
             PolicySchedule(time_knots=np.array([0.0]),
                            indices=np.zeros((2, 1), dtype=int),
-                           cell_centers=np.array([0.0]),
+                           grid=None,
                            controls=((0.0,),), provenance="user")
         with pytest.raises(ValueError):
             PolicySchedule(time_knots=np.array([0.0]),
                            indices=np.array([[3]]),
-                           cell_centers=np.array([0.0]),
+                           grid=None,
                            controls=((0.0,),), provenance="user")
 
     def test_unknown_provenance_rejected(self):
         with pytest.raises(ValueError):
             PolicySchedule(time_knots=np.array([0.0]),
                            indices=np.array([[0]]),
-                           cell_centers=np.array([0.0]),
+                           grid=None,
                            controls=((0.0,),), provenance="oracle")
 
-    def test_cell_centers_must_increase_strictly(self):
-        # np.interp does not check its abscissae: these centers would send
-        # state 1.0 to cell 2 instead of cell 0
-        for centers in ([1.0, 0.0, -1.0], [0.0, 0.0, 1.0], [[0.0, 1.0, 2.0]]):
-            with pytest.raises(ValueError, match="cell centers"):
-                PolicySchedule(time_knots=np.array([0.0]),
-                               indices=np.zeros((1, 3), dtype=int),
-                               cell_centers=np.array(centers),
-                               controls=((0.0,),), provenance="user")
+    @pytest.mark.parametrize("grid", [np.array([-1.0, 0.0, 1.0]), (-1.0, 1.0, 3)],
+                             ids=["centers", "tuple"])
+    def test_grid_must_be_a_spatial_grid(self, grid):
+        with pytest.raises(ValueError, match="SpatialGrid"):
+            PolicySchedule(time_knots=np.array([0.0]),
+                           indices=np.zeros((1, 3), dtype=int),
+                           grid=grid,
+                           controls=((0.0,),), provenance="user")
+
+    @pytest.mark.parametrize("grid", [SpatialGrid(-10.0, 10.0, 801),
+                                      SpatialGrid(-10.0, 10.0, 800)],
+                             ids=["odd", "even"])
+    def test_control_indices_pick_the_nearest_node(self, grid):
+        xs = grid.xs()
+        rng = np.random.default_rng(17)
+        x = rng.uniform(grid.x_min - 1.0, grid.x_max + 1.0, 10_000)
+        # every cell maps to a distinct index, so indices name the cell
+        p = PolicySchedule(time_knots=np.array([0.0]),
+                           indices=np.arange(grid.nx)[None, :],
+                           grid=grid,
+                           controls=tuple((float(i),) for i in range(grid.nx)),
+                           provenance="user")
+        nearest = np.abs(x[:, None] - xs).argmin(axis=1)
+        assert np.array_equal(p.control_indices(0.0, x), nearest)
 
     def test_indices_must_be_integers(self):
         # a float index would be truncated: 0.9 -> 0 and 1.6 -> 1
         with pytest.raises(ValueError, match="indices must be integers"):
             PolicySchedule(time_knots=np.array([0.0]),
-                           indices=np.array([[0.9, 1.6]]),
-                           cell_centers=np.array([0.0, 1.0]),
+                           indices=np.array([[0.9, 1.6, 0.0, 0.0]]),
+                           grid=SpatialGrid(-1.5, 1.5, 4),
                            controls=((0.0,), (1.0,)), provenance="user")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -104,14 +118,14 @@ class TestPolicySchedule:
         with pytest.raises(ValueError, match="time knots"):
             PolicySchedule(time_knots=np.array([0.0, bad]),
                            indices=np.zeros((2, 1), dtype=int),
-                           cell_centers=np.array([0.0]),
+                           grid=None,
                            controls=((0.0,),), provenance="user")
 
     def test_control_indices_select_time_row_and_nearest_cell(self):
         p = PolicySchedule(
             time_knots=np.array([0.0, 0.5]),
             indices=np.array([[0, 0, 1], [1, 1, 0]]),
-            cell_centers=np.array([-1.0, 0.0, 1.0]),
+            grid=SpatialGrid(-1, 1, 3),
             controls=((0.0,), (1.0,)),
             provenance="user",
         )
@@ -230,7 +244,7 @@ class TestStateDependence:
         policy = PolicySchedule(
             time_knots=np.array([0.0, 0.25]),
             indices=np.array([[0, 3, 5, 7], [6, 1, 4, 2]]) % n_controls,
-            cell_centers=np.array([-1.5, -0.5, 0.5, 1.5]),
+            grid=SpatialGrid(-1.5, 1.5, 4),
             controls=kou_field.control_grid.points,
             provenance="user",
         )
@@ -241,6 +255,16 @@ class TestStateDependence:
 
 
 class TestEstimateValue:
+    def test_policy_for_another_control_grid_rejected(self, kou_spec, kou_field):
+        # index 5 of the 27-point grid is (0, 0.5, 1); on the 8-point grid
+        # it is (1, 0, 1), which was simulated silently
+        fine = build_field(kou_spec, 3).control_grid.points
+        policy = PolicySchedule.constant(fine, index=5)
+        with pytest.raises(ValueError, match="control grid"):
+            estimate_value(kou_field, policy, np.tanh, 0.0, 0.5, 0.01, 100, seed=3)
+        with pytest.raises(ValueError, match="control grid"):
+            sample_path(kou_field, policy, 0.0, 0.5, 0.01, seed=3)
+
     def test_pure_drift_identity_payoff(self):
         field = constant_drift_field(1.0)
         policy = PolicySchedule.constant(field.control_grid.points)
@@ -400,21 +424,3 @@ class TestMcLowerBound:
         assert mean == pytest.approx(math.tanh(0.5), abs=1e-12)
         assert mean <= pide_value + 1e-2
 
-
-class TestWritePathsCsv:
-    def test_layout_and_jump_flags(self, degenerate_field, tmp_path):
-        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
-        paths = [sample_path(degenerate_field, policy, 0.0, 1.0, 0.1, seed=s)
-                 for s in (0, 1)]
-        out = tmp_path / "paths.csv"
-        write_paths_csv(paths, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "path_id,t,x,jump_flag"
-        assert len(lines) == 1 + sum(p.times.size for p in paths)
-        flagged = sum(int(line.split(",")[3]) for line in lines[1:])
-        stepped = {round(float(t), 12)
-                   for p in paths for t, _, _ in p.jump_log}
-        assert flagged == sum(
-            1 for p in paths for t in p.times
-            if round(float(t), 12) in {round(tt, 12) for tt, _, _ in p.jump_log})
-        assert flagged >= len(stepped) > 0
