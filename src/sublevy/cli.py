@@ -251,7 +251,9 @@ def _meta_text(metadata: dict) -> str:
 
 def _run_solve(cfg: RunConfig, art: _Artifacts):
     p = cfg["pide"]
-    fieldU = solve(cfg.field(), cfg.psi(), p["t_horizon"], cfg.grid(), p["cfl_safety"])
+    # u.csv holds the full timeline
+    fieldU = solve(cfg.field(), cfg.psi(), p["t_horizon"], cfg.grid(), p["cfl_safety"],
+                   every_step=True)
     fieldU.write_csv(art.path("u.csv"))
     art.write("meta.txt", _meta_text(fieldU.metadata))
     return 0, None
@@ -262,7 +264,8 @@ def _run_simulate(cfg: RunConfig, art: _Artifacts):
     T = p["t_horizon"]
     field = cfg.field()
     psi = cfg.psi()
-    fieldU = solve(field, psi, T, cfg.grid(), p["cfl_safety"])
+    # the argmax policy is read off every step
+    fieldU = solve(field, psi, T, cfg.grid(), p["cfl_safety"], every_step=True)
     mean, stderr, pide_value = mc_lower_bound(
         field, fieldU, psi, 0.5 * (p["x_min"] + p["x_max"]), T,
         m["dt"], m["paths"], m["seed"],

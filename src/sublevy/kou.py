@@ -152,19 +152,22 @@ def clamp_jump(z, log_ratio):
     return np.sign(z) * np.maximum(np.abs(z) - log_ratio, 0.0)
 
 
+def _between(lo, hi, s, x):
+    """lo + s * (hi - lo) for two bounds evaluated at states x."""
+    at_lo = _at(lo, x)
+    return at_lo + s * (_at(hi, x) - at_lo)
+
+
 def control_coefficients(spec: KouSpec, f, x):
     """Pointwise (drift, variance, intensity) at control f and state x.
 
     A coefficient whose bounds are both constants comes back as a plain
     number, without the state axis, which tells callers it is state-free.
     """
-    blo = _at(spec.b_lo, x)
-    alo = _at(spec.a_lo, x)
-    llo = _at(spec.lam_lo, x)
     return (
-        blo + f[0] * (_at(spec.b_hi, x) - blo),
-        alo + f[1] * (_at(spec.a_hi, x) - alo),
-        llo + f[2] * (_at(spec.lam_hi, x) - llo),
+        _between(spec.b_lo, spec.b_hi, f[0], x),
+        _between(spec.a_lo, spec.a_hi, f[1], x),
+        _between(spec.lam_lo, spec.lam_hi, f[2], x),
     )
 
 
@@ -207,7 +210,7 @@ def build_field(
         return np.sqrt(control_coefficients(spec, f, x)[1])
 
     def jump_density_map(f, x, z):
-        lam = control_coefficients(spec, f, x)[2]
+        lam = _between(spec.lam_lo, spec.lam_hi, f[2], x)  # the intensity only
         return clamp_jump(z, np.log(lam_star / lam))
 
     lip_log_lam = spec.lipschitz_constant / spec.lam_floor

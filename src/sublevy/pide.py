@@ -267,12 +267,15 @@ def solve(
     *,
     dt_max: float = 1.0,
     checkpoints=(),
+    every_step: bool = False,
 ) -> ValueField:
     """March the payoff forward: u(0) = psi, u(t + dt) = u(t) + dt sup_f L_f u.
 
     ``psi`` is a callable on states or an array over the grid.  Checkpoint
-    times (and T itself) are landed on exactly by shortening steps; every
-    step taken is stored, so the timeline resolution is the CFL step.
+    times (and T itself) are landed on exactly by shortening steps.  Rows
+    are stored at 0, at each landed checkpoint and at T; ``every_step``
+    stores every step taken instead, so the timeline resolution is the CFL
+    step.  Either way the march and ``metadata`` are the same.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -290,6 +293,7 @@ def solve(
     targets = sorted({float(c) for c in (*checkpoints, T) if 0.0 < float(c) <= T})
     times = [0.0]
     sub_dts = []  # sub_dts[k - 1] is the step that ends at times[k]
+    landed = []
     t = 0.0
     for target in targets:
         span = target - t
@@ -303,12 +307,17 @@ def solve(
         sub_dts += [sub_dt] * n_sub
         t = target
         times[-1] = t  # land exactly, clearing accumulated roundoff
-    values = np.empty((len(times), grid.nx))
+        landed.append(len(times) - 1)
+    kept = range(len(times)) if every_step else [0, *landed]
+    values = np.empty((len(kept), grid.nx))
     values[0] = u
+    row_of = dict(zip(kept, values))  # step index -> its stored row
+    # a step not kept lands in the scratch row its predecessor does not hold
+    scratch = np.empty((2, grid.nx))
     w = np.empty_like(u)
     for k, sub_dt in enumerate(sub_dts, start=1):
         np.subtract(u, u[mid], out=w)
-        step = env.apply(w).max(axis=0, out=values[k])
+        step = env.apply(w).max(axis=0, out=row_of.get(k, scratch[k % 2]))
         step *= sub_dt
         u = np.add(u, step, out=step)
         if not np.all(np.isfinite(u)):
@@ -329,11 +338,27 @@ def solve(
         "psi_sup": psi_sup,
         "routes": env.routes,
     }
-    return ValueField(grid=grid, times=times, values=values, metadata=metadata)
+    return ValueField(grid=grid, times=[times[k] for k in kept], values=values, metadata=metadata)
+
+
+def _require_every_step(fieldU: ValueField, what: str) -> None:
+    """Reject a solved field that keeps only its landed rows: ``what`` reads every step.
+
+    A field whose metadata records no step count is taken as it is.
+    """
+    if fieldU.metadata.get("n_steps", fieldU.times.size - 1) != fieldU.times.size - 1:
+        raise ValueError(
+            f"{what} reads every step, but this field keeps only its landed rows; "
+            "solve with every_step=True"
+        )
 
 
 def viscosity_residual(fieldU: ValueField, field: CoefficientField, t_index: int) -> np.ndarray:
-    """Centered-in-time defect d_t u - sup_f L_f u at an interior stored time."""
+    """Centered-in-time defect d_t u - sup_f L_f u at an interior stored time.
+
+    The field must hold every step (``solve(..., every_step=True)``).
+    """
+    _require_every_step(fieldU, "viscosity_residual")
     nt = fieldU.times.size
     if not 0 < t_index < nt - 1:
         raise ValueError(f"t_index must be interior to 0..{nt - 1}")
@@ -360,7 +385,11 @@ def restart(
     """
     idx = int(np.argmin(np.abs(fieldU.times - s)))
     if abs(float(fieldU.times[idx]) - s) > 1e-9:
-        raise ValueError(f"time {s} not in the stored timeline")
+        stored = np.array2string(fieldU.times, threshold=10)
+        raise ValueError(
+            f"time {s} not in the stored timeline {stored}; "
+            "pass s in the checkpoints of the solve"
+        )
     row = fieldU.values[idx].copy()
     if additional < 0:
         raise ValueError("additional must be nonnegative")

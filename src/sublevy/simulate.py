@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .core import CoefficientField, _jump_table
-from .pide import SpatialGrid, ValueField, _compensator, _Envelope
+from .pide import SpatialGrid, ValueField, _compensator, _Envelope, _require_every_step
 
 __all__ = [
     "CHUNK",
@@ -229,6 +229,13 @@ def _simulate_chunk(
     return x, extras
 
 
+def _check_run(x0, T, dt):
+    if dt <= 0 or T <= 0:
+        raise ValueError("T and dt must be positive")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
+
+
 def sample_path(
     field: CoefficientField,
     policy: PolicySchedule,
@@ -238,8 +245,7 @@ def sample_path(
     seed: int,
 ) -> SamplePath:
     """One path, deterministic in the seed; jump marks and applied sizes logged."""
-    if dt <= 0 or T <= 0:
-        raise ValueError("T and dt must be positive")
+    _check_run(x0, T, dt)
     rng = _chunk_rng(seed, 0)
     _, extras = _simulate_chunk(field, policy, x0, T, dt, rng, 1, record=True)
     return SamplePath(times=extras["times"], states=extras["states"], jump_log=extras["jump_log"])
@@ -280,8 +286,7 @@ def estimate_value(
     """Sample mean and standard error of psi at the terminal state."""
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    if dt <= 0 or T <= 0:
-        raise ValueError("T and dt must be positive")
+    _check_run(x0, T, dt)
     terms = _terminals(field, policy, x0, T, dt, n_paths, seed)
     vals = np.asarray(psi(terms), dtype=float)
     if vals.shape != terms.shape:
@@ -295,8 +300,10 @@ def policy_from_pide(fieldU: ValueField, field: CoefficientField) -> PolicySched
     """Time-reversed argmax policy read off a solved field.
 
     At elapsed time s the policy uses the stored row at remaining time
-    T - s; ties pick the first control in grid order.
+    T - s; ties pick the first control in grid order.  The field must hold
+    every step (``solve(..., every_step=True)``).
     """
+    _require_every_step(fieldU, "policy_from_pide")
     env = _Envelope(field, fieldU.grid)
     mid = fieldU.grid.nx // 2
     T = float(fieldU.times[-1])
@@ -329,6 +336,7 @@ def mc_lower_bound(
     """
     if abs(float(fieldU.times[-1]) - T) > 1e-9:
         raise ValueError("fieldU horizon does not match T")
+    _check_run(x0, T, dt)  # before the policy pass over every row
     policy = policy_from_pide(fieldU, field)
     mean, stderr = estimate_value(field, policy, psi, x0, T, dt, n_paths, seed)
     pide_value = float(fieldU.terminal_value(x0))

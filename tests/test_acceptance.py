@@ -44,13 +44,13 @@ def _report(num, name, passed, detail):
 @pytest.fixture(scope="session")
 def degenerate_solution(degenerate_field):
     start = time.perf_counter()
-    fieldU = solve(degenerate_field, BUMP.value, 1.0, GRID)
+    fieldU = solve(degenerate_field, BUMP.value, 1.0, GRID, every_step=True)
     return fieldU, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def kou_solution(kou_field):
-    return solve(kou_field, BUMP.value, 1.0, GRID, checkpoints=(0.5,))
+    return solve(kou_field, BUMP.value, 1.0, GRID, checkpoints=(0.5,), every_step=True)
 
 
 class TestCriterion1:
@@ -93,7 +93,7 @@ class TestCriterion4:
     GRID4 = SpatialGrid(-10.0, 10.0, 401)
 
     def test_constants_preserved(self, kou_field):
-        fieldU = solve(kou_field, lambda x: 0.8 + 0.0 * x, 0.5, self.GRID4)
+        fieldU = solve(kou_field, lambda x: 0.8 + 0.0 * x, 0.5, self.GRID4, every_step=True)
         dev = float(np.max(np.abs(fieldU.values - 0.8)))
         _report(4, "axiom: constants preserved", dev <= 1e-12,
                 f"max dev {dev:.3e} (tol 1e-12)")

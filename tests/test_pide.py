@@ -135,7 +135,7 @@ class TestCflTimestep:
 class TestSolve:
     def test_constant_payoff_is_exactly_preserved(self, kou_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(kou_field, lambda x: 3.7 + 0.0 * x, 0.2, grid)
+        fieldU = solve(kou_field, lambda x: 3.7 + 0.0 * x, 0.2, grid, every_step=True)
         assert np.array_equal(fieldU.values,
                               np.full_like(fieldU.values, 3.7))
 
@@ -161,7 +161,7 @@ class TestSolve:
     def test_discrete_maximum_principle(self, kou_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
         psi = lambda x: np.sin(3.0 * x) * np.exp(-0.1 * x * x)
-        fieldU = solve(kou_field, psi, 0.5, grid)
+        fieldU = solve(kou_field, psi, 0.5, grid, every_step=True)
         lo, hi = float(np.min(psi(grid.xs()))), float(np.max(psi(grid.xs())))
         assert np.all(fieldU.values <= hi + 1e-12)
         assert np.all(fieldU.values >= lo - 1e-12)
@@ -216,11 +216,27 @@ class TestSolve:
         assert md["routes"] == ["conv"]
         assert md["tail_value_error_bound"] >= 0.0
 
+    @pytest.mark.parametrize("checkpoints", [(), (0.5,)], ids=["T", "checkpoint"])
+    def test_default_keeps_landed_rows_of_the_every_step_march(self, kou_spec, checkpoints):
+        # the march spec: uncertain Kou, 8 controls, nx=1601, T=1
+        field = build_field(kou_spec, 2)
+        grid = SpatialGrid(-10.0, 10.0, 1601)
+        psi = GaussianBump().value
+        kept = solve(field, psi, 1.0, grid, 0.9, checkpoints=checkpoints)
+        full = solve(field, psi, 1.0, grid, 0.9, checkpoints=checkpoints, every_step=True)
+        assert kept.values.shape == (2 + len(checkpoints), 1601)
+        assert kept.times.tolist() == [0.0, *checkpoints, 1.0]
+        rows = np.searchsorted(full.times, kept.times)
+        assert np.array_equal(full.times[rows], kept.times)
+        assert np.array_equal(full.values[rows], kept.values)
+        assert kept.metadata == full.metadata
+        assert full.values.shape == (full.metadata["n_steps"] + 1, 1601)
+
 
 class TestViscosityResidual:
     def test_boundary_time_index_rejected(self, coarse_grid):
         field = constant_drift_field(1.0)
-        fieldU = solve(field, np.sin, 0.5, coarse_grid)
+        fieldU = solve(field, np.sin, 0.5, coarse_grid, every_step=True)
         with pytest.raises(ValueError):
             viscosity_residual(fieldU, field, 0)
         with pytest.raises(ValueError):
@@ -228,14 +244,14 @@ class TestViscosityResidual:
 
     def test_constant_solution_has_zero_residual(self, coarse_grid):
         field = constant_drift_field(1.0, sigma=0.5)
-        fieldU = solve(field, lambda x: 2.0 + 0.0 * x, 0.5, coarse_grid)
+        fieldU = solve(field, lambda x: 2.0 + 0.0 * x, 0.5, coarse_grid, every_step=True)
         res = viscosity_residual(fieldU, field, fieldU.times.size // 2)
         assert np.max(np.abs(res)) == 0.0
 
     def test_residual_small_on_smooth_solution(self):
         field = constant_drift_field(1.0, sigma=0.4)
         grid = SpatialGrid(-10.0, 10.0, 401)
-        fieldU = solve(field, lambda x: np.exp(-0.5 * x * x), 1.0, grid)
+        fieldU = solve(field, lambda x: np.exp(-0.5 * x * x), 1.0, grid, every_step=True)
         res = viscosity_residual(fieldU, field, fieldU.times.size // 2)
         assert np.max(np.abs(res[grid.inner_mask()])) <= 5e-3
 
@@ -244,16 +260,23 @@ class TestViscosityResidual:
         norms = []
         for nx in (201, 401):
             grid = SpatialGrid(-10.0, 10.0, nx)
-            fieldU = solve(field, lambda x: np.exp(-0.5 * x * x), 0.5, grid)
+            fieldU = solve(field, lambda x: np.exp(-0.5 * x * x), 0.5, grid, every_step=True)
             res = viscosity_residual(fieldU, field, fieldU.times.size // 2)
             norms.append(float(np.max(np.abs(res[grid.inner_mask()]))))
         assert norms[1] < norms[0] * 0.85
+
+    def test_field_with_landed_rows_only_rejected(self, coarse_grid):
+        field = constant_drift_field(1.0, sigma=0.5)
+        fieldU = solve(field, np.sin, 0.5, coarse_grid, checkpoints=(0.25,))
+        assert fieldU.times.tolist() == [0.0, 0.25, 0.5]
+        with pytest.raises(ValueError, match="every_step=True"):
+            viscosity_residual(fieldU, field, 1)
 
 
 class TestRestart:
     def test_zero_additional_returns_stored_row(self, coarse_grid):
         field = constant_drift_field(1.0)
-        fieldU = solve(field, np.sin, 0.5, coarse_grid)
+        fieldU = solve(field, np.sin, 0.5, coarse_grid, every_step=True)
         s = float(fieldU.times[3])
         again = restart(fieldU, field, s, 0.0)
         assert again.times.tolist() == [0.0]
@@ -264,6 +287,15 @@ class TestRestart:
         fieldU = solve(field, np.sin, 0.5, coarse_grid)
         with pytest.raises(ValueError, match="timeline"):
             restart(fieldU, field, 0.123456, 0.1)
+
+    def test_unknown_time_error_names_stored_times_and_checkpoints(self, coarse_grid):
+        field = constant_drift_field(1.0)
+        fieldU = solve(field, np.sin, 0.5, coarse_grid, checkpoints=(0.125,))
+        with pytest.raises(ValueError) as err:
+            restart(fieldU, field, 0.25, 0.1)
+        message = str(err.value)
+        assert "0.125" in message and "0.5" in message
+        assert "checkpoints" in message
 
     def test_negative_additional_rejected(self, coarse_grid):
         field = constant_drift_field(1.0)
@@ -390,8 +422,8 @@ class TestEnvelope:
         assert _Envelope(kou_field, grid).routes == ["conv"]
         assert _Envelope(full, grid).routes == ["gather"]
         bump = GaussianBump()
-        conv = solve(kou_field, bump.value, 1.0, grid)
-        gather = solve(full, bump.value, 1.0, grid)
+        conv = solve(kou_field, bump.value, 1.0, grid, every_step=True)
+        gather = solve(full, bump.value, 1.0, grid, every_step=True)
         assert conv.values.shape == gather.values.shape
         assert float(np.max(np.abs(conv.times - gather.times))) <= 1e-13
         assert float(np.max(np.abs(conv.values - gather.values))) <= 1e-13

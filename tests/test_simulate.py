@@ -265,6 +265,19 @@ class TestEstimateValue:
         with pytest.raises(ValueError, match="control grid"):
             sample_path(kou_field, policy, 0.0, 0.5, 0.01, seed=3)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_rejected(self, kou_field, x0):
+        # a grid policy cast NaN to a cell index and failed with an IndexError
+        grid = SpatialGrid(-10.0, 10.0, 101)
+        fieldU = solve(kou_field, np.tanh, 0.2, grid, every_step=True)
+        policy = policy_from_pide(fieldU, kou_field)
+        with pytest.raises(ValueError, match="x0"):
+            estimate_value(kou_field, policy, np.tanh, x0, 0.2, 0.01, 100, seed=3)
+        with pytest.raises(ValueError, match="x0"):
+            sample_path(kou_field, policy, x0, 0.2, 0.01, seed=3)
+        with pytest.raises(ValueError, match="x0"):
+            mc_lower_bound(kou_field, fieldU, np.tanh, x0, 0.2, 0.01, 100, seed=3)
+
     def test_pure_drift_identity_payoff(self):
         field = constant_drift_field(1.0)
         policy = PolicySchedule.constant(field.control_grid.points)
@@ -380,7 +393,7 @@ class TestMeasureRequirements:
 class TestPolicyFromPide:
     def test_single_control_policy_is_trivial(self, degenerate_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid)
+        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid, every_step=True)
         policy = policy_from_pide(fieldU, degenerate_field)
         assert policy.provenance == "argmax-from-pide"
         assert np.all(policy.indices == 0)
@@ -391,7 +404,7 @@ class TestPolicyFromPide:
         grid_c = ControlGrid.uniform((-1.0,), (1.0,), 2)
         field = constant_drift_field(0.0, controls=grid_c)
         grid = SpatialGrid(-10.0, 10.0, 401)
-        fieldU = solve(field, np.tanh, 0.5, grid)
+        fieldU = solve(field, np.tanh, 0.5, grid, every_step=True)
         policy = policy_from_pide(fieldU, field)
         inner = grid.inner_mask()
         assert np.all(policy.indices[:, inner] == 1)
@@ -400,15 +413,22 @@ class TestPolicyFromPide:
         grid_c = ControlGrid.uniform((-1.0,), (1.0,), 2)
         field = constant_drift_field(0.0, controls=grid_c)
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(field, lambda x: 1.0 + 0.0 * x, 0.5, grid)
+        fieldU = solve(field, lambda x: 1.0 + 0.0 * x, 0.5, grid, every_step=True)
         policy = policy_from_pide(fieldU, field)
         assert np.all(policy.indices == 0)
+
+    def test_field_with_landed_rows_only_rejected(self, degenerate_field):
+        grid = SpatialGrid(-10.0, 10.0, 101)
+        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid)
+        assert fieldU.times.size == 2 < fieldU.metadata["n_steps"] + 1
+        with pytest.raises(ValueError, match="every_step=True"):
+            policy_from_pide(fieldU, degenerate_field)
 
 
 class TestMcLowerBound:
     def test_horizon_mismatch_rejected(self, degenerate_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid)
+        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid, every_step=True)
         with pytest.raises(ValueError, match="horizon"):
             mc_lower_bound(degenerate_field, fieldU, lambda x: np.exp(-x * x),
                            0.0, 0.3, 0.05, 16, seed=0)
@@ -416,7 +436,7 @@ class TestMcLowerBound:
     def test_returns_consistent_triple(self):
         field = constant_drift_field(1.0)
         grid = SpatialGrid(-10.0, 10.0, 801)
-        fieldU = solve(field, np.tanh, 0.5, grid)
+        fieldU = solve(field, np.tanh, 0.5, grid, every_step=True)
         mean, stderr, pide_value = mc_lower_bound(
             field, fieldU, np.tanh, 0.0, 0.5, 0.01, 8, seed=0)
         # deterministic dynamics: every path gives tanh(0.5)
