@@ -14,11 +14,13 @@ norm).
 All controls are held as one envelope of (n_controls, nx) coefficient
 arrays, and controls with identical jump tables share one jump term.  The
 route of a term is read from the table's shape (the contract in ``core``):
-a one-row table is state-free and becomes a correlation on a numpy FFT
-with the kernel transform cached, any other table is interpolated node by
-node (gather), and a zero-mass measure has no jump term at all.  The
-envelope applies itself into buffers it owns and ``solve`` sizes its
-timeline before it marches, so no step allocates a new stack or row.
+a one-row table is state-free and becomes one row of a stacked correlation
+kernel (conv), applied with the other conv rows by one batched FFT per step
+whose length is bounded by the grid, as the taps off the grid are folded
+into edge weights; any other table is interpolated node by node (gather), and a
+zero-mass measure has no jump term at all.  The envelope applies itself
+into buffers it owns and ``solve`` sizes its timeline before it marches,
+so no step allocates a new stack or row.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.
@@ -89,6 +91,8 @@ class ValueField:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.shape != (times.size, self.grid.nx):
             raise ValueError("values must be one row per time over the grid")
+        if times.size == 0:
+            raise ValueError("the timeline is empty; it must hold the row at t = 0")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError("times must start at 0 and increase strictly")
 
@@ -106,34 +110,60 @@ class ValueField:
                 fh.write("".join([f"{head}{x}{v!r}\n" for x, v in zip(xs, row.tolist())]))
 
 
-def _conv_term(kappa, weights, dx, nx):
-    """Jump term of a state-free table: one correlation with interpolation taps.
+def _fft_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n: a length numpy's FFT transforms fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
-    The field is padded by constant extension and correlated on a numpy FFT
-    whose kernel transform is computed here, once.  Any FFT length of at
-    least the padded length works, because the circular wrap-around lands
-    outside the kept window; a power of two avoids slow prime-size
-    transforms.
+
+class _ConvBlock:
+    """Every state-free jump term, one row each, applied with one FFT of w.
+
+    Row j is ``sum_m taps[j, m] * w[clip(i + m, 0, nx - 1)]``: the taps that
+    stay on the grid correlate with w zero-padded to ``n_fft`` (the wrap-around
+    lands on the padding), and those that leave it sum, once, to the edge
+    weights of ``left[i] * w[0] + right[i] * w[-1]``.  On-grid offsets reach
+    at most nx - 1 nodes, so ``n_fft`` is at most ``_fft_length(2 nx - 1)``
+    whatever the jump sizes.
     """
-    pos = kappa / dx
-    i0 = np.floor(pos).astype(int)
-    frac = pos - i0
-    m_min = int(i0.min())
-    m_max = int(i0.max()) + 1
-    taps = np.zeros(m_max - m_min + 1)
-    np.add.at(taps, i0 - m_min, weights * (1.0 - frac))
-    np.add.at(taps, i0 - m_min + 1, weights * frac)
-    pad_l = max(0, -m_min)
-    pad_r = max(0, m_max)
-    k0 = pad_l + m_min
-    n_fft = 1 << (pad_l + nx + pad_r - 1).bit_length()
-    kernel = np.conj(np.fft.rfft(taps, n_fft))
 
-    def term(w):
-        p = np.concatenate([np.full(pad_l, w[0]), w, np.full(pad_r, w[-1])])
-        return np.fft.irfft(np.fft.rfft(p, n_fft) * kernel, n_fft)[k0 : k0 + nx]
+    def __init__(self, kappas, weights, dx, out):
+        nx = out.shape[1]
+        self.out = out  # (rows, nx), overwritten by every call
+        taps = np.zeros((len(kappas), 2 * nx + 1))  # interpolation taps at offsets -nx..nx
+        for row, kappa in zip(taps, kappas):
+            pos = kappa / dx
+            i0 = np.floor(pos)
+            frac = pos - i0
+            # an offset beyond +-nx reads the edge value at every node, as +-nx does
+            at = np.clip(np.concatenate([i0, i0 + 1.0]), -nx, nx).astype(int) + nx
+            np.add.at(row, at, np.concatenate([weights * (1.0 - frac), weights * frac]))
+        self._left = np.ascontiguousarray(np.cumsum(taps[:, :nx], axis=1)[:, ::-1])  # offsets < -i
+        self._right = np.cumsum(taps[:, :nx:-1], axis=1)  # offsets > nx - 1 - i
+        on_grid = np.flatnonzero(np.any(taps[:, 1:-1] != 0.0, axis=0)) - (nx - 1)
+        self.n_fft = _fft_length(nx + int(np.abs(on_grid).max(initial=0)))
+        kernel = np.zeros((len(kappas), self.n_fft))
+        kernel[:, :nx] = taps[:, nx:-1]  # offsets 0..nx-1
+        kernel[:, self.n_fft - nx + 1 :] += taps[:, 1:nx]  # offsets 1-nx..-1, wrapped
+        self._kernel = np.conj(np.fft.rfft(kernel))
+        self._spec = np.empty(self._kernel.shape[1], dtype=complex)
+        self._prod = np.empty_like(self._kernel)
+        self._corr = np.empty_like(kernel)
 
-    return term
+    def __call__(self, w):
+        np.fft.rfft(w, self.n_fft, out=self._spec)
+        np.multiply(self._kernel, self._spec, out=self._prod)
+        np.fft.irfft(self._prod, self.n_fft, out=self._corr)
+        corr = self._corr[:, : w.size]
+        np.multiply(self._left, w[0], out=self.out)
+        self.out += corr
+        self.out += np.multiply(self._right, w[-1], out=corr)
 
 
 def _gather_term(ktab, weights, dx, nx):
@@ -166,7 +196,8 @@ class _Envelope:
     ``apply`` acts on the shifted field w = u - u[mid]; each row is linear
     in w and identically zero on w = 0, which is what keeps constants
     exact.  Controls with byte-identical jump tables share one jump term,
-    so they also tie exactly.
+    so they also tie exactly: each distinct table is one row of ``_jumps``,
+    conv rows first, and each control takes its row with one ``np.take``.
     """
 
     def __init__(self, field: CoefficientField, grid: SpatialGrid):
@@ -179,10 +210,9 @@ class _Envelope:
         b = np.empty((len(controls), nx))
         a = np.empty_like(b)
         comp = np.zeros_like(b)
-        self._group_of = np.zeros(len(controls), dtype=int)
-        self._terms = []
-        routes = []
-        group_by_table = {}  # table bytes -> (term index, compensator)
+        kappas, gathers = [], []
+        term_of = {}  # table bytes -> (route, index on that route, compensator)
+        term_at = []  # each control's (route, index)
         for i, f in enumerate(controls):
             b[i] = np.asarray(field.drift(f, xs), dtype=float)
             sig = np.broadcast_to(np.asarray(field.dispersion(f, xs), dtype=float), xs.shape)
@@ -195,16 +225,24 @@ class _Envelope:
             if not np.all(np.isfinite(ktab)):
                 raise ValueError(f"non-finite jump map at control {f}")
             key = ktab.tobytes()
-            if key not in group_by_table:
-                group_by_table[key] = (len(self._terms), _compensator(field, ktab, quad.weights))
+            if key not in term_of:
+                ck = _compensator(field, ktab, quad.weights)
                 if ktab.shape[0] == 1:
-                    routes.append("conv")
-                    self._terms.append(_conv_term(ktab[0], quad.weights, dx, nx))
+                    term_of[key] = ("conv", len(kappas), ck)
+                    kappas.append(ktab[0])
                 else:
-                    routes.append("gather")
-                    self._terms.append(_gather_term(ktab, quad.weights, dx, nx))
-            self._group_of[i], comp[i] = group_by_table[key]
-        self.routes = sorted(set(routes)) if self._terms else ["none"]
+                    term_of[key] = ("gather", len(gathers), ck)
+                    gathers.append(_gather_term(ktab, quad.weights, dx, nx))
+            route, k, comp[i] = term_of[key]
+            term_at.append((route, k))
+        self.routes = sorted({route for route, _, _ in term_of.values()}) or ["none"]
+        # with no jump term, one row of zeros: apply still adds 0.0, as it always has
+        n_conv = len(kappas)
+        self._jumps = np.zeros((max(1, n_conv + len(gathers)), nx))
+        first_row = {"conv": 0, "gather": n_conv}
+        self._group_of = np.array([first_row[r] + k for r, k in term_at] or [0] * len(controls))
+        self._conv = _ConvBlock(kappas, quad.weights, dx, self._jumps[:n_conv]) if kappas else None
+        self._gathers = list(zip(self._jumps[n_conv:], gathers))
 
         eff = b - comp
         self.bp = np.maximum(eff, 0.0) / dx
@@ -240,9 +278,12 @@ class _Envelope:
         out += np.multiply(self.bm, dm, out=tmp)
         np.add(dp, dm, out=s)
         out += np.multiply(self.diff, s, out=tmp)
-        jumps = [term(w) for term in self._terms] or [0.0]  # no jump term still adds 0.0
-        for row, g in zip(out, self._group_of):
-            row += jumps[g]
+        if self._conv is not None:
+            self._conv(w)
+        for row, term in self._gathers:
+            row[:] = term(w)
+        # every index is valid; mode="raise" would copy ``out`` through a buffer
+        out += np.take(self._jumps, self._group_of, axis=0, out=tmp, mode="clip")
         out -= np.multiply(self.mass, w, out=s)
         return out
 

@@ -10,6 +10,7 @@ from sublevy.pide import (
     SpatialGrid,
     ValueField,
     _Envelope,
+    _fft_length,
     cfl_timestep,
     restart,
     solve,
@@ -72,6 +73,11 @@ class TestValueField:
         with pytest.raises(ValueError):
             ValueField(grid=coarse_grid, times=np.array([0.0, 0.0]),
                        values=vals, metadata={})
+
+    def test_empty_timeline_rejected(self, coarse_grid):
+        with pytest.raises(ValueError, match="timeline is empty"):
+            ValueField(grid=coarse_grid, times=[], values=np.empty((0, coarse_grid.nx)),
+                       metadata={})
 
     def test_terminal_value_interpolates(self, coarse_grid):
         xs = coarse_grid.xs()
@@ -380,18 +386,34 @@ def _reference_stack(field, grid, w):
     return np.asarray(rows)
 
 
+def _mixed_route_field(kou_spec):
+    """Uncertain Kou whose lam_hi controls return their jump table with a state axis."""
+    field = build_field(kou_spec, 2)
+    kmap = field.jump_density_map
+    return dataclasses.replace(
+        field,
+        jump_density_map=lambda f, x, z: kmap(f, x, z) + 0.0 * x if f[2] > 0.5 else kmap(f, x, z))
+
+
 class TestEnvelope:
-    @pytest.mark.parametrize("case", ["march", "cli", "state-dependent", "zero-mass"])
+    @pytest.mark.parametrize(
+        "case", ["march", "cli", "state-dependent", "zero-mass", "overshoot", "mixed"])
     def test_stack_matches_per_control_formulas(self, case, kou_spec, degenerate_spec):
-        field, nx, route = {
-            "march": (lambda: build_field(kou_spec, 2), 1601, "conv"),
-            "cli": (lambda: build_field(degenerate_spec, 2), 801, "conv"),
-            "state-dependent": (_state_dependent_field, 801, "gather"),
+        field, grid, routes = {
+            "march": (lambda: build_field(kou_spec, 2), (-10.0, 10.0, 1601), ["conv"]),
+            "cli": (lambda: build_field(degenerate_spec, 2), (-10.0, 10.0, 801), ["conv"]),
+            "state-dependent": (_state_dependent_field, (-10.0, 10.0, 801), ["gather"]),
             "zero-mass": (lambda: constant_drift_field(
-                0.0, sigma=0.3, controls=ControlGrid.uniform((-1.0,), (1.0,), 3)), 801, "none"),
+                0.0, sigma=0.3, controls=ControlGrid.uniform((-1.0,), (1.0,), 3)),
+                (-10.0, 10.0, 801), ["none"]),
+            # jumps of up to 10 leave this grid by more than nx nodes
+            "overshoot": (lambda: build_field(kou_spec, 2), (-2.0, 2.0, 101), ["conv"]),
+            # lam_lo controls take conv and lam_hi controls gather
+            "mixed": (lambda: _mixed_route_field(kou_spec), (-10.0, 10.0, 801), ["conv", "gather"]),
         }[case]
         field = field()
-        grid = SpatialGrid(-10.0, 10.0, nx)
+        grid = SpatialGrid(*grid)
+        nx = grid.nx
         xs = grid.xs()
         psi = np.exp(-0.5 * (xs - 0.3) ** 2) + 0.2 * np.tanh(xs)
         w = psi - psi[nx // 2]
@@ -401,16 +423,16 @@ class TestEnvelope:
         want = _reference_stack(field, grid, w)
         assert stack.shape == (len(field.control_grid.points), nx)
         assert float(np.max(np.abs(stack - want))) <= tol
-        assert env.routes == [route]
+        assert env.routes == routes
 
     def test_controls_with_one_jump_table_share_one_term(self, kou_spec):
         grid = SpatialGrid(-10.0, 10.0, 201)
         eight = build_field(kou_spec, 2)
         twenty_seven = build_field(kou_spec, 3)
         assert len(eight.control_grid.points) == 8
-        assert len(_Envelope(eight, grid)._terms) == 2
+        assert _Envelope(eight, grid)._jumps.shape[0] == 2
         assert len(twenty_seven.control_grid.points) == 27
-        assert len(_Envelope(twenty_seven, grid)._terms) == 3
+        assert _Envelope(twenty_seven, grid)._jumps.shape[0] == 3
 
     def test_route_is_read_from_the_table_shape(self, kou_field):
         # the same jump map returned with a state axis: its rows are all
@@ -427,6 +449,20 @@ class TestEnvelope:
         assert conv.values.shape == gather.values.shape
         assert float(np.max(np.abs(conv.times - gather.times))) <= 1e-13
         assert float(np.max(np.abs(conv.values - gather.values))) <= 1e-13
+
+    def test_conv_length_is_bounded_by_the_grid(self, degenerate_spec):
+        # jumps of up to 1e5 span 4e6 nodes of this grid, but every one of
+        # them past an edge reads the edge value
+        grid = SpatialGrid(-10.0, 10.0, 801)
+        env = _Envelope(build_field(degenerate_spec, 2, z_cut=1e5), grid)
+        assert env.routes == ["conv"]
+        assert env._conv.n_fft <= 2 * grid.nx
+
+    def test_fft_length_is_the_smallest_5_smooth_bound(self):
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                        for a in range(14) for b in range(9) for c in range(7))
+        for n in range(1, 5001):
+            assert _fft_length(n) == next(m for m in smooth if m >= n), n
 
     def test_apply_reuses_its_buffer(self, kou_field):
         grid = SpatialGrid(-10.0, 10.0, 201)
