@@ -41,8 +41,6 @@ __all__ = [
     "zero_jump_measure",
 ]
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 class QuadratureError(RuntimeError):
     """The reference-measure quadrature failed its own mass invariant."""
@@ -217,7 +215,7 @@ class JumpReferenceMeasure:
         """Compare the quadrature mass with a fine trapezoid of the density."""
         z = self.quadrature.z_cut
         grid = np.linspace(-z, z, 20001)
-        ref = float(_trapz(np.asarray(self.density(grid), dtype=float), grid))
+        ref = float(np.trapezoid(np.asarray(self.density(grid), dtype=float), grid))
         err = abs(self.window_mass - ref)
         if err > rtol * max(1.0, abs(ref)):
             raise QuadratureError(

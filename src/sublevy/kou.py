@@ -42,8 +42,6 @@ __all__ = [
     "verify_pushforward",
 ]
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def _at(bound, x):
     """A bound's value at states x; a constant bound stays a plain number."""
@@ -367,9 +365,9 @@ def fourier_reference(
     xi = np.linspace(-xi_max, xi_max, n_xi)
     eta = characteristic_exponent(triplet, trunc, xi)
     integrand = psi.fourier_transform(xi) * np.exp(1j * xi * x0 + T * eta)
-    value = float(np.real(_trapz(integrand, xi))) / (2.0 * math.pi)
+    value = float(np.real(np.trapezoid(integrand, xi))) / (2.0 * math.pi)
     if not return_error:
         return value
-    coarse = float(np.real(_trapz(integrand[::2], xi[::2]))) / (2.0 * math.pi)
+    coarse = float(np.real(np.trapezoid(integrand[::2], xi[::2]))) / (2.0 * math.pi)
     err = abs(value - coarse) / 3.0 + abs(integrand[0]) + abs(integrand[-1])
     return value, float(err)
