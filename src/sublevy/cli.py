@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import Quadrature, audit_conditions
+from .core import Quadrature, QuadratureError, audit_conditions
 from .kou import GaussianBump, KouSpec, LinearKouTriplet, build_field, fourier_reference
 from .pide import SpatialGrid, restart, solve
 from .simulate import mc_lower_bound
@@ -40,49 +40,37 @@ def _floats(raw: str):
         raise ConfigError(f"bad float list {raw!r}") from e
 
 
-_SCHEMA = {
+# each key's type (a converter, or the tuple of allowed strings) and its default
+_KEYS = {
     "model": {
-        "b_lo": float, "b_hi": float, "a_lo": float, "a_hi": float,
-        "lam_lo": float, "lam_hi": float, "lam_star": float, "lam_floor": float,
+        "b_lo": (float, 0.05), "b_hi": (float, 0.05), "a_lo": (float, 0.2), "a_hi": (float, 0.2),
+        "lam_lo": (float, 1.5), "lam_hi": (float, 1.5), "lam_star": (float, 1.5),
+        "lam_floor": (float, 0.5),
     },
-    "control": {"resolution": int},
+    "control": {"resolution": (int, 2)},
     "pide": {
-        "x_min": float, "x_max": float, "nx": int, "t_horizon": float,
-        "cfl_safety": float, "z_cut": float, "nz": int,
+        "x_min": (float, -10.0), "x_max": (float, 10.0), "nx": (int, 801),
+        "t_horizon": (float, 1.0), "cfl_safety": (float, 0.9), "z_cut": (float, 10.0),
+        "nz": (int, 401),
     },
-    "psi": {"kind": ("gaussian", "tanh", "constant"), "amplitude": float,
-            "center": float, "width": float},
-    "mc": {"paths": int, "dt": float, "seed": int, "tolerance": float},
-    "fourier": {"check_points": _floats, "tolerance": float, "n_xi": int, "xi_max": float},
-    "dpp": {"tolerance": float, "restart_safety": float, "inner_fraction": float},
+    "psi": {"kind": (("gaussian", "tanh", "constant"), "gaussian"), "amplitude": (float, 1.0),
+            "center": (float, 0.0), "width": (float, 1.0)},
+    "mc": {"paths": (int, 10000), "dt": (float, 1e-3), "seed": (int, 12345),
+           "tolerance": (float, 1e-2)},
+    "fourier": {"check_points": (_floats, (-1.0, 0.0, 1.0)), "tolerance": (float, 1e-2),
+                "n_xi": (int, 4097), "xi_max": (float, 0.0)},
+    "dpp": {"tolerance": (float, 2e-2), "restart_safety": (float, 0.45),
+            "inner_fraction": (float, 0.6)},
     "transform": {
-        "family": ("exponential", "power"), "lam": float, "lam_star": float,
-        "alpha": float, "c_target": float, "c_reference": float,
-        "y_abs_min": float, "y_abs_max": float, "n_points": int, "tol": float,
-        "thresholds": _floats, "tolerance": float, "z_max": float,
+        "family": (("exponential", "power"), "exponential"), "lam": (float, 1.0),
+        "lam_star": (float, 2.0), "alpha": (float, 1.5), "c_target": (float, 1.0),
+        "c_reference": (float, 2.0), "y_abs_min": (float, 0.05), "y_abs_max": (float, 4.0),
+        "n_points": (int, 41), "tol": (float, 1e-9),
+        "thresholds": (_floats, (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)),
+        "tolerance": (float, 1e-6), "z_max": (float, 1e6),
     },
-    "audit": {"sample_budget": int, "seed": int},
-    "output": {"directory": str},
-}
-
-_DEFAULTS = {
-    "model": {"b_lo": 0.05, "b_hi": 0.05, "a_lo": 0.2, "a_hi": 0.2,
-              "lam_lo": 1.5, "lam_hi": 1.5, "lam_star": 1.5, "lam_floor": 0.5},
-    "control": {"resolution": 2},
-    "pide": {"x_min": -10.0, "x_max": 10.0, "nx": 801, "t_horizon": 1.0,
-             "cfl_safety": 0.9, "z_cut": 10.0, "nz": 401},
-    "psi": {"kind": "gaussian", "amplitude": 1.0, "center": 0.0, "width": 1.0},
-    "mc": {"paths": 10000, "dt": 1e-3, "seed": 12345, "tolerance": 1e-2},
-    "fourier": {"check_points": (-1.0, 0.0, 1.0), "tolerance": 1e-2,
-                "n_xi": 4097, "xi_max": 0.0},
-    "dpp": {"tolerance": 2e-2, "restart_safety": 0.45, "inner_fraction": 0.6},
-    "transform": {"family": "exponential", "lam": 1.0, "lam_star": 2.0,
-                  "alpha": 1.5, "c_target": 1.0, "c_reference": 2.0,
-                  "y_abs_min": 0.05, "y_abs_max": 4.0, "n_points": 41,
-                  "tol": 1e-9, "thresholds": (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),
-                  "tolerance": 1e-6, "z_max": 1e6},
-    "audit": {"sample_budget": 64, "seed": 0},
-    "output": {"directory": "out"},
+    "audit": {"sample_budget": (int, 64), "seed": (int, 0)},
+    "output": {"directory": (str, "out")},
 }
 
 
@@ -96,18 +84,16 @@ class RunConfig:
         return self.values[section]
 
     def set_entry(self, section: str, key: str, raw: str) -> None:
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section {section!r}")
-        if key not in _SCHEMA[section]:
+        if key not in _KEYS[section]:
             raise ConfigError(f"unknown key {section}.{key}")
-        conv = _SCHEMA[section][key]
+        conv = _KEYS[section][key][0]
+        value = raw
         if isinstance(conv, tuple):
             if raw not in conv:
                 raise ConfigError(f"{section}.{key} must be one of {conv}, got {raw!r}")
-            self.values[section][key] = raw
-        elif conv is str:
-            self.values[section][key] = raw
-        else:
+        elif conv is not str:
             try:
                 value = conv(raw)
             except (ValueError, TypeError) as e:
@@ -116,7 +102,7 @@ class RunConfig:
             # nan passes every `x > tol` gate as False, so it must not get in
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
-            self.values[section][key] = value
+        self.values[section][key] = value
 
     def validate(self) -> None:
         p = self["pide"]
@@ -151,8 +137,9 @@ class RunConfig:
         if self["audit"]["sample_budget"] < 1:
             raise ConfigError("audit.sample_budget must be >= 1")
         try:
-            self.kou_spec().validate()
-        except ValueError as e:
+            # builds the field, so the spec is checked, then its jump quadrature
+            self.field().reference.validate_mass()
+        except (ValueError, QuadratureError) as e:
             raise ConfigError(str(e)) from e
 
     def kou_spec(self) -> KouSpec:
@@ -188,27 +175,33 @@ class RunConfig:
         return lambda x: amp + 0.0 * np.asarray(x, dtype=float)
 
 
+def _apply_entry(cfg: RunConfig, entry: str, where: str) -> None:
+    """Apply one ``section.key = value`` entry; errors name ``where`` it came from."""
+    lhs, eq, rhs = (part.strip() for part in entry.partition("="))
+    section, dot, key = lhs.partition(".")
+    try:
+        if not eq:
+            raise ConfigError(f"expected 'section.key = value', got {entry!r}")
+        if not dot:
+            raise ConfigError(f"key {lhs!r} missing section prefix")
+        cfg.set_entry(section.strip(), key.strip(), rhs)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig({s: dict(v) for s, v in _DEFAULTS.items()})
+    cfg = RunConfig({s: {k: d for k, (_, d) in keys.items()} for s, keys in _KEYS.items()})
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'section.key = value'")
-        lhs, rhs = line.split("=", 1)
-        lhs = lhs.strip()
-        if "." not in lhs:
-            raise ConfigError(f"line {lineno}: key {lhs!r} missing section prefix")
-        section, key = lhs.split(".", 1)
-        cfg.set_entry(section.strip(), key.strip(), rhs.strip())
+        if line:
+            _apply_entry(cfg, line, f"line {lineno}")
     return cfg
 
 
 class _Artifacts:
     """Tracks written files so failed runs can remove partial output."""
 
-    def __init__(self, outdir: str):
+    def __init__(self, outdir: str | None):
         self.outdir = outdir
         self.written: list = []
 
@@ -387,54 +380,32 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override mc.seed and audit.seed")
     args = parser.parse_args(argv)
 
-    text = ""
-    if args.config is not None:
-        try:
+    art = _Artifacts(args.out)
+    try:
+        text = ""
+        if args.config is not None:
             with open(args.config) as fh:
                 text = fh.read()
-        except OSError as e:
-            print(f"IO_ERROR: {e}", file=sys.stderr)
-            return 2
-    try:
         cfg = parse_config(text)
         for item in args.overrides:
-            if "=" not in item:
-                raise ConfigError(f"--set needs key=value, got {item!r}")
-            lhs, rhs = item.split("=", 1)
-            if "." not in lhs:
-                raise ConfigError(f"--set key {lhs!r} missing section prefix")
-            section, key = lhs.split(".", 1)
-            cfg.set_entry(section.strip(), key.strip(), rhs.strip())
+            _apply_entry(cfg, item, "--set")
         if args.seed is not None:
-            cfg["mc"]["seed"] = args.seed
-            cfg["audit"]["seed"] = args.seed
+            cfg["mc"]["seed"] = cfg["audit"]["seed"] = args.seed
         cfg.validate()
-    except ConfigError as e:
-        print(f"CONFIG_INVALID: {e}", file=sys.stderr)
-        return 2
-
-    outdir = args.out if args.out is not None else cfg["output"]["directory"]
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as e:
-        print(f"IO_ERROR: {e}", file=sys.stderr)
-        return 2
-
-    art = _Artifacts(outdir)
-    try:
+        if art.outdir is None:
+            art.outdir = cfg["output"]["directory"]
+        os.makedirs(art.outdir, exist_ok=True)
         code, message = _RUNNERS[args.subcommand](cfg, art)
-    except ConfigError as e:
-        art.cleanup()
-        print(f"CONFIG_INVALID: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        art.cleanup()
-        print(f"IO_ERROR: {e}", file=sys.stderr)
-        return 2
     except Exception as e:
         art.cleanup()
-        print(f"RUNTIME_FAILURE: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        if isinstance(e, ConfigError):
+            tag, code = "CONFIG_INVALID", 2
+        elif isinstance(e, OSError):
+            tag, code = "IO_ERROR", 2
+        else:
+            tag, code = f"RUNTIME_FAILURE: {type(e).__name__}", 3
+        print(f"{tag}: {e}", file=sys.stderr)
+        return code
     if code != 0:
         print(message, file=sys.stderr)
         return code

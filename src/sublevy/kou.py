@@ -202,13 +202,13 @@ def build_field(
     lam_star = float(spec.lam_star)
 
     def drift(f, x):
-        return control_coefficients(spec, f, x)[0]
+        return _between(spec.b_lo, spec.b_hi, f[0], x)
 
     def dispersion(f, x):
-        return np.sqrt(control_coefficients(spec, f, x)[1])
+        return np.sqrt(_between(spec.a_lo, spec.a_hi, f[1], x))
 
     def jump_density_map(f, x, z):
-        lam = _between(spec.lam_lo, spec.lam_hi, f[2], x)  # the intensity only
+        lam = _between(spec.lam_lo, spec.lam_hi, f[2], x)
         return clamp_jump(z, np.log(lam_star / lam))
 
     lip_log_lam = spec.lipschitz_constant / spec.lam_floor

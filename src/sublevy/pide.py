@@ -193,8 +193,8 @@ def _compensator(field, ktab, weights):
 class _Envelope:
     """Every control's spatial operator on one grid, as (n_controls, nx) arrays.
 
-    ``apply`` acts on the shifted field w = u - u[mid]; each row is linear
-    in w and identically zero on w = 0, which is what keeps constants
+    ``apply(u)`` forms the shifted field w = u - u[mid] itself; each row is
+    linear in w and identically zero on w = 0, which is what keeps constants
     exact.  Controls with byte-identical jump tables share one jump term,
     so they also tie exactly: each distinct table is one row of ``_jumps``,
     conv rows first, and each control takes its row with one ``np.take``.
@@ -253,7 +253,7 @@ class _Envelope:
         b_max = float((np.abs(b) + np.abs(comp)).max())
         self.denom = a_max / (dx * dx) + b_max / dx + self.mass
         self._stacks = (np.empty_like(b), np.empty_like(b))
-        self._rows = np.zeros((3, nx))
+        self._rows = np.zeros((4, nx))
 
     def timestep(self, safety: float, dt_max: float) -> float:
         """Stable explicit step safety / denom, capped at ``dt_max``."""
@@ -265,13 +265,15 @@ class _Envelope:
             return float(dt_max)
         return float(min(safety / self.denom, dt_max))
 
-    def apply(self, w):
-        """The (n_controls, nx) stack of L_f w, in a buffer the next call overwrites.
+    def apply(self, u):
+        """The (n_controls, nx) stack of L_f u, in a buffer the next call overwrites.
 
-        It sums bp*dp + bm*dm + diff*(dp + dm) + jump - mass*w in that order.
+        On w = u - u[mid] it sums bp*dp + bm*dm + diff*(dp + dm) + jump - mass*w
+        in that order.
         """
         out, tmp = self._stacks
-        dp, dm, s = self._rows  # dp[-1] and dm[0] stay 0
+        dp, dm, s, w = self._rows  # dp[-1] and dm[0] stay 0
+        np.subtract(u, u[u.size // 2], out=w)
         np.subtract(w[1:], w[:-1], out=dp[:-1])
         np.negative(dp[:-1], out=dm[1:])
         np.multiply(self.bp, dp, out=out)
@@ -328,7 +330,6 @@ def solve(
         raise ValueError("psi must be finite on the grid")
     env = _Envelope(field, grid)
     dt = env.timestep(safety, dt_max)
-    mid = grid.nx // 2
     psi_sup = float(np.max(np.abs(u)))
 
     targets = sorted({float(c) for c in (*checkpoints, T) if 0.0 < float(c) <= T})
@@ -355,10 +356,8 @@ def solve(
     row_of = dict(zip(kept, values))  # step index -> its stored row
     # a step not kept lands in the scratch row its predecessor does not hold
     scratch = np.empty((2, grid.nx))
-    w = np.empty_like(u)
     for k, sub_dt in enumerate(sub_dts, start=1):
-        np.subtract(u, u[mid], out=w)
-        step = env.apply(w).max(axis=0, out=row_of.get(k, scratch[k % 2]))
+        step = env.apply(u).max(axis=0, out=row_of.get(k, scratch[k % 2]))
         step *= sub_dt
         u = np.add(u, step, out=step)
         if not np.all(np.isfinite(u)):
@@ -403,12 +402,11 @@ def viscosity_residual(fieldU: ValueField, field: CoefficientField, t_index: int
     nt = fieldU.times.size
     if not 0 < t_index < nt - 1:
         raise ValueError(f"t_index must be interior to 0..{nt - 1}")
-    mid = fieldU.grid.nx // 2
     u = fieldU.values[t_index]
     du = (fieldU.values[t_index + 1] - fieldU.values[t_index - 1]) / (
         fieldU.times[t_index + 1] - fieldU.times[t_index - 1]
     )
-    return du - _Envelope(field, fieldU.grid).apply(u - u[mid]).max(axis=0)
+    return du - _Envelope(field, fieldU.grid).apply(u).max(axis=0)
 
 
 def restart(

@@ -305,9 +305,8 @@ def policy_from_pide(fieldU: ValueField, field: CoefficientField) -> PolicySched
     """
     _require_every_step(fieldU, "policy_from_pide")
     env = _Envelope(field, fieldU.grid)
-    mid = fieldU.grid.nx // 2
     T = float(fieldU.times[-1])
-    rows_idx = [env.apply(u - u[mid]).argmax(axis=0) for u in fieldU.values[::-1]]
+    rows_idx = [env.apply(u).argmax(axis=0) for u in fieldU.values[::-1]]
     knots = T - fieldU.times[::-1]
     knots[0] = 0.0
     return PolicySchedule(

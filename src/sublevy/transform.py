@@ -149,11 +149,8 @@ def verify_transport(
             ind = k_vals <= y
             predicate = lambda z: k_at(z) <= y
             want = tails.target_lower(y)
-        got = 0.0
-        for a, b, left_edge, right_edge in _indicator_intervals(nodes, ind, predicate):
-            aa = -math.inf if left_edge else a
-            bb = math.inf if right_edge else b
-            got += _interval_mass(measure, aa, bb)
+        runs = _indicator_intervals(nodes, ind, predicate)
+        got = sum((_interval_mass(measure, a, b) for a, b in runs), 0.0)
         worst = max(worst, abs(got - want))
     return worst
 

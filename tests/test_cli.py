@@ -219,6 +219,40 @@ class TestErrorChannels:
         assert code == 2
         assert err.startswith("CONFIG_INVALID")
 
+    @pytest.mark.parametrize("entries", [
+        ["pide.z_cut=1e5"],
+        ["pide.z_cut=1e5", "pide.nz=13333"],
+        ["pide.nz=3"],
+    ], ids=["wide-window", "wide-window-more-nodes", "three-nodes"])
+    def test_unresolved_jump_quadrature_rejected(self, capsys, tmp_path, entries):
+        # each rule's mass is off the true 3.0 by more than 1e-4 relative
+        sets = [arg for entry in entries for arg in ("--set", entry)]
+        code, _, err = _run(capsys, "dpp-check", "--out", str(tmp_path), *sets)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_naming_a_file_is_an_io_error(self, capsys, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        code, stdout, err = _run(capsys, "validate", "--out", str(out))
+        assert code == 2
+        assert err.startswith("IO_ERROR")
+        assert stdout == ""
+        assert out.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    def test_config_errors_name_their_source(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# header\npide.nx = 201\npide.nosuch = 1\n")
+        code, _, err = _run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID: line 3: ")
+        code, _, err = _run(capsys, "solve", "--out", str(tmp_path), "--set", "pide.nx=many")
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID: --set: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_config_file_feeds_run(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("pide.nx = 201\npide.t_horizon = 0.2\n"

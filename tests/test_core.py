@@ -16,7 +16,7 @@ from sublevy.core import (
     simpson_quadrature,
     zero_jump_measure,
 )
-from sublevy.kou import KouSpec, build_field
+from sublevy.kou import KouSpec, build_field, double_exponential_measure
 
 from tests.conftest import constant_drift_field
 
@@ -146,6 +146,14 @@ class TestJumpReferenceMeasure:
         )
         with pytest.raises(QuadratureError):
             bad.validate_mass()
+
+    def test_validate_mass_catches_an_unresolved_peak(self):
+        # nodes 15 apart put one Simpson weight on the exp(-|z|) peak; a fine
+        # trapezoid over the same window does the same, the exact mass does not
+        m = double_exponential_measure(1.5, z_cut=1e5, nz=13333)
+        assert m.window_mass == pytest.approx(15.0, rel=1e-3)
+        with pytest.raises(QuadratureError):
+            m.validate_mass()
 
 
 class TestCoefficientField:

@@ -144,18 +144,24 @@ class TestBuildField:
         assert got[1] == pytest.approx(ONE_MINUS_LOG2, abs=1e-15)
         assert got[2] == pytest.approx(-ONE_MINUS_LOG2, abs=1e-15)
 
-    @pytest.mark.parametrize("lam_lo", [1.0, lambda x: 1.0 + 0.5 * np.cos(np.asarray(x, dtype=float))],
+    @pytest.mark.parametrize("wave", [None, lambda x: np.cos(np.asarray(x, dtype=float))],
                              ids=["constant", "state-function"])
-    def test_jump_map_reads_the_intensity_of_the_coefficients(self, lam_lo):
-        spec = KouSpec(b_lo=0.0, b_hi=0.1, a_lo=0.1, a_hi=0.3,
-                       lam_lo=lam_lo, lam_hi=2.0, lam_star=2.0, lam_floor=0.5)
+    def test_jump_map_reads_the_intensity_of_the_coefficients(self, wave):
+        # drift and dispersion, too, read exactly their own coefficient
+        def lo(base, amp):
+            return base if wave is None else (lambda x: base + amp * wave(x))
+
+        spec = KouSpec(b_lo=lo(0.0, 0.05), b_hi=0.1, a_lo=lo(0.1, 0.05), a_hi=0.3,
+                       lam_lo=lo(1.0, 0.5), lam_hi=2.0, lam_star=2.0, lam_floor=0.5)
         field = build_field(spec, 2)
         xs = np.linspace(-10.0, 10.0, 41)
         zs = np.linspace(-3.0, 3.0, 41)
         assert len(field.control_grid.points) == 8
         for f in field.control_grid.points:
-            want = clamp_jump(zs, np.log(2.0 / control_coefficients(spec, f, xs)[2]))
-            assert np.array_equal(field.jump_density_map(f, xs, zs), want)
+            b, a, lam = control_coefficients(spec, f, xs)
+            assert np.array_equal(field.drift(f, xs), b)
+            assert np.array_equal(field.dispersion(f, xs), np.sqrt(a))
+            assert np.array_equal(field.jump_density_map(f, xs, zs), clamp_jump(zs, np.log(2.0 / lam)))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
