@@ -22,6 +22,12 @@ zero-mass measure has no jump term at all.  The envelope applies itself
 into buffers it owns and ``solve`` sizes its timeline before it marches,
 so no step allocates a new stack or row.
 
+Each control's operator on w sums cp*dp + cm*dm + jump - mass*w, where cp
+and cm fold the upwind and diffusion weights.  The march takes the max of
+each jump group's stencil rows, adds the group's jump row, takes the max
+over groups and subtracts mass*w once; round-to-nearest ``fl(a + c)`` is
+monotone in a, so this gives the bits of the max of the full sums.
+
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.
 """
@@ -29,6 +35,7 @@ bitwise unchanged regardless of quadrature summation order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -193,11 +200,11 @@ def _compensator(field, ktab, weights):
 class _Envelope:
     """Every control's spatial operator on one grid, as (n_controls, nx) arrays.
 
-    ``apply(u)`` forms the shifted field w = u - u[mid] itself; each row is
-    linear in w and identically zero on w = 0, which is what keeps constants
-    exact.  Controls with byte-identical jump tables share one jump term,
-    so they also tie exactly: each distinct table is one row of ``_jumps``,
-    conv rows first, and each control takes its row with one ``np.take``.
+    ``apply`` and ``sup`` shift u to w = u - u[mid] themselves; each row is
+    linear in w and zero on w = 0, which keeps constants exact.  Controls with
+    byte-identical jump tables share one row of ``_jumps`` (conv rows first),
+    so they tie exactly, and their rows of ``cp`` and ``cm`` are one slice:
+    the rows are held stably sorted by jump row.
     """
 
     def __init__(self, field: CoefficientField, grid: SpatialGrid):
@@ -239,15 +246,19 @@ class _Envelope:
         # with no jump term, one row of zeros: apply still adds 0.0, as it always has
         n_conv = len(kappas)
         self._jumps = np.zeros((max(1, n_conv + len(gathers)), nx))
-        first_row = {"conv": 0, "gather": n_conv}
-        self._group_of = np.array([first_row[r] + k for r, k in term_at] or [0] * len(controls))
+        group_of = [(n_conv if r == "gather" else 0) + k for r, k in term_at] or [0] * len(controls)
         self._conv = _ConvBlock(kappas, quad.weights, dx, self._jumps[:n_conv]) if kappas else None
         self._gathers = list(zip(self._jumps[n_conv:], gathers))
+        # Python's stable sort: np.argsort and np.bincount map ~0.5 MB more numpy code into RSS
+        order = sorted(range(len(controls)), key=group_of.__getitem__)
+        self._rank = np.array(sorted(range(len(controls)), key=order.__getitem__))  # its inverse
+        ends = list(itertools.accumulate(map(group_of.count, range(len(self._jumps)))))
+        self._groups = [(slice(lo, hi), row) for lo, hi, row in zip([0, *ends], ends, self._jumps)]
 
         eff = b - comp
-        self.bp = np.maximum(eff, 0.0) / dx
-        self.bm = np.maximum(-eff, 0.0) / dx
-        self.diff = a / (2.0 * dx * dx)
+        diff = a / (2.0 * dx * dx)
+        self.cp = (np.maximum(eff, 0.0) / dx + diff).take(order, axis=0)
+        self.cm = (np.maximum(-eff, 0.0) / dx + diff).take(order, axis=0)
         # the one CFL denominator; its drift sup uses |drift| + |compensator|
         a_max = float(a.max())
         b_max = float((np.abs(b) + np.abs(comp)).max())
@@ -259,34 +270,52 @@ class _Envelope:
         """Stable explicit step safety / denom, capped at ``dt_max``."""
         if not 0.0 < safety <= 1.0:
             raise ValueError("safety must be in (0, 1]")
-        if dt_max <= 0:
-            raise ValueError("dt_max must be positive")
+        if not dt_max > 0:
+            raise ValueError(f"dt_max must be positive, got {dt_max!r}")
         if self.denom == 0.0:
             return float(dt_max)
         return float(min(safety / self.denom, dt_max))
 
-    def apply(self, u):
-        """The (n_controls, nx) stack of L_f u, in a buffer the next call overwrites.
-
-        On w = u - u[mid] it sums bp*dp + bm*dm + diff*(dp + dm) + jump - mass*w
-        in that order.
-        """
+    def _stencil(self, u):
+        """Fill the jump rows; return cp*dp + cm*dm of w = u - u[mid] in group order, and w."""
         out, tmp = self._stacks
-        dp, dm, s, w = self._rows  # dp[-1] and dm[0] stay 0
+        dp, dm, _, w = self._rows  # dp[-1] and dm[0] stay 0
         np.subtract(u, u[u.size // 2], out=w)
         np.subtract(w[1:], w[:-1], out=dp[:-1])
         np.negative(dp[:-1], out=dm[1:])
-        np.multiply(self.bp, dp, out=out)
-        out += np.multiply(self.bm, dm, out=tmp)
-        np.add(dp, dm, out=s)
-        out += np.multiply(self.diff, s, out=tmp)
+        np.multiply(self.cp, dp, out=out)
+        out += np.multiply(self.cm, dm, out=tmp)
         if self._conv is not None:
             self._conv(w)
         for row, term in self._gathers:
             row[:] = term(w)
-        # every index is valid; mode="raise" would copy ``out`` through a buffer
-        out += np.take(self._jumps, self._group_of, axis=0, out=tmp, mode="clip")
-        out -= np.multiply(self.mass, w, out=s)
+        return out, w
+
+    def apply(self, u):
+        """The (n_controls, nx) stack of L_f u, in a buffer the next call overwrites.
+
+        On w = u - u[mid] it sums cp*dp + cm*dm + jump - mass*w in that
+        order, and returns the rows in control order.
+        """
+        out, w = self._stencil(u)
+        for rows, jump in self._groups:
+            out[rows] += jump
+        out -= np.multiply(self.mass, w, out=self._rows[2])
+        # every index is valid; mode="raise" would copy through a buffer
+        return np.take(out, self._rank, axis=0, out=self._stacks[1], mode="clip")
+
+    def sup(self, u, out):
+        """max_f L_f u into ``out``, group by group: bit for bit ``apply(u).max(axis=0)``."""
+        stack, w = self._stencil(u)
+        best = self._rows[2]
+        (rows, jump), *rest = self._groups
+        np.max(stack[rows], axis=0, out=out)
+        out += jump
+        for rows, jump in rest:
+            np.max(stack[rows], axis=0, out=best)
+            best += jump
+            np.maximum(out, best, out=out)
+        out -= np.multiply(self.mass, w, out=best)
         return out
 
 
@@ -320,8 +349,9 @@ def solve(
     stores every step taken instead, so the timeline resolution is the CFL
     step.  Either way the march and ``metadata`` are the same.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    checkpoints = [float(c) for c in checkpoints]
+    if not (0.0 <= T < math.inf and all(map(math.isfinite, checkpoints))):
+        raise ValueError(f"need finite T >= 0 and checkpoints, got {T!r}, {checkpoints!r}")
     xs = grid.xs()
     u = np.array(psi(xs) if callable(psi) else psi, dtype=float)
     if u.shape != xs.shape:
@@ -332,7 +362,7 @@ def solve(
     dt = env.timestep(safety, dt_max)
     psi_sup = float(np.max(np.abs(u)))
 
-    targets = sorted({float(c) for c in (*checkpoints, T) if 0.0 < float(c) <= T})
+    targets = sorted({c for c in (*checkpoints, float(T)) if 0.0 < c <= T})
     times = [0.0]
     sub_dts = []  # sub_dts[k - 1] is the step that ends at times[k]
     landed = []
@@ -357,7 +387,7 @@ def solve(
     # a step not kept lands in the scratch row its predecessor does not hold
     scratch = np.empty((2, grid.nx))
     for k, sub_dt in enumerate(sub_dts, start=1):
-        step = env.apply(u).max(axis=0, out=row_of.get(k, scratch[k % 2]))
+        step = env.sup(u, row_of.get(k, scratch[k % 2]))
         step *= sub_dt
         u = np.add(u, step, out=step)
         if not np.all(np.isfinite(u)):
@@ -406,7 +436,7 @@ def viscosity_residual(fieldU: ValueField, field: CoefficientField, t_index: int
     du = (fieldU.values[t_index + 1] - fieldU.values[t_index - 1]) / (
         fieldU.times[t_index + 1] - fieldU.times[t_index - 1]
     )
-    return du - _Envelope(field, fieldU.grid).apply(u).max(axis=0)
+    return du - _Envelope(field, fieldU.grid).sup(u, np.empty_like(u))
 
 
 def restart(
@@ -430,8 +460,8 @@ def restart(
             "pass s in the checkpoints of the solve"
         )
     row = fieldU.values[idx].copy()
-    if additional < 0:
-        raise ValueError("additional must be nonnegative")
+    if not 0.0 <= additional < math.inf:
+        raise ValueError(f"additional must be finite and nonnegative, got {additional!r}")
     if additional == 0:
         meta = dict(fieldU.metadata)
         meta["n_steps"] = 0

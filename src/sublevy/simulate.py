@@ -230,8 +230,8 @@ def _simulate_chunk(
 
 
 def _check_run(x0, T, dt):
-    if dt <= 0 or T <= 0:
-        raise ValueError("T and dt must be positive")
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise ValueError(f"T and dt must be positive and finite, got T={T!r}, dt={dt!r}")
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
 

@@ -137,6 +137,15 @@ class TestCflTimestep:
         with pytest.raises(ValueError):
             cfl_timestep(field, coarse_grid, 0.5, dt_max=0.0)
 
+    def test_nan_dt_max_rejected(self, coarse_grid):
+        # a NaN cap was ignored, or returned as the step when no coefficient
+        # bounds it, and solve then failed in math.ceil
+        for field in (constant_drift_field(1.0), constant_drift_field(0.0)):
+            with pytest.raises(ValueError, match="dt_max"):
+                cfl_timestep(field, coarse_grid, 0.5, dt_max=math.nan)
+            with pytest.raises(ValueError, match="dt_max"):
+                solve(field, np.sin, 1.0, coarse_grid, dt_max=math.nan)
+
 
 class TestSolve:
     def test_constant_payoff_is_exactly_preserved(self, kou_field):
@@ -206,6 +215,15 @@ class TestSolve:
             solve(field, bad, 1.0, coarse_grid)
         with pytest.raises(ValueError):
             solve(field, np.sin, -1.0, coarse_grid)
+
+    @pytest.mark.parametrize("T, checkpoints", [
+        (math.nan, ()), (math.inf, ()), (1.0, (math.nan,)), (1.0, (0.5, math.inf))])
+    def test_non_finite_horizon_or_checkpoint_rejected(self, coarse_grid, T, checkpoints):
+        # T = nan returned the payoff as the value at T; a non-finite
+        # checkpoint was dropped silently
+        field = constant_drift_field(1.0)
+        with pytest.raises(ValueError, match="finite"):
+            solve(field, np.sin, T, coarse_grid, checkpoints=checkpoints)
 
     def test_non_finite_coefficients_rejected_up_front(self, coarse_grid):
         field = constant_drift_field(np.nan)
@@ -309,6 +327,12 @@ class TestRestart:
         with pytest.raises(ValueError):
             restart(fieldU, field, 0.0, -0.1)
 
+    def test_non_finite_additional_rejected(self, coarse_grid):
+        field = constant_drift_field(1.0)
+        fieldU = solve(field, np.sin, 0.5, coarse_grid)
+        with pytest.raises(ValueError, match="finite"):
+            restart(fieldU, field, 0.5, math.nan)
+
     def test_constants_restart_exactly(self, kou_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
         fieldU = solve(kou_field, lambda x: 1.5 + 0.0 * x, 0.4,
@@ -395,35 +419,54 @@ def _mixed_route_field(kou_spec):
         jump_density_map=lambda f, x, z: kmap(f, x, z) + 0.0 * x if f[2] > 0.5 else kmap(f, x, z))
 
 
+def _envelope_case(case, kou_spec, degenerate_spec):
+    """(field, grid, routes, w) of one named envelope case: w is smooth and 0 at mid."""
+    field, grid, routes = {
+        "march": (lambda: build_field(kou_spec, 2), (-10.0, 10.0, 1601), ["conv"]),
+        "cli": (lambda: build_field(degenerate_spec, 2), (-10.0, 10.0, 801), ["conv"]),
+        "state-dependent": (_state_dependent_field, (-10.0, 10.0, 801), ["gather"]),
+        "zero-mass": (lambda: constant_drift_field(
+            0.0, sigma=0.3, controls=ControlGrid.uniform((-1.0,), (1.0,), 3)),
+            (-10.0, 10.0, 801), ["none"]),
+        # jumps of up to 10 leave this grid by more than nx nodes
+        "overshoot": (lambda: build_field(kou_spec, 2), (-2.0, 2.0, 101), ["conv"]),
+        # lam_lo controls take conv and lam_hi controls gather
+        "mixed": (lambda: _mixed_route_field(kou_spec), (-10.0, 10.0, 801), ["conv", "gather"]),
+    }[case]
+    grid = SpatialGrid(*grid)
+    xs = grid.xs()
+    psi = np.exp(-0.5 * (xs - 0.3) ** 2) + 0.2 * np.tanh(xs)
+    return field(), grid, routes, psi - psi[grid.nx // 2]
+
+
+ENVELOPE_CASES = ["march", "cli", "state-dependent", "zero-mass", "overshoot", "mixed"]
+
+
 class TestEnvelope:
-    @pytest.mark.parametrize(
-        "case", ["march", "cli", "state-dependent", "zero-mass", "overshoot", "mixed"])
+    @pytest.mark.parametrize("case", ENVELOPE_CASES)
     def test_stack_matches_per_control_formulas(self, case, kou_spec, degenerate_spec):
-        field, grid, routes = {
-            "march": (lambda: build_field(kou_spec, 2), (-10.0, 10.0, 1601), ["conv"]),
-            "cli": (lambda: build_field(degenerate_spec, 2), (-10.0, 10.0, 801), ["conv"]),
-            "state-dependent": (_state_dependent_field, (-10.0, 10.0, 801), ["gather"]),
-            "zero-mass": (lambda: constant_drift_field(
-                0.0, sigma=0.3, controls=ControlGrid.uniform((-1.0,), (1.0,), 3)),
-                (-10.0, 10.0, 801), ["none"]),
-            # jumps of up to 10 leave this grid by more than nx nodes
-            "overshoot": (lambda: build_field(kou_spec, 2), (-2.0, 2.0, 101), ["conv"]),
-            # lam_lo controls take conv and lam_hi controls gather
-            "mixed": (lambda: _mixed_route_field(kou_spec), (-10.0, 10.0, 801), ["conv", "gather"]),
-        }[case]
-        field = field()
-        grid = SpatialGrid(*grid)
-        nx = grid.nx
-        xs = grid.xs()
-        psi = np.exp(-0.5 * (xs - 0.3) ** 2) + 0.2 * np.tanh(xs)
-        w = psi - psi[nx // 2]
+        field, grid, routes, w = _envelope_case(case, kou_spec, degenerate_spec)
         tol = 1e-13 * float(np.max(np.abs(w)))
         env = _Envelope(field, grid)
         stack = env.apply(w)
         want = _reference_stack(field, grid, w)
-        assert stack.shape == (len(field.control_grid.points), nx)
+        assert stack.shape == (len(field.control_grid.points), grid.nx)
         assert float(np.max(np.abs(stack - want))) <= tol
         assert env.routes == routes
+
+    @pytest.mark.parametrize("case", ENVELOPE_CASES)
+    def test_sup_is_the_max_of_the_stack(self, case, kou_spec, degenerate_spec):
+        field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
+        env = _Envelope(field, grid)
+        want = env.apply(w).max(axis=0)
+        got = env.sup(w, np.empty(grid.nx))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if case == "mixed":
+            # gather rows follow every conv row, so the group order is not
+            # the control order; apply still returns control order, and on
+            # w = 0 every row ties, so the argmax is the first control
+            zero = np.zeros(grid.nx)
+            assert not np.any(env.apply(zero).argmax(axis=0))
 
     def test_controls_with_one_jump_table_share_one_term(self, kou_spec):
         grid = SpatialGrid(-10.0, 10.0, 201)

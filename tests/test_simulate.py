@@ -278,6 +278,13 @@ class TestEstimateValue:
         with pytest.raises(ValueError, match="x0"):
             mc_lower_bound(kou_field, fieldU, np.tanh, x0, 0.2, 0.01, 100, seed=3)
 
+    @pytest.mark.parametrize("T, dt", [(math.nan, 0.01), (0.2, math.nan), (0.2, math.inf)])
+    def test_non_finite_horizon_or_step_rejected(self, kou_field, T, dt):
+        # a NaN failed later in int(round(nan)); dt = inf ran one step
+        policy = PolicySchedule.constant(kou_field.control_grid.points)
+        with pytest.raises(ValueError, match="T and dt"):
+            estimate_value(kou_field, policy, np.tanh, 0.0, T, dt, 100, seed=3)
+
     def test_pure_drift_identity_payoff(self):
         field = constant_drift_field(1.0)
         policy = PolicySchedule.constant(field.control_grid.points)
