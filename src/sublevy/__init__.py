@@ -42,7 +42,15 @@ from .kou import (
     fourier_reference,
     verify_pushforward,
 )
-from .pide import SpatialGrid, ValueField, cfl_timestep, restart, solve, viscosity_residual
+from .pide import (
+    MarchPolicy,
+    SpatialGrid,
+    ValueField,
+    cfl_timestep,
+    restart,
+    solve,
+    viscosity_residual,
+)
 from .simulate import (
     PolicySchedule,
     SamplePath,

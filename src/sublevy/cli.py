@@ -257,13 +257,16 @@ def _run_simulate(cfg: RunConfig, art: _Artifacts):
     T = p["t_horizon"]
     field = cfg.field()
     psi = cfg.psi()
-    # the argmax policy is read off every step
-    fieldU = solve(field, psi, T, cfg.grid(), p["cfl_safety"], every_step=True)
+    fieldU = solve(field, psi, T, cfg.grid(), p["cfl_safety"], policy=True)
     mean, stderr, pide_value = mc_lower_bound(
         field, fieldU, psi, 0.5 * (p["x_min"] + p["x_max"]), T,
         m["dt"], m["paths"], m["seed"],
     )
     art.write("mc.csv", _csv("mean,stderr,pide_value", [(mean, stderr, pide_value)]))
+    # the worst-case model map: each control's share of the march's (t, x) cells
+    rows = zip(field.control_grid.points, fieldU.policy.shares.tolist())
+    art.write("policy.csv", "control,f_b,f_a,f_lam,share\n" + "".join(
+        f"{i},{','.join(map(repr, f))},{share!r}\n" for i, (f, share) in enumerate(rows)))
     slack = 3.0 * stderr + m["tolerance"]
     if mean > pide_value + slack:
         return 1, f"TOLERANCE_EXCEEDED: mc mean {mean!r} above pide {pide_value!r} + {slack!r}"

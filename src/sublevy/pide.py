@@ -27,6 +27,10 @@ and cm fold the upwind and diffusion weights.  The march takes the max of
 each jump group's stencil rows, adds the group's jump row, takes the max
 over groups and subtracts mass*w once; round-to-nearest ``fl(a + c)`` is
 monotone in a, so this gives the bits of the max of the full sums.
+A march that records the policy forms the full sums instead and takes
+their max and their argmax: within a group, a1 < a2 can round to a tie
+once the group's jump row is added, so only the full sums break ties as
+the per-control operators do.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.
@@ -37,12 +41,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import CoefficientField, _jump_table
 
 __all__ = [
+    "MarchPolicy",
     "SpatialGrid",
     "ValueField",
     "cfl_timestep",
@@ -82,14 +88,35 @@ class SpatialGrid:
         return (xs >= self.x_min + margin) & (xs <= self.x_max - margin)
 
 
+class MarchPolicy(NamedTuple):
+    """The control that attains sup_f L_f u at each march step and node.
+
+    ``indices[m, c]`` is that control's grid index at node c for the step
+    taken at remaining time T - knots[m], so it is the feedback rule from
+    elapsed time knots[m] on; ties pick the first control in grid order.
+    It holds one byte per entry while there are at most 256 controls.
+    ``shares[j]`` is control j's share of these (knot, node) cells: the
+    worst-case model map.  ``controls`` are the points the indices name.
+    """
+
+    knots: np.ndarray
+    indices: np.ndarray
+    shares: np.ndarray
+    controls: tuple
+
+
 @dataclasses.dataclass(frozen=True)
 class ValueField:
-    """Solved timeline: values[i] approximates the semigroup image at times[i]."""
+    """Solved timeline: values[i] approximates the semigroup image at times[i].
+
+    ``policy`` is the march's argmax policy when the solve recorded it.
+    """
 
     grid: SpatialGrid
     times: np.ndarray
     values: np.ndarray
     metadata: dict
+    policy: MarchPolicy | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -340,6 +367,7 @@ def solve(
     dt_max: float = 1.0,
     checkpoints=(),
     every_step: bool = False,
+    policy: bool = False,
 ) -> ValueField:
     """March the payoff forward: u(0) = psi, u(t + dt) = u(t) + dt sup_f L_f u.
 
@@ -347,7 +375,12 @@ def solve(
     times (and T itself) are landed on exactly by shortening steps.  Rows
     are stored at 0, at each landed checkpoint and at T; ``every_step``
     stores every step taken instead, so the timeline resolution is the CFL
-    step.  Either way the march and ``metadata`` are the same.
+    step.  ``policy`` records the argmax control of every step, and of the
+    row at T, as the field's ``MarchPolicy``: (steps + 1) * nx bytes with
+    at most 256 controls, where the every-step timeline takes 8 bytes per
+    entry.  The march, its values and ``metadata`` are the same whatever
+    is kept.  The jump quadrature must resolve the measure's mass on its
+    window (``QuadratureError`` otherwise).
     """
     checkpoints = [float(c) for c in checkpoints]
     if not (0.0 <= T < math.inf and all(map(math.isfinite, checkpoints))):
@@ -358,6 +391,7 @@ def solve(
         raise ValueError("psi must give one value per grid node")
     if not np.all(np.isfinite(u)):
         raise ValueError("psi must be finite on the grid")
+    field.reference.validate_mass()
     env = _Envelope(field, grid)
     dt = env.timestep(safety, dt_max)
     psi_sup = float(np.max(np.abs(u)))
@@ -386,12 +420,36 @@ def solve(
     row_of = dict(zip(kept, values))  # step index -> its stored row
     # a step not kept lands in the scratch row its predecessor does not hold
     scratch = np.empty((2, grid.nx))
+    sup = env.sup
+    if policy:
+        controls = field.control_grid.points
+        n_controls = len(controls)
+        picks = np.empty((len(times), grid.nx), dtype=np.min_scalar_type(n_controls - 1))
+        rows = iter(picks[::-1])  # the march runs in remaining time, the policy in elapsed time
+        pick = np.empty(grid.nx, dtype=np.intp)  # np.argmax writes intp only
+        counts = np.zeros(n_controls, dtype=np.int64)
+
+        def sup(u, out):
+            """env.sup(u, out) as the max of the full sums; their argmax is the next policy row."""
+            stack = env.apply(u)
+            np.argmax(stack, axis=0, out=pick)
+            next(rows)[:] = pick
+            np.add(counts, np.bincount(pick, minlength=n_controls), out=counts)
+            return np.max(stack, axis=0, out=out)
+
     for k, sub_dt in enumerate(sub_dts, start=1):
-        step = env.sup(u, row_of.get(k, scratch[k % 2]))
+        step = sup(u, row_of.get(k, scratch[k % 2]))
         step *= sub_dt
         u = np.add(u, step, out=step)
         if not np.all(np.isfinite(u)):
             raise RuntimeError(f"non-finite value at step {k}, t = {times[k]}")
+    recorded = None
+    if policy:
+        sup(u, scratch[0])  # the row at T
+        knots = times[-1] - np.array(times[::-1])
+        knots[0] = 0.0
+        recorded = MarchPolicy(knots=knots, indices=picks, shares=counts / counts.sum(),
+                               controls=controls)
 
     max_sub = max(sub_dts, default=0.0)
     tail_rate = field.reference.tail_mass_outside_window()
@@ -408,27 +466,21 @@ def solve(
         "psi_sup": psi_sup,
         "routes": env.routes,
     }
-    return ValueField(grid=grid, times=[times[k] for k in kept], values=values, metadata=metadata)
-
-
-def _require_every_step(fieldU: ValueField, what: str) -> None:
-    """Reject a solved field that keeps only its landed rows: ``what`` reads every step.
-
-    A field whose metadata records no step count is taken as it is.
-    """
-    if fieldU.metadata.get("n_steps", fieldU.times.size - 1) != fieldU.times.size - 1:
-        raise ValueError(
-            f"{what} reads every step, but this field keeps only its landed rows; "
-            "solve with every_step=True"
-        )
+    return ValueField(grid=grid, times=[times[k] for k in kept], values=values,
+                      metadata=metadata, policy=recorded)
 
 
 def viscosity_residual(fieldU: ValueField, field: CoefficientField, t_index: int) -> np.ndarray:
     """Centered-in-time defect d_t u - sup_f L_f u at an interior stored time.
 
-    The field must hold every step (``solve(..., every_step=True)``).
+    The field must hold every step (``solve(..., every_step=True)``); a
+    field whose metadata records no step count is taken as it is.
     """
-    _require_every_step(fieldU, "viscosity_residual")
+    if fieldU.metadata.get("n_steps", fieldU.times.size - 1) != fieldU.times.size - 1:
+        raise ValueError(
+            "viscosity_residual reads every step, but this field keeps only its "
+            "landed rows; solve with every_step=True"
+        )
     nt = fieldU.times.size
     if not 0 < t_index < nt - 1:
         raise ValueError(f"t_index must be interior to 0..{nt - 1}")

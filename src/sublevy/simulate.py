@@ -8,10 +8,11 @@ truncated-jump compensator, so path laws match the generator the PIDE
 solver discretizes.  A control whose coefficients come back without a
 state axis is read from a table; every other control is evaluated at its
 own paths' states each step; a chunk with no such control does no
-per-state work at all.  Estimates under the time-reversed argmax policy of
-a solved field give a lower bound on the PIDE value up to scheme
-tolerance.  The policy lives on the solver's uniform grid, so each path
-finds its cell by arithmetic, at a cost that does not grow with the grid.
+per-state work at all.  Estimates under the argmax policy that the PIDE
+march records (``solve(..., policy=True)``), run in elapsed time, give a
+lower bound on the PIDE value up to scheme tolerance.  The policy lives on
+the solver's uniform grid, so each path finds its cell by arithmetic, at a
+cost that does not grow with the grid.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so estimates are bit-identical for a
@@ -26,7 +27,7 @@ import math
 import numpy as np
 
 from .core import CoefficientField, _jump_table
-from .pide import SpatialGrid, ValueField, _compensator, _Envelope, _require_every_step
+from .pide import SpatialGrid, ValueField, _compensator
 
 __all__ = [
     "CHUNK",
@@ -297,23 +298,22 @@ def estimate_value(
 
 
 def policy_from_pide(fieldU: ValueField, field: CoefficientField) -> PolicySchedule:
-    """Time-reversed argmax policy read off a solved field.
+    """The argmax policy that the march of ``fieldU`` recorded, as a schedule.
 
-    At elapsed time s the policy uses the stored row at remaining time
-    T - s; ties pick the first control in grid order.  The field must hold
-    every step (``solve(..., every_step=True)``).
+    At elapsed time s the policy uses the argmax at remaining time T - s;
+    ties pick the first control in grid order.  The field must come from
+    ``solve(..., policy=True)`` on ``field``.
     """
-    _require_every_step(fieldU, "policy_from_pide")
-    env = _Envelope(field, fieldU.grid)
-    T = float(fieldU.times[-1])
-    rows_idx = [env.apply(u).argmax(axis=0) for u in fieldU.values[::-1]]
-    knots = T - fieldU.times[::-1]
-    knots[0] = 0.0
+    recorded = fieldU.policy
+    if recorded is None:
+        raise ValueError("this field holds no recorded policy; solve with policy=True")
+    if recorded.controls != field.control_grid.points:
+        raise ValueError("the policy was recorded for another control grid")
     return PolicySchedule(
-        time_knots=knots,
-        indices=np.asarray(rows_idx),
+        time_knots=recorded.knots,
+        indices=recorded.indices,
         grid=fieldU.grid,
-        controls=field.control_grid.points,
+        controls=recorded.controls,
         provenance="argmax-from-pide",
     )
 
@@ -328,14 +328,13 @@ def mc_lower_bound(
     n_paths: int,
     seed: int,
 ):
-    """(mean, stderr, pide_value) under the argmax policy of the solved field.
+    """(mean, stderr, pide_value) under the argmax policy recorded in the solved field.
 
     The mean is a single-policy value, so up to scheme tolerance it sits at
     or below the PIDE value: mean <= pide_value + 3 stderr + tolerance.
     """
     if abs(float(fieldU.times[-1]) - T) > 1e-9:
         raise ValueError("fieldU horizon does not match T")
-    _check_run(x0, T, dt)  # before the policy pass over every row
     policy = policy_from_pide(fieldU, field)
     mean, stderr = estimate_value(field, policy, psi, x0, T, dt, n_paths, seed)
     pide_value = float(fieldU.terminal_value(x0))

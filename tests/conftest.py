@@ -17,6 +17,7 @@ from sublevy.core import (
     zero_jump_measure,
 )
 from sublevy.kou import KouSpec, build_field
+from sublevy.pide import _Envelope
 
 
 def constant_drift_field(b, sigma=0.0, controls=None):
@@ -40,6 +41,19 @@ def constant_drift_field(b, sigma=0.0, controls=None):
         truncation=TruncationFunction.clip(),
         control_grid=grid,
     )
+
+
+def every_step_argmax(field, fieldU):
+    """(knots, indices) of the argmax policy, by a second pass over every stored row.
+
+    ``fieldU`` holds every step; row m is the argmax of the full per-control
+    sums at remaining time T - knots[m], ties to the first control.
+    """
+    env = _Envelope(field, fieldU.grid)
+    indices = np.array([env.apply(u).argmax(axis=0) for u in fieldU.values[::-1]])
+    knots = fieldU.times[-1] - fieldU.times[::-1]
+    knots[0] = 0.0
+    return knots, indices
 
 
 @pytest.fixture(scope="session")

@@ -44,13 +44,13 @@ def _report(num, name, passed, detail):
 @pytest.fixture(scope="session")
 def degenerate_solution(degenerate_field):
     start = time.perf_counter()
-    fieldU = solve(degenerate_field, BUMP.value, 1.0, GRID, every_step=True)
+    fieldU = solve(degenerate_field, BUMP.value, 1.0, GRID, policy=True)
     return fieldU, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def kou_solution(kou_field):
-    return solve(kou_field, BUMP.value, 1.0, GRID, checkpoints=(0.5,), every_step=True)
+    return solve(kou_field, BUMP.value, 1.0, GRID, checkpoints=(0.5,), policy=True)
 
 
 class TestCriterion1:

@@ -95,6 +95,8 @@ class TestSimulateCommand:
         lines = (out / "mc.csv").read_text().splitlines()
         assert lines[0] == "mean,stderr,pide_value"
         assert len(lines) == 2
+        # one control attains the sup in every cell
+        assert (out / "policy.csv").read_text() == "control,f_b,f_a,f_lam,share\n0,0.0,0.0,0.0,1.0\n"
 
     def test_seed_flag_controls_reproducibility(self, capsys, tmp_path):
         outs = [tmp_path / n for n in ("a", "b", "c")]
@@ -104,6 +106,25 @@ class TestSimulateCommand:
             assert code == 0
         assert filecmp.cmp(outs[0] / "mc.csv", outs[1] / "mc.csv", shallow=False)
         assert not filecmp.cmp(outs[0] / "mc.csv", outs[2] / "mc.csv", shallow=False)
+
+    def test_uncertain_model_writes_its_policy_map(self, capsys, tmp_path):
+        # drift and intensity intervals: 4 controls, and the sup moves between them
+        uncertain = self.FAST + ["--set", "model.b_hi=0.15", "--set", "model.lam_lo=1.0"]
+        outs = [tmp_path / n for n in ("a", "b")]
+        for out in outs:
+            code, _, _ = _run(capsys, "simulate", "--out", str(out), *uncertain)
+            assert code == 0
+        lines = (outs[0] / "policy.csv").read_text().splitlines()
+        assert lines[0] == "control,f_b,f_a,f_lam,share"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+        assert [tuple(map(float, row[1:4])) for row in rows] == [
+            (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0)]
+        shares = [float(row[4]) for row in rows]
+        assert sum(shares) == pytest.approx(1.0, abs=1e-12)
+        assert sum(share > 0.0 for share in shares) > 1
+        for name in ("mc.csv", "policy.csv"):
+            assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)
 
 
 class TestValidateCommand:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sublevy.core import ControlGrid
+from sublevy.core import ControlGrid, QuadratureError
 from sublevy.kou import GaussianBump, KouSpec, build_field
 from sublevy.pide import (
     SpatialGrid,
@@ -16,7 +16,7 @@ from sublevy.pide import (
     solve,
     viscosity_residual,
 )
-from tests.conftest import constant_drift_field
+from tests.conftest import constant_drift_field, every_step_argmax
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +224,14 @@ class TestSolve:
         field = constant_drift_field(1.0)
         with pytest.raises(ValueError, match="finite"):
             solve(field, np.sin, T, coarse_grid, checkpoints=checkpoints)
+
+    def test_unresolved_jump_quadrature_rejected(self, degenerate_spec):
+        # a Simpson mass of 500 against a true mass of 3 gave u(T, 0) = 0.911
+        # in place of 0.452, and nothing was raised
+        field = build_field(degenerate_spec, 2, z_cut=1e5)
+        grid = SpatialGrid(-10.0, 10.0, 201)
+        with pytest.raises(QuadratureError):
+            solve(field, GaussianBump().value, 1.0, grid)
 
     def test_non_finite_coefficients_rejected_up_front(self, coarse_grid):
         field = constant_drift_field(np.nan)
@@ -526,3 +534,50 @@ class TestEnvelope:
         assert plain.metadata["routes"] == ["gather"]
         assert abs(float(plain.terminal_value(1.5))
                    - float(aligned.terminal_value(1.5))) <= 1e-2
+
+
+class TestRecordedPolicy:
+    @pytest.mark.parametrize("case", ["march", "mixed"])
+    def test_matches_the_argmax_of_every_step(self, case, kou_spec, degenerate_spec):
+        field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
+        full = solve(field, w, 0.1, grid, checkpoints=(0.05,), every_step=True)
+        recorded = solve(field, w, 0.1, grid, checkpoints=(0.05,), policy=True)
+        knots, indices = every_step_argmax(field, full)
+        policy = recorded.policy
+        assert policy.indices.dtype == np.uint8
+        assert np.array_equal(policy.indices, indices)
+        assert np.array_equal(policy.knots, knots)
+        assert len(np.unique(indices)) > 1
+        # the values and what is stored do not move
+        assert recorded.times.tolist() == [0.0, 0.05, 0.1]
+        rows = np.searchsorted(full.times, recorded.times)
+        assert np.array_equal(recorded.values, full.values[rows])
+        assert recorded.metadata == full.metadata
+
+    def test_shares_count_the_cells(self, kou_field):
+        grid = SpatialGrid(-10.0, 10.0, 201)
+        policy = solve(kou_field, np.tanh, 0.2, grid, policy=True).policy
+        counts = np.bincount(policy.indices.ravel(), minlength=8)
+        assert np.array_equal(policy.shares, counts / policy.indices.size)
+        assert math.fsum(policy.shares) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_controls, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_index_width_follows_the_control_count(self, n_controls, dtype):
+        field = constant_drift_field(0.0, controls=ControlGrid.uniform((-1.0,), (1.0,), n_controls))
+        grid = SpatialGrid(-10.0, 10.0, 41)
+        full = solve(field, np.tanh, 1.0, grid, every_step=True)
+        policy = solve(field, np.tanh, 1.0, grid, policy=True).policy
+        assert policy.indices.dtype == dtype
+        _, indices = every_step_argmax(field, full)
+        assert np.array_equal(policy.indices, indices)
+        # a nondecreasing payoff takes the largest drift, the last index
+        assert policy.indices[:, grid.inner_mask()].min() == n_controls - 1
+
+    def test_without_the_flag_nothing_is_recorded(self, kou_field):
+        assert solve(kou_field, np.tanh, 0.2, SpatialGrid(-10.0, 10.0, 101)).policy is None
+
+    def test_zero_horizon_records_the_row_at_t(self, kou_field):
+        grid = SpatialGrid(-10.0, 10.0, 101)
+        policy = solve(kou_field, np.tanh, 0.0, grid, policy=True).policy
+        assert policy.knots.tolist() == [0.0]
+        assert policy.indices.shape == (1, grid.nx)

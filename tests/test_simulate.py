@@ -12,7 +12,7 @@ from sublevy.core import (
     TruncationFunction,
     zero_jump_measure,
 )
-from sublevy.kou import build_field, double_exponential_measure
+from sublevy.kou import GaussianBump, build_field, double_exponential_measure
 from sublevy.pide import SpatialGrid, solve
 from sublevy.simulate import (
     CHUNK,
@@ -23,7 +23,7 @@ from sublevy.simulate import (
     policy_from_pide,
     sample_path,
 )
-from tests.conftest import constant_drift_field
+from tests.conftest import constant_drift_field, every_step_argmax
 
 
 def _linear_decay_field():
@@ -269,7 +269,7 @@ class TestEstimateValue:
     def test_non_finite_x0_rejected(self, kou_field, x0):
         # a grid policy cast NaN to a cell index and failed with an IndexError
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(kou_field, np.tanh, 0.2, grid, every_step=True)
+        fieldU = solve(kou_field, np.tanh, 0.2, grid, policy=True)
         policy = policy_from_pide(fieldU, kou_field)
         with pytest.raises(ValueError, match="x0"):
             estimate_value(kou_field, policy, np.tanh, x0, 0.2, 0.01, 100, seed=3)
@@ -400,7 +400,7 @@ class TestMeasureRequirements:
 class TestPolicyFromPide:
     def test_single_control_policy_is_trivial(self, degenerate_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid, every_step=True)
+        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid, policy=True)
         policy = policy_from_pide(fieldU, degenerate_field)
         assert policy.provenance == "argmax-from-pide"
         assert np.all(policy.indices == 0)
@@ -411,7 +411,7 @@ class TestPolicyFromPide:
         grid_c = ControlGrid.uniform((-1.0,), (1.0,), 2)
         field = constant_drift_field(0.0, controls=grid_c)
         grid = SpatialGrid(-10.0, 10.0, 401)
-        fieldU = solve(field, np.tanh, 0.5, grid, every_step=True)
+        fieldU = solve(field, np.tanh, 0.5, grid, policy=True)
         policy = policy_from_pide(fieldU, field)
         inner = grid.inner_mask()
         assert np.all(policy.indices[:, inner] == 1)
@@ -420,22 +420,37 @@ class TestPolicyFromPide:
         grid_c = ControlGrid.uniform((-1.0,), (1.0,), 2)
         field = constant_drift_field(0.0, controls=grid_c)
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(field, lambda x: 1.0 + 0.0 * x, 0.5, grid, every_step=True)
+        fieldU = solve(field, lambda x: 1.0 + 0.0 * x, 0.5, grid, policy=True)
         policy = policy_from_pide(fieldU, field)
         assert np.all(policy.indices == 0)
 
-    def test_field_with_landed_rows_only_rejected(self, degenerate_field):
+    def test_field_without_recorded_policy_rejected(self, degenerate_field):
+        # keeping every step no longer stands in for the recorded policy
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid)
-        assert fieldU.times.size == 2 < fieldU.metadata["n_steps"] + 1
-        with pytest.raises(ValueError, match="every_step=True"):
-            policy_from_pide(fieldU, degenerate_field)
+        psi = lambda x: np.exp(-x * x)
+        for every_step in (False, True):
+            fieldU = solve(degenerate_field, psi, 0.2, grid, every_step=every_step)
+            with pytest.raises(ValueError, match="policy=True"):
+                policy_from_pide(fieldU, degenerate_field)
+            with pytest.raises(ValueError, match="policy=True"):
+                mc_lower_bound(degenerate_field, fieldU, psi, 0.0, 0.2, 0.05, 16, seed=0)
+
+    def test_policy_recorded_for_another_control_grid_rejected(self, kou_spec, kou_field):
+        # the 8 recorded indices are all valid on the 27-point grid, where
+        # they name other controls
+        grid = SpatialGrid(-10.0, 10.0, 101)
+        fieldU = solve(kou_field, np.tanh, 0.2, grid, policy=True)
+        fine = build_field(kou_spec, 3)
+        with pytest.raises(ValueError, match="control grid"):
+            policy_from_pide(fieldU, fine)
+        with pytest.raises(ValueError, match="control grid"):
+            mc_lower_bound(fine, fieldU, np.tanh, 0.0, 0.2, 0.01, 100, seed=3)
 
 
 class TestMcLowerBound:
     def test_horizon_mismatch_rejected(self, degenerate_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
-        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid, every_step=True)
+        fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid, policy=True)
         with pytest.raises(ValueError, match="horizon"):
             mc_lower_bound(degenerate_field, fieldU, lambda x: np.exp(-x * x),
                            0.0, 0.3, 0.05, 16, seed=0)
@@ -443,7 +458,7 @@ class TestMcLowerBound:
     def test_returns_consistent_triple(self):
         field = constant_drift_field(1.0)
         grid = SpatialGrid(-10.0, 10.0, 801)
-        fieldU = solve(field, np.tanh, 0.5, grid, every_step=True)
+        fieldU = solve(field, np.tanh, 0.5, grid, policy=True)
         mean, stderr, pide_value = mc_lower_bound(
             field, fieldU, np.tanh, 0.0, 0.5, 0.01, 8, seed=0)
         # deterministic dynamics: every path gives tanh(0.5)
@@ -451,3 +466,21 @@ class TestMcLowerBound:
         assert mean == pytest.approx(math.tanh(0.5), abs=1e-12)
         assert mean <= pide_value + 1e-2
 
+
+    def test_estimates_match_the_every_step_argmax_policy(self, kou_field):
+        # the policy the march records drives the same paths, bit for bit,
+        # as the argmax taken by a second pass over every stored row
+        grid = SpatialGrid(-10.0, 10.0, 201)
+        psi = GaussianBump().value
+        full = solve(kou_field, psi, 0.3, grid, every_step=True)
+        knots, indices = every_step_argmax(kou_field, full)
+        reference = PolicySchedule(time_knots=knots, indices=indices, grid=grid,
+                                   controls=kou_field.control_grid.points,
+                                   provenance="argmax-from-pide")
+        recorded = solve(kou_field, psi, 0.3, grid, policy=True)
+        assert np.array_equal(policy_from_pide(recorded, kou_field).indices, indices)
+        assert len(np.unique(indices[:, grid.inner_mask(0.2)])) > 1
+        args = (psi, 0.0, 0.3, 0.01, 3000)
+        want = estimate_value(kou_field, reference, *args, seed=5)
+        mean, stderr, _ = mc_lower_bound(kou_field, recorded, *args, seed=5)
+        assert (mean, stderr) == want
