@@ -43,7 +43,7 @@ from .kou import (
     verify_pushforward,
 )
 from .pide import (
-    MarchPolicy,
+    PolicySchedule,
     SpatialGrid,
     ValueField,
     cfl_timestep,
@@ -51,14 +51,7 @@ from .pide import (
     solve,
     viscosity_residual,
 )
-from .simulate import (
-    PolicySchedule,
-    SamplePath,
-    estimate_value,
-    mc_lower_bound,
-    policy_from_pide,
-    sample_path,
-)
+from .simulate import SamplePath, estimate_value, mc_lower_bound, sample_path
 from .transform import TailPair, exponential_tails, power_tails, quantile_k, verify_transport
 
 __version__ = "0.1.0"

@@ -121,9 +121,14 @@ class RunConfig:
         m = self["mc"]
         if m["paths"] < 2 or m["dt"] <= 0 or m["tolerance"] <= 0:
             raise ConfigError("mc section out of range")
+        # a seed reaches numpy's SeedSequence, which takes no negative entropy
+        if m["seed"] < 0 or self["audit"]["seed"] < 0:
+            raise ConfigError("mc.seed and audit.seed must be >= 0")
         f = self["fourier"]
         if f["n_xi"] < 3 or f["tolerance"] <= 0 or f["xi_max"] < 0:
             raise ConfigError("fourier section out of range")
+        if not f["check_points"]:
+            raise ConfigError("fourier.check_points must name at least one point")
         d = self["dpp"]
         if d["tolerance"] <= 0 or not 0 < d["restart_safety"] <= 1 or not 0 < d["inner_fraction"] <= 1:
             raise ConfigError("dpp section out of range")
@@ -132,8 +137,8 @@ class RunConfig:
             raise ConfigError("transform section out of range")
         if not 0 < t["y_abs_min"] < t["y_abs_max"]:
             raise ConfigError("need 0 < transform.y_abs_min < transform.y_abs_max")
-        if any(v == 0 for v in t["thresholds"]):
-            raise ConfigError("transform.thresholds must be nonzero")
+        if not t["thresholds"] or any(v == 0 for v in t["thresholds"]):
+            raise ConfigError("transform.thresholds must be a nonempty list of nonzero values")
         if self["audit"]["sample_budget"] < 1:
             raise ConfigError("audit.sample_budget must be >= 1")
         try:

@@ -30,7 +30,8 @@ monotone in a, so this gives the bits of the max of the full sums.
 A march that records the policy forms the full sums instead and takes
 their max and their argmax: within a group, a1 < a2 can round to a tie
 once the group's jump row is added, so only the full sums break ties as
-the per-control operators do.
+the per-control operators do.  The record is a ``PolicySchedule``, the
+feedback rule that the Monte Carlo in ``simulate`` runs its paths under.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.
@@ -41,14 +42,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import CoefficientField, _jump_table
 
 __all__ = [
-    "MarchPolicy",
+    "PolicySchedule",
     "SpatialGrid",
     "ValueField",
     "cfl_timestep",
@@ -88,35 +88,87 @@ class SpatialGrid:
         return (xs >= self.x_min + margin) & (xs <= self.x_max - margin)
 
 
-class MarchPolicy(NamedTuple):
-    """The control that attains sup_f L_f u at each march step and node.
+@dataclasses.dataclass(frozen=True)
+class PolicySchedule:
+    """Piecewise-constant-in-time feedback rule on the solver's spatial grid.
 
-    ``indices[m, c]`` is that control's grid index at node c for the step
-    taken at remaining time T - knots[m], so it is the feedback rule from
-    elapsed time knots[m] on; ties pick the first control in grid order.
-    It holds one byte per entry while there are at most 256 controls.
-    ``shares[j]`` is control j's share of these (knot, node) cells: the
-    worst-case model map.  ``controls`` are the points the indices name.
+    ``indices[m, c]`` is the control-grid index used from elapsed time
+    ``time_knots[m]`` on, for states nearest node c of ``grid``; with
+    ``grid`` None there is one cell and every state uses column 0.  Knots
+    start at 0 and increase strictly.  ``controls`` are the points the
+    indices name.  The rule ``solve(..., policy=True)`` records takes, from
+    knot m on, the argmax of the march's step at remaining time
+    T - knots[m], ties to the first control in grid order, with one byte
+    per entry while there are at most 256 controls.
     """
 
-    knots: np.ndarray
+    time_knots: np.ndarray
     indices: np.ndarray
-    shares: np.ndarray
+    grid: SpatialGrid | None
     controls: tuple
+
+    def __post_init__(self):
+        knots = np.asarray(self.time_knots, dtype=float)
+        idx = np.asarray(self.indices)
+        object.__setattr__(self, "time_knots", knots)
+        object.__setattr__(self, "indices", idx)
+        if knots.ndim != 1 or knots.size == 0 or knots[0] != 0.0:
+            raise ValueError("time knots must start at 0")
+        if not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0):
+            raise ValueError("time knots must be finite and increase strictly")
+        if self.grid is not None and not isinstance(self.grid, SpatialGrid):
+            raise ValueError("grid must be a SpatialGrid or None")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError("indices must be integers")
+        n_cells = 1 if self.grid is None else self.grid.nx
+        if idx.shape != (knots.size, n_cells):
+            raise ValueError("indices must be one row per knot over the cells")
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self.controls)):
+            raise ValueError("control index out of range")
+
+    @classmethod
+    def constant(cls, controls, index: int = 0) -> "PolicySchedule":
+        return cls(time_knots=np.array([0.0]), indices=np.array([[index]]), grid=None,
+                   controls=tuple(controls))
+
+    @property
+    def shares(self) -> np.ndarray:
+        """Each control's share of the (knot, cell) entries: the worst-case model map."""
+        n = len(self.controls)
+        # row by row: one bincount of the whole table would copy it as intp, 8x its bytes
+        return sum(np.bincount(row, minlength=n) for row in self.indices) / self.indices.size
+
+    def control_indices(self, t: float, x) -> np.ndarray:
+        """Control-grid indices for states x at elapsed time t.
+
+        A state takes its nearest grid node, ties to the even node; states
+        beyond the grid take the edge node.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        m = int(np.searchsorted(self.time_knots, t + 1e-12, side="right")) - 1
+        row = self.indices[max(m, 0)]
+        g = self.grid
+        if g is None:
+            return np.full(x.shape, row[0])
+        # divide by dx: multiplying by 1/dx can move a state at a tie
+        u = (x - g.x_min) / g.dx
+        np.clip(u, 0, g.nx - 1, out=u)
+        return row.take(np.rint(u, out=u).astype(np.intp))
 
 
 @dataclasses.dataclass(frozen=True)
 class ValueField:
     """Solved timeline: values[i] approximates the semigroup image at times[i].
 
-    ``policy`` is the march's argmax policy when the solve recorded it.
+    ``policy`` is the feedback rule the march recorded (``solve(...,
+    policy=True)``), on ``grid``, and None otherwise.
     """
 
     grid: SpatialGrid
     times: np.ndarray
     values: np.ndarray
     metadata: dict
-    policy: MarchPolicy | None = None
+    policy: PolicySchedule | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -376,7 +428,7 @@ def solve(
     are stored at 0, at each landed checkpoint and at T; ``every_step``
     stores every step taken instead, so the timeline resolution is the CFL
     step.  ``policy`` records the argmax control of every step, and of the
-    row at T, as the field's ``MarchPolicy``: (steps + 1) * nx bytes with
+    row at T, as the field's ``PolicySchedule``: (steps + 1) * nx bytes with
     at most 256 controls, where the every-step timeline takes 8 bytes per
     entry.  The march, its values and ``metadata`` are the same whatever
     is kept.  The jump quadrature must resolve the measure's mass on its
@@ -423,18 +475,15 @@ def solve(
     sup = env.sup
     if policy:
         controls = field.control_grid.points
-        n_controls = len(controls)
-        picks = np.empty((len(times), grid.nx), dtype=np.min_scalar_type(n_controls - 1))
+        picks = np.empty((len(times), grid.nx), dtype=np.min_scalar_type(len(controls) - 1))
         rows = iter(picks[::-1])  # the march runs in remaining time, the policy in elapsed time
         pick = np.empty(grid.nx, dtype=np.intp)  # np.argmax writes intp only
-        counts = np.zeros(n_controls, dtype=np.int64)
 
         def sup(u, out):
             """env.sup(u, out) as the max of the full sums; their argmax is the next policy row."""
             stack = env.apply(u)
             np.argmax(stack, axis=0, out=pick)
             next(rows)[:] = pick
-            np.add(counts, np.bincount(pick, minlength=n_controls), out=counts)
             return np.max(stack, axis=0, out=out)
 
     for k, sub_dt in enumerate(sub_dts, start=1):
@@ -448,8 +497,7 @@ def solve(
         sup(u, scratch[0])  # the row at T
         knots = times[-1] - np.array(times[::-1])
         knots[0] = 0.0
-        recorded = MarchPolicy(knots=knots, indices=picks, shares=counts / counts.sum(),
-                               controls=controls)
+        recorded = PolicySchedule(knots, picks, grid, controls)
 
     max_sub = max(sub_dts, default=0.0)
     tail_rate = field.reference.tail_mass_outside_window()
@@ -501,8 +549,8 @@ def restart(
     """Re-solve from the stored row at time s for ``additional`` more time.
 
     The semigroup law says the result at time t matches the direct solve at
-    s + t up to scheme error.  ``additional = 0`` returns the row as a
-    one-time field.
+    s + t up to scheme error.  As with ``solve``, ``additional = 0`` gives
+    the row as a one-time field.
     """
     idx = int(np.argmin(np.abs(fieldU.times - s)))
     if abs(float(fieldU.times[idx]) - s) > 1e-9:
@@ -511,14 +559,5 @@ def restart(
             f"time {s} not in the stored timeline {stored}; "
             "pass s in the checkpoints of the solve"
         )
-    row = fieldU.values[idx].copy()
-    if not 0.0 <= additional < math.inf:
-        raise ValueError(f"additional must be finite and nonnegative, got {additional!r}")
-    if additional == 0:
-        meta = dict(fieldU.metadata)
-        meta["n_steps"] = 0
-        return ValueField(
-            grid=fieldU.grid, times=np.array([0.0]), values=row[None, :], metadata=meta
-        )
     use_safety = fieldU.metadata.get("safety", 0.9) if safety is None else safety
-    return solve(field, row, additional, fieldU.grid, use_safety)
+    return solve(field, fieldU.values[idx], additional, fieldU.grid, use_safety)

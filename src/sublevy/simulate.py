@@ -8,11 +8,13 @@ truncated-jump compensator, so path laws match the generator the PIDE
 solver discretizes.  A control whose coefficients come back without a
 state axis is read from a table; every other control is evaluated at its
 own paths' states each step; a chunk with no such control does no
-per-state work at all.  Estimates under the argmax policy that the PIDE
-march records (``solve(..., policy=True)``), run in elapsed time, give a
-lower bound on the PIDE value up to scheme tolerance.  The policy lives on
-the solver's uniform grid, so each path finds its cell by arithmetic, at a
-cost that does not grow with the grid.
+per-state work at all.  Paths follow a ``PolicySchedule`` (defined in
+``pide``, next to the grid it lives on); the one the PIDE march records
+(``solve(..., policy=True)``, kept as ``ValueField.policy``) is its argmax
+policy run in elapsed time, and estimates under it give a lower bound on
+the PIDE value up to scheme tolerance.  A schedule lives on the solver's
+uniform grid, so each path finds its cell by arithmetic, at a cost that
+does not grow with the grid.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so estimates are bit-identical for a
@@ -27,7 +29,7 @@ import math
 import numpy as np
 
 from .core import CoefficientField, _jump_table
-from .pide import SpatialGrid, ValueField, _compensator
+from .pide import PolicySchedule, ValueField, _compensator
 
 __all__ = [
     "CHUNK",
@@ -35,81 +37,14 @@ __all__ = [
     "SamplePath",
     "estimate_value",
     "mc_lower_bound",
-    "policy_from_pide",
     "sample_path",
 ]
 
 CHUNK = 4096
 
-_PROVENANCES = ("argmax-from-pide", "constant", "user")
-
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-
-
-@dataclasses.dataclass(frozen=True)
-class PolicySchedule:
-    """Piecewise-constant-in-time feedback rule on the solver's spatial grid.
-
-    ``indices[m, c]`` is the control-grid index used from knot m on, for
-    states nearest node c of ``grid``; with ``grid`` None there is one cell
-    and every state uses column 0.  Knots start at 0 and increase strictly.
-    """
-
-    time_knots: np.ndarray
-    indices: np.ndarray
-    grid: SpatialGrid | None
-    controls: tuple
-    provenance: str
-
-    def __post_init__(self):
-        knots = np.asarray(self.time_knots, dtype=float)
-        idx = np.asarray(self.indices)
-        object.__setattr__(self, "time_knots", knots)
-        object.__setattr__(self, "indices", idx)
-        if knots.ndim != 1 or knots.size == 0 or knots[0] != 0.0:
-            raise ValueError("time knots must start at 0")
-        if not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0):
-            raise ValueError("time knots must be finite and increase strictly")
-        if self.grid is not None and not isinstance(self.grid, SpatialGrid):
-            raise ValueError("grid must be a SpatialGrid or None")
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise ValueError("indices must be integers")
-        n_cells = 1 if self.grid is None else self.grid.nx
-        if idx.shape != (knots.size, n_cells):
-            raise ValueError("indices must be one row per knot over the cells")
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self.controls)):
-            raise ValueError("control index out of range")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"provenance must be one of {_PROVENANCES}")
-
-    @classmethod
-    def constant(cls, controls, index: int = 0) -> "PolicySchedule":
-        return cls(
-            time_knots=np.array([0.0]),
-            indices=np.array([[index]]),
-            grid=None,
-            controls=tuple(controls),
-            provenance="constant",
-        )
-
-    def control_indices(self, t: float, x) -> np.ndarray:
-        """Control-grid indices for states x at elapsed time t.
-
-        A state takes its nearest grid node, ties to the even node; states
-        beyond the grid take the edge node.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        m = int(np.searchsorted(self.time_knots, t + 1e-12, side="right")) - 1
-        row = self.indices[max(m, 0)]
-        g = self.grid
-        if g is None:
-            return np.full(x.shape, row[0])
-        # divide by dx: multiplying by 1/dx can move a state at a tie
-        u = (x - g.x_min) / g.dx
-        np.clip(u, 0, g.nx - 1, out=u)
-        return row.take(np.rint(u, out=u).astype(np.intp))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,27 +232,6 @@ def estimate_value(
     return mean, stderr
 
 
-def policy_from_pide(fieldU: ValueField, field: CoefficientField) -> PolicySchedule:
-    """The argmax policy that the march of ``fieldU`` recorded, as a schedule.
-
-    At elapsed time s the policy uses the argmax at remaining time T - s;
-    ties pick the first control in grid order.  The field must come from
-    ``solve(..., policy=True)`` on ``field``.
-    """
-    recorded = fieldU.policy
-    if recorded is None:
-        raise ValueError("this field holds no recorded policy; solve with policy=True")
-    if recorded.controls != field.control_grid.points:
-        raise ValueError("the policy was recorded for another control grid")
-    return PolicySchedule(
-        time_knots=recorded.knots,
-        indices=recorded.indices,
-        grid=fieldU.grid,
-        controls=recorded.controls,
-        provenance="argmax-from-pide",
-    )
-
-
 def mc_lower_bound(
     field: CoefficientField,
     fieldU: ValueField,
@@ -328,15 +242,17 @@ def mc_lower_bound(
     n_paths: int,
     seed: int,
 ):
-    """(mean, stderr, pide_value) under the argmax policy recorded in the solved field.
+    """(mean, stderr, pide_value) under ``fieldU.policy``, the rule its march recorded.
 
-    The mean is a single-policy value, so up to scheme tolerance it sits at
-    or below the PIDE value: mean <= pide_value + 3 stderr + tolerance.
+    ``fieldU`` must come from ``solve(..., policy=True)`` on ``field``.  The
+    mean is a single-policy value, so up to scheme tolerance it sits at or
+    below the PIDE value: mean <= pide_value + 3 stderr + tolerance.
     """
     if abs(float(fieldU.times[-1]) - T) > 1e-9:
         raise ValueError("fieldU horizon does not match T")
-    policy = policy_from_pide(fieldU, field)
-    mean, stderr = estimate_value(field, policy, psi, x0, T, dt, n_paths, seed)
+    if fieldU.policy is None:
+        raise ValueError("this field holds no recorded policy; solve with policy=True")
+    mean, stderr = estimate_value(field, fieldU.policy, psi, x0, T, dt, n_paths, seed)
     pide_value = float(fieldU.terminal_value(x0))
     return mean, stderr, pide_value
 

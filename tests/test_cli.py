@@ -234,6 +234,22 @@ class TestErrorChannels:
         assert err.startswith("CONFIG_INVALID")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sub, args", [
+        ("simulate", ["--seed", "-1"]),
+        ("validate", ["--seed", "-1"]),
+        ("simulate", ["--set", "mc.seed=-1"]),
+        ("validate", ["--set", "audit.seed=-1"]),
+        ("fourier-check", ["--set", "fourier.check_points="]),
+        ("transform", ["--set", "transform.thresholds="]),
+    ], ids=["simulate-seed-flag", "validate-seed-flag", "mc-seed", "audit-seed",
+            "no-check-points", "no-thresholds"])
+    def test_out_of_range_entry_rejected(self, capsys, tmp_path, sub, args):
+        # a negative seed failed at run time; an empty list passed its gate over nothing
+        code, _, err = _run(capsys, sub, "--out", str(tmp_path), *args)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID")
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_override(self, capsys, tmp_path):
         code, _, err = _run(capsys, "solve", "--out", str(tmp_path),
                             "--set", "justakey")

@@ -546,7 +546,7 @@ class TestRecordedPolicy:
         policy = recorded.policy
         assert policy.indices.dtype == np.uint8
         assert np.array_equal(policy.indices, indices)
-        assert np.array_equal(policy.knots, knots)
+        assert np.array_equal(policy.time_knots, knots)
         assert len(np.unique(indices)) > 1
         # the values and what is stored do not move
         assert recorded.times.tolist() == [0.0, 0.05, 0.1]
@@ -579,5 +579,5 @@ class TestRecordedPolicy:
     def test_zero_horizon_records_the_row_at_t(self, kou_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
         policy = solve(kou_field, np.tanh, 0.0, grid, policy=True).policy
-        assert policy.knots.tolist() == [0.0]
+        assert policy.time_knots.tolist() == [0.0]
         assert policy.indices.shape == (1, grid.nx)

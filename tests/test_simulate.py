@@ -20,7 +20,6 @@ from sublevy.simulate import (
     _terminals,
     estimate_value,
     mc_lower_bound,
-    policy_from_pide,
     sample_path,
 )
 from tests.conftest import constant_drift_field, every_step_argmax
@@ -43,7 +42,7 @@ def _linear_decay_field():
 class TestPolicySchedule:
     def test_constant_policy(self):
         p = PolicySchedule.constant(((0.0,), (1.0,)), index=1)
-        assert p.provenance == "constant"
+        assert p.shares.tolist() == [0.0, 1.0]
         assert np.all(p.control_indices(0.3, np.array([-5.0, 0.0, 5.0])) == 1)
 
     def test_knots_must_start_at_zero(self):
@@ -51,33 +50,26 @@ class TestPolicySchedule:
             PolicySchedule(time_knots=np.array([0.1]),
                            indices=np.array([[0]]),
                            grid=None,
-                           controls=((0.0,),), provenance="user")
+                           controls=((0.0,),))
 
     def test_knots_must_increase(self):
         with pytest.raises(ValueError):
             PolicySchedule(time_knots=np.array([0.0, 0.0]),
                            indices=np.zeros((2, 1), dtype=int),
                            grid=None,
-                           controls=((0.0,),), provenance="user")
+                           controls=((0.0,),))
 
     def test_index_shape_and_range_checked(self):
         with pytest.raises(ValueError):
             PolicySchedule(time_knots=np.array([0.0]),
                            indices=np.zeros((2, 1), dtype=int),
                            grid=None,
-                           controls=((0.0,),), provenance="user")
+                           controls=((0.0,),))
         with pytest.raises(ValueError):
             PolicySchedule(time_knots=np.array([0.0]),
                            indices=np.array([[3]]),
                            grid=None,
-                           controls=((0.0,),), provenance="user")
-
-    def test_unknown_provenance_rejected(self):
-        with pytest.raises(ValueError):
-            PolicySchedule(time_knots=np.array([0.0]),
-                           indices=np.array([[0]]),
-                           grid=None,
-                           controls=((0.0,),), provenance="oracle")
+                           controls=((0.0,),))
 
     @pytest.mark.parametrize("grid", [np.array([-1.0, 0.0, 1.0]), (-1.0, 1.0, 3)],
                              ids=["centers", "tuple"])
@@ -86,7 +78,7 @@ class TestPolicySchedule:
             PolicySchedule(time_knots=np.array([0.0]),
                            indices=np.zeros((1, 3), dtype=int),
                            grid=grid,
-                           controls=((0.0,),), provenance="user")
+                           controls=((0.0,),))
 
     @pytest.mark.parametrize("grid", [SpatialGrid(-10.0, 10.0, 801),
                                       SpatialGrid(-10.0, 10.0, 800)],
@@ -99,8 +91,7 @@ class TestPolicySchedule:
         p = PolicySchedule(time_knots=np.array([0.0]),
                            indices=np.arange(grid.nx)[None, :],
                            grid=grid,
-                           controls=tuple((float(i),) for i in range(grid.nx)),
-                           provenance="user")
+                           controls=tuple((float(i),) for i in range(grid.nx)))
         nearest = np.abs(x[:, None] - xs).argmin(axis=1)
         assert np.array_equal(p.control_indices(0.0, x), nearest)
 
@@ -110,7 +101,7 @@ class TestPolicySchedule:
             PolicySchedule(time_knots=np.array([0.0]),
                            indices=np.array([[0.9, 1.6, 0.0, 0.0]]),
                            grid=SpatialGrid(-1.5, 1.5, 4),
-                           controls=((0.0,), (1.0,)), provenance="user")
+                           controls=((0.0,), (1.0,)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_knots_must_be_finite(self, bad):
@@ -119,7 +110,7 @@ class TestPolicySchedule:
             PolicySchedule(time_knots=np.array([0.0, bad]),
                            indices=np.zeros((2, 1), dtype=int),
                            grid=None,
-                           controls=((0.0,),), provenance="user")
+                           controls=((0.0,),))
 
     def test_control_indices_select_time_row_and_nearest_cell(self):
         p = PolicySchedule(
@@ -127,7 +118,6 @@ class TestPolicySchedule:
             indices=np.array([[0, 0, 1], [1, 1, 0]]),
             grid=SpatialGrid(-1, 1, 3),
             controls=((0.0,), (1.0,)),
-            provenance="user",
         )
         xs = np.array([-0.9, 0.2, 3.0])
         assert p.control_indices(0.2, xs).tolist() == [0, 0, 1]
@@ -246,7 +236,6 @@ class TestStateDependence:
             indices=np.array([[0, 3, 5, 7], [6, 1, 4, 2]]) % n_controls,
             grid=SpatialGrid(-1.5, 1.5, 4),
             controls=kou_field.control_grid.points,
-            provenance="user",
         )
         args = (policy, np.tanh, 0.0, 0.5, 0.01, 2000)
         m_table, _ = estimate_value(kou_field, *args, seed=9)
@@ -270,7 +259,7 @@ class TestEstimateValue:
         # a grid policy cast NaN to a cell index and failed with an IndexError
         grid = SpatialGrid(-10.0, 10.0, 101)
         fieldU = solve(kou_field, np.tanh, 0.2, grid, policy=True)
-        policy = policy_from_pide(fieldU, kou_field)
+        policy = fieldU.policy
         with pytest.raises(ValueError, match="x0"):
             estimate_value(kou_field, policy, np.tanh, x0, 0.2, 0.01, 100, seed=3)
         with pytest.raises(ValueError, match="x0"):
@@ -401,8 +390,7 @@ class TestPolicyFromPide:
     def test_single_control_policy_is_trivial(self, degenerate_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
         fieldU = solve(degenerate_field, lambda x: np.exp(-x * x), 0.2, grid, policy=True)
-        policy = policy_from_pide(fieldU, degenerate_field)
-        assert policy.provenance == "argmax-from-pide"
+        policy = fieldU.policy
         assert np.all(policy.indices == 0)
         assert policy.time_knots[0] == 0.0
         assert policy.time_knots[-1] == pytest.approx(0.2)
@@ -412,7 +400,7 @@ class TestPolicyFromPide:
         field = constant_drift_field(0.0, controls=grid_c)
         grid = SpatialGrid(-10.0, 10.0, 401)
         fieldU = solve(field, np.tanh, 0.5, grid, policy=True)
-        policy = policy_from_pide(fieldU, field)
+        policy = fieldU.policy
         inner = grid.inner_mask()
         assert np.all(policy.indices[:, inner] == 1)
 
@@ -421,7 +409,7 @@ class TestPolicyFromPide:
         field = constant_drift_field(0.0, controls=grid_c)
         grid = SpatialGrid(-10.0, 10.0, 101)
         fieldU = solve(field, lambda x: 1.0 + 0.0 * x, 0.5, grid, policy=True)
-        policy = policy_from_pide(fieldU, field)
+        policy = fieldU.policy
         assert np.all(policy.indices == 0)
 
     def test_field_without_recorded_policy_rejected(self, degenerate_field):
@@ -431,8 +419,6 @@ class TestPolicyFromPide:
         for every_step in (False, True):
             fieldU = solve(degenerate_field, psi, 0.2, grid, every_step=every_step)
             with pytest.raises(ValueError, match="policy=True"):
-                policy_from_pide(fieldU, degenerate_field)
-            with pytest.raises(ValueError, match="policy=True"):
                 mc_lower_bound(degenerate_field, fieldU, psi, 0.0, 0.2, 0.05, 16, seed=0)
 
     def test_policy_recorded_for_another_control_grid_rejected(self, kou_spec, kou_field):
@@ -441,8 +427,6 @@ class TestPolicyFromPide:
         grid = SpatialGrid(-10.0, 10.0, 101)
         fieldU = solve(kou_field, np.tanh, 0.2, grid, policy=True)
         fine = build_field(kou_spec, 3)
-        with pytest.raises(ValueError, match="control grid"):
-            policy_from_pide(fieldU, fine)
         with pytest.raises(ValueError, match="control grid"):
             mc_lower_bound(fine, fieldU, np.tanh, 0.0, 0.2, 0.01, 100, seed=3)
 
@@ -475,10 +459,9 @@ class TestMcLowerBound:
         full = solve(kou_field, psi, 0.3, grid, every_step=True)
         knots, indices = every_step_argmax(kou_field, full)
         reference = PolicySchedule(time_knots=knots, indices=indices, grid=grid,
-                                   controls=kou_field.control_grid.points,
-                                   provenance="argmax-from-pide")
+                                   controls=kou_field.control_grid.points)
         recorded = solve(kou_field, psi, 0.3, grid, policy=True)
-        assert np.array_equal(policy_from_pide(recorded, kou_field).indices, indices)
+        assert np.array_equal(recorded.policy.indices, indices)
         assert len(np.unique(indices[:, grid.inner_mask(0.2)])) > 1
         args = (psi, 0.0, 0.3, 0.01, 3000)
         want = estimate_value(kou_field, reference, *args, seed=5)
