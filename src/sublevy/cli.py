@@ -139,6 +139,10 @@ class RunConfig:
             raise ConfigError("need 0 < transform.y_abs_min < transform.y_abs_max")
         if not t["thresholds"] or any(v == 0 for v in t["thresholds"]):
             raise ConfigError("transform.thresholds must be a nonempty list of nonzero values")
+        if t["family"] == "exponential" and not 0 < t["lam"] <= t["lam_star"]:
+            raise ConfigError("need 0 < transform.lam <= transform.lam_star")
+        if t["family"] == "power" and not min(t["alpha"], t["c_target"], t["c_reference"]) > 0:
+            raise ConfigError("transform.alpha, c_target and c_reference must be positive")
         if self["audit"]["sample_budget"] < 1:
             raise ConfigError("audit.sample_budget must be >= 1")
         try:
@@ -330,8 +334,6 @@ def _run_fourier_check(cfg: RunConfig, art: _Artifacts):
 def _run_transform(cfg: RunConfig, art: _Artifacts):
     t = cfg["transform"]
     if t["family"] == "exponential":
-        if not 0 < t["lam"] <= t["lam_star"]:
-            raise ConfigError("need 0 < transform.lam <= transform.lam_star")
         tails = exponential_tails(t["lam"], t["lam_star"])
     else:
         tails = power_tails(t["alpha"], t["c_target"], t["c_reference"])

@@ -53,7 +53,8 @@ class KouSpec:
     """Interval bounds for drift b, squared volatility a and intensity lam.
 
     Requires 0 < lam_floor <= lam_lo <= lam_hi <= lam_star, b_lo <= b_hi and
-    0 <= a_lo <= a_hi (pointwise, sampled when bounds are state functions).
+    0 <= a_lo <= a_hi (pointwise, sampled when bounds are state functions),
+    with every bound and constant finite.
     ``lipschitz_constant`` declares the state-Lipschitz constant of the
     bound maps (0 for constant bounds).
     """
@@ -73,10 +74,15 @@ class KouSpec:
             raise ValueError("lam_floor must be positive")
         if not self.lam_star > 0:
             raise ValueError("lam_star must be positive")
+        # a nan passes every order check below, since each comparison with it is False
+        if not all(map(math.isfinite, (self.lam_star, self.lam_floor, self.lipschitz_constant))):
+            raise ValueError("lam_star, lam_floor and lipschitz_constant must be finite")
         xs = np.asarray(sample_states, dtype=float)
         blo, bhi = _at(self.b_lo, xs), _at(self.b_hi, xs)
         alo, ahi = _at(self.a_lo, xs), _at(self.a_hi, xs)
         llo, lhi = _at(self.lam_lo, xs), _at(self.lam_hi, xs)
+        if not all(np.all(np.isfinite(v)) for v in (blo, bhi, alo, ahi, llo, lhi)):
+            raise ValueError("interval bounds must be finite at the sample states")
         if np.any(blo > bhi):
             raise ValueError("b_lo > b_hi")
         if np.any(alo < 0) or np.any(alo > ahi):
@@ -356,8 +362,8 @@ def fourier_reference(
     """
     if not isinstance(psi, GaussianBump):
         raise ValueError("psi outside the supported analytic family")
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    if not (0.0 <= T < math.inf and math.isfinite(x0)):
+        raise ValueError(f"T must be nonnegative and finite and x0 finite, got T={T!r}, x0={x0!r}")
     trunc = truncation if truncation is not None else TruncationFunction.clip()
     s = psi.width
     if xi_max is None:

@@ -553,7 +553,7 @@ def restart(
     the row as a one-time field.
     """
     idx = int(np.argmin(np.abs(fieldU.times - s)))
-    if abs(float(fieldU.times[idx]) - s) > 1e-9:
+    if not abs(float(fieldU.times[idx]) - s) <= 1e-9:
         stored = np.array2string(fieldU.times, threshold=10)
         raise ValueError(
             f"time {s} not in the stored timeline {stored}; "

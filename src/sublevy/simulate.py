@@ -16,9 +16,14 @@ the PIDE value up to scheme tolerance.  A schedule lives on the solver's
 uniform grid, so each path finds its cell by arithmetic, at a cost that
 does not grow with the grid.
 
+One step loop advances a batch of paths and yields their states and jumps
+after each step; ``sample_path`` logs a one-path batch from it, and the
+estimators keep each chunk's terminal states.
+
 Reproducibility: paths are generated in fixed-size chunks, each from an
-independent child stream of the seed, so estimates are bit-identical for a
-given seed regardless of how chunks are scheduled.
+independent child stream of the seed, so a chunk's paths depend on the seed
+and the chunk index alone, and estimates are bit-identical for a given seed
+regardless of how chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -71,18 +76,13 @@ def _coefficients(field, f, x):
     return b, s
 
 
-def _simulate_chunk(
-    field: CoefficientField,
-    policy: PolicySchedule,
-    x0: float,
-    T: float,
-    dt: float,
-    rng: np.random.Generator,
-    n: int,
-    record: bool = False,
-    collect_jumps: bool = False,
-):
-    """Advance n paths to T; returns (terminal states, extras)."""
+def _steps(field, policy, x0, T, dt, rng, n):
+    """Advance n paths to T, yielding (t, x, jumps) after each step.
+
+    t is the step's end time and x the paths' states there; the next step
+    rebinds x to a new array, so a reader may keep the one it got.  jumps
+    holds one (marks, applied sizes) pair per round of jumps in the step.
+    """
     measure = field.reference
     mass = float(measure.total_mass)
     if math.isinf(mass):
@@ -109,11 +109,6 @@ def _simulate_chunk(
     any_per_state = bool(per_state.any())
 
     x = np.full(n, float(x0))
-    times = [0.0]
-    states = [float(x[0])] if record else None
-    jump_log: list = []
-    jumps_applied: list = []
-
     for step in range(n_steps):
         t = step * dt_eff
         fidx = np.asarray(policy.control_indices(t, x), dtype=int)
@@ -129,6 +124,7 @@ def _simulate_chunk(
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite state after diffusion step {step}")
         rounds = int(counts.max()) if counts.size else 0
+        jumps = []
         for r in range(rounds):
             act = np.flatnonzero(counts > r)
             z = measure.sampler(rng.random(act.size))
@@ -142,27 +138,10 @@ def _simulate_chunk(
                 )
                 applied[mm] = np.broadcast_to(k, sel.shape)
             x[act] = x[act] + applied
-            if record:
-                for zz, kk in zip(z, applied):
-                    jump_log.append((t + dt_eff, float(zz), float(kk)))
-            if collect_jumps:
-                jumps_applied.append(applied)
+            jumps.append((z, applied))
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite state after jumps at step {step}")
-        if record:
-            times.append((step + 1) * dt_eff)
-            states.append(float(x[0]))
-
-    extras = {}
-    if record:
-        extras["times"] = np.asarray(times)
-        extras["states"] = np.asarray(states)
-        extras["jump_log"] = tuple(jump_log)
-    if collect_jumps:
-        extras["jumps"] = (
-            np.concatenate(jumps_applied) if jumps_applied else np.empty(0)
-        )
-    return x, extras
+        yield (step + 1) * dt_eff, x, jumps
 
 
 def _check_run(x0, T, dt):
@@ -180,32 +159,33 @@ def sample_path(
     dt: float,
     seed: int,
 ) -> SamplePath:
-    """One path, deterministic in the seed; jump marks and applied sizes logged."""
+    """One path, deterministic in the seed; each jump is stamped with its step's time."""
     _check_run(x0, T, dt)
-    rng = _chunk_rng(seed, 0)
-    _, extras = _simulate_chunk(field, policy, x0, T, dt, rng, 1, record=True)
-    return SamplePath(times=extras["times"], states=extras["states"], jump_log=extras["jump_log"])
+    times, states, jump_log = [0.0], [float(x0)], []
+    for t, x, jumps in _steps(field, policy, x0, T, dt, _chunk_rng(seed, 0), 1):
+        times.append(t)
+        states.append(float(x[0]))
+        for marks, applied in jumps:
+            jump_log.extend((t, float(z), float(k)) for z, k in zip(marks, applied))
+    return SamplePath(np.asarray(times), np.asarray(states), tuple(jump_log))
 
 
 def _terminals(field, policy, x0, T, dt, n_paths, seed, collect_jumps=False):
-    outs = []
-    jumps = []
-    chunk = 0
-    done = 0
-    while done < n_paths:
-        n = min(CHUNK, n_paths - done)
+    """Terminal states of n_paths paths, CHUNK at a time from child streams.
+
+    With ``collect_jumps`` it returns (terminal states, every applied jump
+    size) instead.
+    """
+    outs, sizes = [], []
+    for chunk, start in enumerate(range(0, n_paths, CHUNK)):
         rng = _chunk_rng(seed, chunk)
-        x, extras = _simulate_chunk(
-            field, policy, x0, T, dt, rng, n, collect_jumps=collect_jumps
-        )
+        for _, x, jumps in _steps(field, policy, x0, T, dt, rng, min(CHUNK, n_paths - start)):
+            if collect_jumps:
+                sizes.extend(applied for _, applied in jumps)
         outs.append(x)
-        if collect_jumps:
-            jumps.append(extras["jumps"])
-        done += n
-        chunk += 1
     terms = np.concatenate(outs)
     if collect_jumps:
-        return terms, np.concatenate(jumps) if jumps else np.empty(0)
+        return terms, np.concatenate(sizes) if sizes else np.empty(0)
     return terms
 
 

@@ -183,9 +183,10 @@ class TestTransformCommand:
 
     def test_runtime_failure_cleans_partial_output(self, capsys, tmp_path):
         out = tmp_path / "art"
+        # k.csv is written before the transport check overflows at the tiny threshold
         code, _, err = _run(capsys, "transform", "--out", str(out),
                             "--set", "transform.family=power",
-                            "--set", "transform.c_target=-1.0")
+                            "--set", "transform.thresholds=1e-300")
         assert code == 3
         assert err.startswith("RUNTIME_FAILURE")
         assert not (out / "k.csv").exists()
@@ -241,10 +242,15 @@ class TestErrorChannels:
         ("validate", ["--set", "audit.seed=-1"]),
         ("fourier-check", ["--set", "fourier.check_points="]),
         ("transform", ["--set", "transform.thresholds="]),
+        ("transform", ["--set", "transform.family=power", "--set", "transform.alpha=-1"]),
+        ("transform", ["--set", "transform.family=power", "--set", "transform.c_target=0"]),
+        ("transform", ["--set", "transform.family=power", "--set", "transform.c_reference=0"]),
     ], ids=["simulate-seed-flag", "validate-seed-flag", "mc-seed", "audit-seed",
-            "no-check-points", "no-thresholds"])
+            "no-check-points", "no-thresholds", "power-alpha", "power-c-target",
+            "power-c-reference"])
     def test_out_of_range_entry_rejected(self, capsys, tmp_path, sub, args):
-        # a negative seed failed at run time; an empty list passed its gate over nothing
+        # a negative seed or power-law parameter failed at run time; an empty list
+        # passed its gate over nothing
         code, _, err = _run(capsys, sub, "--out", str(tmp_path), *args)
         assert code == 2
         assert err.startswith("CONFIG_INVALID")

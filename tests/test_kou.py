@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,15 @@ class TestKouSpec:
         with pytest.raises(ValueError):
             KouSpec(b_lo=0.0, b_hi=0.0, a_lo=0.1, a_hi=0.2,
                     lam_lo=1.0, lam_hi=2.5, lam_star=2.0, lam_floor=0.5).validate()
+        # every comparison with nan is False, so a nan bound passed the order checks
+        spec = KouSpec(b_lo=0.05, b_hi=0.05, a_lo=0.2, a_hi=0.2, lam_lo=1.0, lam_hi=1.0,
+                       lam_star=1.5, lam_floor=0.5)
+        for entry in [{"lam_hi": math.nan}, {"b_hi": math.inf}, {"a_hi": math.inf},
+                      {"a_hi": lambda x: np.where(np.asarray(x) > 5.0, math.nan, 0.2)},
+                      {"lam_star": math.inf}, {"lipschitz_constant": math.nan},
+                      {"lipschitz_constant": math.inf}]:
+            with pytest.raises(ValueError, match="finite"):
+                dataclasses.replace(spec, **entry).validate()
 
     def test_floor_positive(self):
         with pytest.raises(ValueError):
@@ -278,7 +288,11 @@ class TestFourierReference:
         with pytest.raises(ValueError):
             fourier_reference(trip, lambda x: x, 1.0, 0.0)
 
-    def test_negative_horizon_rejected(self):
+    @pytest.mark.parametrize("T, x0", [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                                       (1.0, math.nan), (1.0, math.inf)],
+                             ids=["negative-T", "nan-T", "inf-T", "nan-x0", "inf-x0"])
+    def test_negative_horizon_rejected(self, T, x0):
+        # a nan reference value would pass fourier-check's max(worst, |diff|) gate
         trip = LinearKouTriplet(b=0.0, a=0.1, lam=0.0)
         with pytest.raises(ValueError):
-            fourier_reference(trip, GaussianBump(), -1.0, 0.0)
+            fourier_reference(trip, GaussianBump(), T, x0)

@@ -319,6 +319,9 @@ class TestRestart:
         fieldU = solve(field, np.sin, 0.5, coarse_grid)
         with pytest.raises(ValueError, match="timeline"):
             restart(fieldU, field, 0.123456, 0.1)
+        # every comparison with nan is False; a nan s re-solved from the row at 0
+        with pytest.raises(ValueError, match="timeline"):
+            restart(fieldU, field, math.nan, 0.1)
 
     def test_unknown_time_error_names_stored_times_and_checkpoints(self, coarse_grid):
         field = constant_drift_field(1.0)

@@ -164,6 +164,13 @@ class TestSamplePath:
             # degenerate spec: lam = lam_star, the clamp is the identity
             assert applied == pytest.approx(mark, abs=1e-12)
 
+    def test_jump_stamps_are_path_times(self, degenerate_field):
+        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
+        for seed in range(4):
+            p = sample_path(degenerate_field, policy, 0.0, 2.0, 0.03, seed=seed)
+            assert len(p.jump_log) > 0
+            assert {t for t, _, _ in p.jump_log} <= set(p.times.tolist())
+
     def test_bad_steps_rejected(self, degenerate_field):
         policy = PolicySchedule.constant(degenerate_field.control_grid.points)
         with pytest.raises(ValueError):
