@@ -28,6 +28,10 @@ __all__ = ["RunConfig", "main", "parse_config"]
 
 SUBCOMMANDS = ("solve", "simulate", "validate", "fourier-check", "transform", "dpp-check")
 
+# Largest Monte Carlo run accepted, in paths x Euler steps: 100x the default
+# run, so a mistyped mc.dt or mc.paths fails at once instead of after days.
+MC_PATH_STEPS_MAX = 10**9
+
 
 class ConfigError(ValueError):
     """Config text failed parsing or semantic validation."""
@@ -121,6 +125,10 @@ class RunConfig:
         m = self["mc"]
         if m["paths"] < 2 or m["dt"] <= 0 or m["tolerance"] <= 0:
             raise ConfigError("mc section out of range")
+        # the simulator's step count is max(1, round(T/dt)); a tiny dt overflows the round
+        steps = p["t_horizon"] / m["dt"]
+        if steps > MC_PATH_STEPS_MAX or m["paths"] * max(1, round(steps)) > MC_PATH_STEPS_MAX:
+            raise ConfigError(f"mc.paths x Euler steps exceeds {MC_PATH_STEPS_MAX:.0e}")
         # a seed reaches numpy's SeedSequence, which takes no negative entropy
         if m["seed"] < 0 or self["audit"]["seed"] < 0:
             raise ConfigError("mc.seed and audit.seed must be >= 0")

@@ -138,6 +138,10 @@ class PolicySchedule:
         # row by row: one bincount of the whole table would copy it as intp, 8x its bytes
         return sum(np.bincount(row, minlength=n) for row in self.indices) / self.indices.size
 
+    def knot(self, t: float) -> int:
+        """Index of the knot row in force at elapsed time t."""
+        return max(int(np.searchsorted(self.time_knots, t + 1e-12, side="right")) - 1, 0)
+
     def control_indices(self, t: float, x) -> np.ndarray:
         """Control-grid indices for states x at elapsed time t.
 
@@ -145,8 +149,7 @@ class PolicySchedule:
         beyond the grid take the edge node.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        m = int(np.searchsorted(self.time_knots, t + 1e-12, side="right")) - 1
-        row = self.indices[max(m, 0)]
+        row = self.indices[self.knot(t)]
         g = self.grid
         if g is None:
             return np.full(x.shape, row[0])

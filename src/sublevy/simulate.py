@@ -18,18 +18,27 @@ does not grow with the grid.
 
 One step loop advances a batch of paths and yields their states and jumps
 after each step; ``sample_path`` logs a one-path batch from it, and the
-estimators keep each chunk's terminal states.
+estimators keep each chunk's terminal states.  A step whose policy row
+names one state-free control skips the per-path cell lookup.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so a chunk's paths depend on the seed
-and the chunk index alone, and estimates are bit-identical for a given seed
-regardless of how chunks are scheduled.
+and the chunk index alone.  A call deals its chunks round-robin over k
+workers, k being the usable cores (``os.sched_getaffinity``) capped at the
+number of chunks, and 1 where ``os.fork`` does not exist: the calling
+process is worker 0 and the others are forked for the call and reaped
+before it returns.  Results are joined in chunk order, so estimates are
+bit-identical for a given seed whatever k is.  Python 3.12 and later warn
+(``DeprecationWarning``) when ``os.fork`` runs in a multi-threaded process,
+as one with OpenBLAS threads is.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import pickle
 
 import numpy as np
 
@@ -76,48 +85,80 @@ def _coefficients(field, f, x):
     return b, s
 
 
-def _steps(field, policy, x0, T, dt, rng, n):
+class _Plan:
+    """One call's checked arguments and the tables each of its chunks reads.
+
+    ``btab``/``stab`` hold each state-free control's (drift - compensator,
+    dispersion); ``per_state`` marks the controls evaluated at their paths'
+    states.  ``single[m]`` is the one state-free control that knot row m of
+    the policy names, or -1.
+    """
+
+    def __init__(self, field, policy, x0, T, dt):
+        if not (0 < T < math.inf and 0 < dt < math.inf):
+            raise ValueError(f"T and dt must be positive and finite, got T={T!r}, dt={dt!r}")
+        if not math.isfinite(x0):
+            raise ValueError(f"x0 must be finite, got {x0!r}")
+        measure = field.reference
+        mass = float(measure.total_mass)
+        if math.isinf(mass):
+            raise ValueError("only finite-mass jump measures can be simulated")
+        if mass > 0 and measure.sampler is None:
+            raise ValueError("jump measure has positive mass but no sampler")
+        controls = field.control_grid.points
+        if tuple(policy.controls) != controls:
+            raise ValueError("policy was built for another control grid")
+        self.field, self.policy, self.x0 = field, policy, float(x0)
+        self.n_steps = max(1, int(round(T / dt)))
+        self.dt_eff = T / self.n_steps
+
+        # two states tell a state-free one-row jump table from a single state's row
+        self.btab = np.zeros(len(controls))
+        self.stab = np.zeros(len(controls))
+        self.per_state = np.zeros(len(controls), dtype=bool)
+        for ci, f in enumerate(controls):
+            b, s = _coefficients(field, f, np.full(2, self.x0))
+            if b.ndim == 0 and s.ndim == 0:
+                self.btab[ci], self.stab[ci] = b, s
+            else:
+                self.per_state[ci] = True
+        # as intp: the recorded indices are uint8, where -1 would wrap to 255
+        lo = policy.indices.min(axis=1).astype(np.intp)
+        one = (lo == policy.indices.max(axis=1)) & ~self.per_state[lo]
+        self.single = np.where(one, lo, -1)
+
+
+def _steps(plan, rng, n):
     """Advance n paths to T, yielding (t, x, jumps) after each step.
 
     t is the step's end time and x the paths' states there; the next step
     rebinds x to a new array, so a reader may keep the one it got.  jumps
     holds one (marks, applied sizes) pair per round of jumps in the step.
+    A step whose knot row names one state-free control looks up no cell:
+    its coefficients are that control's scalars, which round as arrays of
+    equal entries do, and each round of jumps is one jump-map call.
     """
+    field, policy, dt_eff = plan.field, plan.policy, plan.dt_eff
     measure = field.reference
     mass = float(measure.total_mass)
-    if math.isinf(mass):
-        raise ValueError("only finite-mass jump measures can be simulated")
-    if mass > 0 and measure.sampler is None:
-        raise ValueError("jump measure has positive mass but no sampler")
     controls = field.control_grid.points
-    if tuple(policy.controls) != controls:
-        raise ValueError("policy was built for another control grid")
-    n_steps = max(1, int(round(T / dt)))
-    dt_eff = T / n_steps
     sq = math.sqrt(dt_eff)
+    any_per_state = bool(plan.per_state.any())
 
-    # two states tell a state-free one-row jump table from a single state's row
-    btab = np.zeros(len(controls))
-    stab = np.zeros(len(controls))
-    per_state = np.zeros(len(controls), dtype=bool)
-    for ci, f in enumerate(controls):
-        b, s = _coefficients(field, f, np.full(2, float(x0)))
-        if b.ndim == 0 and s.ndim == 0:
-            btab[ci], stab[ci] = b, s
-        else:
-            per_state[ci] = True
-    any_per_state = bool(per_state.any())
-
-    x = np.full(n, float(x0))
-    for step in range(n_steps):
+    x = np.full(n, plan.x0)
+    for step in range(plan.n_steps):
         t = step * dt_eff
-        fidx = np.asarray(policy.control_indices(t, x), dtype=int)
-        beff = btab[fidx]
-        sig = stab[fidx]
-        if any_per_state:
-            for ci in np.unique(fidx[per_state[fidx]]):
-                m = fidx == ci
-                beff[m], sig[m] = _coefficients(field, controls[ci], x[m])
+        ci = int(plan.single[policy.knot(t)])
+        if ci >= 0:
+            beff, sig = plan.btab[ci], plan.stab[ci]
+        else:
+            fidx = np.asarray(policy.control_indices(t, x), dtype=int)
+            beff = plan.btab[fidx]
+            sig = plan.stab[fidx]
+            if any_per_state:
+                for c in np.unique(fidx[plan.per_state[fidx]]):
+                    m = fidx == c
+                    beff[m], sig[m] = _coefficients(field, controls[c], x[m])
         dw = rng.standard_normal(n)
         counts = rng.poisson(mass * dt_eff, n) if mass > 0 else np.zeros(n, dtype=int)
         x = x + beff * dt_eff + sig * sq * dw
@@ -129,12 +170,16 @@ def _steps(field, policy, x0, T, dt, rng, n):
             act = np.flatnonzero(counts > r)
             z = measure.sampler(rng.random(act.size))
             applied = np.empty(act.size)
-            fa = fidx[act]
-            for ci in np.flatnonzero(np.bincount(fa, minlength=len(controls))):
-                mm = fa == ci
+            if ci >= 0:
+                groups = [(ci, slice(None))]
+            else:
+                fa = fidx[act]
+                groups = [(c, fa == c)
+                          for c in np.flatnonzero(np.bincount(fa, minlength=len(controls)))]
+            for c, mm in groups:
                 sel = act[mm]
                 k = np.asarray(
-                    field.jump_density_map(controls[ci], x[sel], z[mm]), dtype=float
+                    field.jump_density_map(controls[c], x[sel], z[mm]), dtype=float
                 )
                 applied[mm] = np.broadcast_to(k, sel.shape)
             x[act] = x[act] + applied
@@ -144,11 +189,75 @@ def _steps(field, policy, x0, T, dt, rng, n):
         yield (step + 1) * dt_eff, x, jumps
 
 
-def _check_run(x0, T, dt):
-    if not (0 < T < math.inf and 0 < dt < math.inf):
-        raise ValueError(f"T and dt must be positive and finite, got T={T!r}, dt={dt!r}")
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+def _workers(n_chunks: int) -> int:
+    """Processes for n_chunks chunks: one per usable core, at most one per chunk."""
+    if not hasattr(os, "fork"):
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cores or 1, n_chunks))
+
+
+def _serve(run, chunks, wfd):
+    """Body of a forked worker: run its chunks, pickle the results or the error to wfd, exit."""
+    status = 1
+    try:
+        try:
+            payload = (None, [run(c) for c in chunks])
+        except Exception as e:
+            payload = (e, None)
+        with os.fdopen(wfd, "wb") as fh:
+            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        # never return into the caller's stack, nor flush its inherited buffers
+        os._exit(status)
+
+
+def _map_chunks(run, n_chunks):
+    """[run(c) for c in range(n_chunks)], with chunk c on worker c % k of k.
+
+    Worker 0 is this process; the others are forked children that send back
+    what they return, or the exception they raise, which is raised here.
+    Every child is reaped before this returns or raises, and killed first if
+    this process is raising.
+    """
+    k = _workers(n_chunks)
+    out = [None] * n_chunks
+    children = {}  # worker -> (pid, read end of its pipe)
+    try:
+        for w in range(1, k):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                os.close(rfd)
+                _serve(run, range(w, n_chunks, k), wfd)
+            os.close(wfd)
+            children[w] = (pid, os.fdopen(rfd, "rb"))
+        out[0::k] = [run(c) for c in range(0, n_chunks, k)]
+        for w in range(1, k):
+            pid, fh = children[w]
+            data = fh.read()
+            fh.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[w]
+            if code != 0:
+                raise RuntimeError(f"Monte Carlo worker {w} exited with code {code}")
+            # only bytes this call's own fork wrote are unpickled
+            error, results = pickle.loads(data)
+            if error is not None:
+                raise error
+            out[w::k] = results
+    finally:
+        for pid, fh in children.values():
+            fh.close()
+            os.kill(pid, 9)  # SIGKILL; numpy does not load the signal module
+            os.waitpid(pid, 0)
+    return out
 
 
 def sample_path(
@@ -160,9 +269,9 @@ def sample_path(
     seed: int,
 ) -> SamplePath:
     """One path, deterministic in the seed; each jump is stamped with its step's time."""
-    _check_run(x0, T, dt)
+    plan = _Plan(field, policy, x0, T, dt)
     times, states, jump_log = [0.0], [float(x0)], []
-    for t, x, jumps in _steps(field, policy, x0, T, dt, _chunk_rng(seed, 0), 1):
+    for t, x, jumps in _steps(plan, _chunk_rng(seed, 0), 1):
         times.append(t)
         states.append(float(x[0]))
         for marks, applied in jumps:
@@ -174,18 +283,24 @@ def _terminals(field, policy, x0, T, dt, n_paths, seed, collect_jumps=False):
     """Terminal states of n_paths paths, CHUNK at a time from child streams.
 
     With ``collect_jumps`` it returns (terminal states, every applied jump
-    size) instead.
+    size) instead.  The chunks are dealt over the usable cores, at most one
+    process per core, and joined in chunk order (see the module docstring),
+    so the result is the same bit for bit however many processes ran them.
     """
-    outs, sizes = [], []
-    for chunk, start in enumerate(range(0, n_paths, CHUNK)):
-        rng = _chunk_rng(seed, chunk)
-        for _, x, jumps in _steps(field, policy, x0, T, dt, rng, min(CHUNK, n_paths - start)):
+    plan = _Plan(field, policy, x0, T, dt)
+    starts = range(0, n_paths, CHUNK)
+
+    def run(c):
+        sizes = []
+        for _, x, jumps in _steps(plan, _chunk_rng(seed, c), min(CHUNK, n_paths - starts[c])):
             if collect_jumps:
                 sizes.extend(applied for _, applied in jumps)
-        outs.append(x)
-    terms = np.concatenate(outs)
+        return x, np.concatenate(sizes) if sizes else np.empty(0)
+
+    results = _map_chunks(run, len(starts))
+    terms = np.concatenate([x for x, _ in results])
     if collect_jumps:
-        return terms, np.concatenate(sizes) if sizes else np.empty(0)
+        return terms, np.concatenate([sizes for _, sizes in results])
     return terms
 
 
@@ -202,7 +317,6 @@ def estimate_value(
     """Sample mean and standard error of psi at the terminal state."""
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    _check_run(x0, T, dt)
     terms = _terminals(field, policy, x0, T, dt, n_paths, seed)
     vals = np.asarray(psi(terms), dtype=float)
     if vals.shape != terms.shape:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sublevy
-from sublevy.cli import ConfigError, main, parse_config
+from sublevy.cli import MC_PATH_STEPS_MAX, ConfigError, main, parse_config
 from sublevy.pide import ValueField
 
 FAST_SOLVE = ["--set", "pide.nx=201", "--set", "pide.t_horizon=0.2"]
@@ -245,16 +245,27 @@ class TestErrorChannels:
         ("transform", ["--set", "transform.family=power", "--set", "transform.alpha=-1"]),
         ("transform", ["--set", "transform.family=power", "--set", "transform.c_target=0"]),
         ("transform", ["--set", "transform.family=power", "--set", "transform.c_reference=0"]),
+        ("simulate", ["--set", "mc.dt=1e-320"]),
+        ("validate", ["--set", "mc.dt=1e-12"]),
+        ("validate", ["--set", "mc.paths=1000000000"]),
+        ("validate", ["--set", "mc.paths=1000001"]),
+        ("validate", ["--set", "mc.paths=2000", "--set", "mc.dt=1e-6"]),
     ], ids=["simulate-seed-flag", "validate-seed-flag", "mc-seed", "audit-seed",
             "no-check-points", "no-thresholds", "power-alpha", "power-c-target",
-            "power-c-reference"])
+            "power-c-reference", "mc-dt-overflows", "mc-dt-tiny", "mc-paths-huge",
+            "mc-path-steps-over-cap", "mc-path-steps-over-cap-by-dt"])
     def test_out_of_range_entry_rejected(self, capsys, tmp_path, sub, args):
         # a negative seed or power-law parameter failed at run time; an empty list
-        # passed its gate over nothing
+        # passed its gate over nothing; an unbounded Monte Carlo ran for days, or
+        # overflowed its step count
         code, _, err = _run(capsys, sub, "--out", str(tmp_path), *args)
         assert code == 2
         assert err.startswith("CONFIG_INVALID")
         assert list(tmp_path.iterdir()) == []
+
+    def test_mc_size_at_the_cap_accepted(self):
+        # 1e6 paths x round(1.0 / 1e-3) steps is the cap itself
+        parse_config(f"mc.paths = {MC_PATH_STEPS_MAX // 1000}\n").validate()
 
     def test_malformed_override(self, capsys, tmp_path):
         code, _, err = _run(capsys, "solve", "--out", str(tmp_path),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from sublevy.core import (
 )
 from sublevy.kou import GaussianBump, build_field, double_exponential_measure
 from sublevy.pide import SpatialGrid, solve
+from sublevy import simulate
 from sublevy.simulate import (
     CHUNK,
     PolicySchedule,
+    _chunk_rng,
+    _Plan,
+    _steps,
     _terminals,
     estimate_value,
     mc_lower_bound,
@@ -474,3 +479,95 @@ class TestMcLowerBound:
         want = estimate_value(kou_field, reference, *args, seed=5)
         mean, stderr, _ = mc_lower_bound(kou_field, recorded, *args, seed=5)
         assert (mean, stderr) == want
+
+
+def _serial_reference(field, policy, psi, x0, T, dt, n_paths, seed):
+    """(terminals, jump sizes, mean, stderr), one chunk after another in this process."""
+    plan = _Plan(field, policy, x0, T, dt)
+    terms, sizes = [], []
+    for c, start in enumerate(range(0, n_paths, CHUNK)):
+        for _, x, jumps in _steps(plan, _chunk_rng(seed, c), min(CHUNK, n_paths - start)):
+            sizes.extend(applied for _, applied in jumps)
+        terms.append(x)
+    terms = np.concatenate(terms)
+    vals = psi(terms)
+    return (terms, np.concatenate(sizes), float(np.mean(vals)),
+            float(np.std(vals, ddof=1) / math.sqrt(n_paths)))
+
+
+class TestChunkWorkers:
+    @pytest.fixture(scope="class")
+    def kou_recorded(self, kou_field):
+        grid = SpatialGrid(-10.0, 10.0, 201)
+        return solve(kou_field, GaussianBump().value, 0.3, grid, policy=True).policy
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["degenerate-constant", "kou-recorded"])
+    def test_bit_identical_to_serial_chunks(self, monkeypatch, degenerate_field, kou_field,
+                                            kou_recorded, case, workers):
+        # four chunks, the last one short, dealt over 1, 2 or 3 processes
+        if case == "kou-recorded":
+            field, policy = kou_field, kou_recorded
+            assert np.all(_Plan(field, policy, 0.0, 0.3, 0.01).single < 0)
+        else:
+            field = degenerate_field
+            policy = PolicySchedule.constant(field.control_grid.points)
+        monkeypatch.setattr(simulate, "_workers", lambda n: min(workers, n))
+        psi = GaussianBump().value
+        args = (0.0, 0.3, 0.01, 3 * CHUNK + 500)
+        terms, sizes, mean, stderr = _serial_reference(field, policy, psi, *args, seed=21)
+        assert sizes.size > 0
+        assert np.array_equal(_terminals(field, policy, *args, seed=21), terms)
+        got_terms, got_sizes = _terminals(field, policy, *args, seed=21, collect_jumps=True)
+        assert np.array_equal(got_terms, terms)
+        assert np.array_equal(got_sizes, sizes)
+        assert estimate_value(field, policy, psi, *args, seed=21) == (mean, stderr)
+
+    @pytest.mark.parametrize("failing", [500, CHUNK], ids=["forked-chunk", "own-chunk"])
+    def test_a_failing_chunk_reaches_the_caller_and_no_child_is_left(
+            self, monkeypatch, degenerate_field, failing):
+        # chunk 0 (CHUNK paths) runs in this process, chunk 1 (500 paths) in a child
+        real = simulate._steps
+
+        def steps(plan, rng, n):
+            if n == failing:
+                raise RuntimeError(f"chunk of {n} paths failed")
+            return real(plan, rng, n)
+
+        monkeypatch.setattr(simulate, "_steps", steps)
+        monkeypatch.setattr(simulate, "_workers", lambda n: min(2, n))
+        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
+        with pytest.raises(RuntimeError, match=f"^chunk of {failing} paths failed$"):
+            _terminals(degenerate_field, policy, 0.0, 0.2, 0.01, CHUNK + 500, seed=4)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_argument_errors_raise_before_any_fork(self, monkeypatch, kou_field):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        policy = PolicySchedule.constant(kou_field.control_grid.points)
+        with pytest.raises(ValueError, match="T and dt"):
+            _terminals(kou_field, policy, 0.0, 0.2, math.nan, 3 * CHUNK, seed=1)
+
+
+class TestOneControlRows:
+    def test_shortcut_agrees_with_the_per_cell_lookup(self, kou_field):
+        # every row names control 1; the second policy also names control 0 at
+        # x = 20, which no path from 0 reaches by T = 1, so it takes the lookup
+        grid = SpatialGrid(-20.0, 20.0, 401)
+        indices = np.ones((2, grid.nx), dtype=np.uint8)
+        edge = indices.copy()
+        edge[:, -1] = 0
+        controls = kou_field.control_grid.points
+        one, mixed = (PolicySchedule(time_knots=np.array([0.0, 0.5]), indices=idx,
+                                     grid=grid, controls=controls) for idx in (indices, edge))
+        args = (0.0, 1.0, 0.01, 1000)
+        assert _Plan(kou_field, one, *args[:3]).single.tolist() == [1, 1]
+        assert _Plan(kou_field, mixed, *args[:3]).single.tolist() == [-1, -1]
+        want_terms, want_sizes = _terminals(kou_field, mixed, *args, seed=8, collect_jumps=True)
+        terms, sizes = _terminals(kou_field, one, *args, seed=8, collect_jumps=True)
+        assert want_sizes.size > 0
+        assert np.array_equal(terms, want_terms)
+        assert np.array_equal(sizes, want_sizes)
