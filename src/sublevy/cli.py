@@ -12,6 +12,7 @@ same config and seed are bit-identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -20,17 +21,22 @@ import numpy as np
 
 from .core import Quadrature, QuadratureError, audit_conditions
 from .kou import GaussianBump, KouSpec, LinearKouTriplet, build_field, fourier_reference
-from .pide import SpatialGrid, restart, solve
+from .pide import SpatialGrid, cfl_timestep, restart, solve
 from .simulate import mc_lower_bound
 from .transform import exponential_tails, power_tails, quantile_k, verify_transport
 
-__all__ = ["RunConfig", "main", "parse_config"]
+__all__ = ["RunConfig", "entry", "main", "parse_config"]
 
 SUBCOMMANDS = ("solve", "simulate", "validate", "fourier-check", "transform", "dpp-check")
 
 # Largest Monte Carlo run accepted, in paths x Euler steps: 100x the default
 # run, so a mistyped mc.dt or mc.paths fails at once instead of after days.
 MC_PATH_STEPS_MAX = 10**9
+
+# Largest u.csv accepted by ``solve``, in (time, node) entries, each 8 bytes
+# in memory and about 50 of text: the nx=3201 march timeline (27.4M) fits,
+# and the default run has 290,763.
+SOLVE_ENTRIES_MAX = 3 * 10**7
 
 
 class ConfigError(ValueError):
@@ -149,8 +155,15 @@ class RunConfig:
             raise ConfigError("transform.thresholds must be a nonempty list of nonzero values")
         if t["family"] == "exponential" and not 0 < t["lam"] <= t["lam_star"]:
             raise ConfigError("need 0 < transform.lam <= transform.lam_star")
-        if t["family"] == "power" and not min(t["alpha"], t["c_target"], t["c_reference"]) > 0:
-            raise ConfigError("transform.alpha, c_target and c_reference must be positive")
+        if t["family"] == "power":
+            if not min(t["alpha"], t["c_target"], t["c_reference"]) > 0:
+                raise ConfigError("transform.alpha, c_target and c_reference must be positive")
+            # z**-alpha and c * z**-alpha must stay finite floats at the smallest
+            # argument a run evaluates: the quantile probe, a mark or a threshold
+            z = min(t["tol"], 1e-9, t["y_abs_min"], *map(abs, t["thresholds"]))
+            log_c = max(0.0, math.log(t["c_target"]), math.log(t["c_reference"]))
+            if log_c - t["alpha"] * math.log(z) >= math.log(sys.float_info.max):
+                raise ConfigError(f"power-law tails c * |z|**-alpha overflow at z = {z!r}")
         if self["audit"]["sample_budget"] < 1:
             raise ConfigError("audit.sample_budget must be >= 1")
         try:
@@ -261,9 +274,14 @@ def _meta_text(metadata: dict) -> str:
 
 def _run_solve(cfg: RunConfig, art: _Artifacts):
     p = cfg["pide"]
-    # u.csv holds the full timeline
-    fieldU = solve(cfg.field(), cfg.psi(), p["t_horizon"], cfg.grid(), p["cfl_safety"],
-                   every_step=True)
+    field, grid = cfg.field(), cfg.grid()
+    # u.csv holds the full timeline: (steps + 1) x nx entries, with solve's step count
+    steps = p["t_horizon"] / cfl_timestep(field, grid, p["cfl_safety"])
+    if (steps > SOLVE_ENTRIES_MAX
+            or (max(1, math.ceil(steps - 1e-12)) + 1) * grid.nx > SOLVE_ENTRIES_MAX):
+        raise ConfigError(f"the u.csv timeline exceeds {SOLVE_ENTRIES_MAX:.0e} entries; "
+                          "lower pide.nx or pide.t_horizon")
+    fieldU = solve(field, cfg.psi(), p["t_horizon"], grid, p["cfl_safety"], every_step=True)
     fieldU.write_csv(art.path("u.csv"))
     art.write("meta.txt", _meta_text(fieldU.metadata))
     return 0, None
@@ -432,5 +450,18 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> None:
+    """Process entry of ``python -m sublevy.cli`` and the ``sublevy`` script.
+
+    Runs ``main`` and exits with its code.  ``gc.freeze()`` first moves every
+    live object out of the collector's reach, so the exit skips a last sweep
+    over numpy's and argparse's objects (about 30 ms).  ``main`` itself never
+    freezes, as tests and library callers run it in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

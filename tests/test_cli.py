@@ -1,13 +1,19 @@
+import ast
 import filecmp
+import gc
+import inspect
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import sublevy
+from sublevy import _pool, cli, pide
 from sublevy.cli import MC_PATH_STEPS_MAX, ConfigError, main, parse_config
 from sublevy.pide import ValueField
+from tests.conftest import open_failing_on_descriptors
 
 FAST_SOLVE = ["--set", "pide.nx=201", "--set", "pide.t_horizon=0.2"]
 
@@ -181,12 +187,16 @@ class TestTransformCommand:
         assert err.startswith("TOLERANCE_EXCEEDED")
         assert (out / "k.csv").exists()
 
-    def test_runtime_failure_cleans_partial_output(self, capsys, tmp_path):
+    def test_runtime_failure_cleans_partial_output(self, capsys, tmp_path, monkeypatch):
         out = tmp_path / "art"
-        # k.csv is written before the transport check overflows at the tiny threshold
-        code, _, err = _run(capsys, "transform", "--out", str(out),
-                            "--set", "transform.family=power",
-                            "--set", "transform.thresholds=1e-300")
+
+        def failing_check(*args, **kwargs):
+            # k.csv is written before the transport check runs
+            assert (out / "k.csv").exists()
+            raise ArithmeticError("transport check failed")
+
+        monkeypatch.setattr(cli, "verify_transport", failing_check)
+        code, _, err = _run(capsys, "transform", "--out", str(out))
         assert code == 3
         assert err.startswith("RUNTIME_FAILURE")
         assert not (out / "k.csv").exists()
@@ -250,14 +260,19 @@ class TestErrorChannels:
         ("validate", ["--set", "mc.paths=1000000000"]),
         ("validate", ["--set", "mc.paths=1000001"]),
         ("validate", ["--set", "mc.paths=2000", "--set", "mc.dt=1e-6"]),
+        ("transform", ["--set", "transform.family=power", "--set", "transform.thresholds=1e-300"]),
+        ("transform", ["--set", "transform.family=power", "--set", "transform.alpha=400"]),
+        ("transform", ["--set", "transform.family=power", "--set", "transform.y_abs_min=1e-300"]),
     ], ids=["simulate-seed-flag", "validate-seed-flag", "mc-seed", "audit-seed",
             "no-check-points", "no-thresholds", "power-alpha", "power-c-target",
             "power-c-reference", "mc-dt-overflows", "mc-dt-tiny", "mc-paths-huge",
-            "mc-path-steps-over-cap", "mc-path-steps-over-cap-by-dt"])
+            "mc-path-steps-over-cap", "mc-path-steps-over-cap-by-dt",
+            "power-tails-overflow-at-threshold", "power-tails-overflow-at-probe",
+            "power-tails-overflow-at-mark"])
     def test_out_of_range_entry_rejected(self, capsys, tmp_path, sub, args):
-        # a negative seed or power-law parameter failed at run time; an empty list
-        # passed its gate over nothing; an unbounded Monte Carlo ran for days, or
-        # overflowed its step count
+        # a negative seed or power-law parameter failed at run time, and so did
+        # power-law tails overflowing a float; an empty list passed its gate over
+        # nothing; an unbounded Monte Carlo ran for days, or overflowed its step count
         code, _, err = _run(capsys, sub, "--out", str(tmp_path), *args)
         assert code == 2
         assert err.startswith("CONFIG_INVALID")
@@ -266,6 +281,32 @@ class TestErrorChannels:
     def test_mc_size_at_the_cap_accepted(self):
         # 1e6 paths x round(1.0 / 1e-3) steps is the cap itself
         parse_config(f"mc.paths = {MC_PATH_STEPS_MAX // 1000}\n").validate()
+
+    def test_solve_timeline_over_the_cap_rejected(self, capsys, tmp_path, monkeypatch):
+        code, _, _ = _run(capsys, "solve", "--out", str(tmp_path / "a"), *FAST_SOLVE)
+        assert code == 0
+        entries = len((tmp_path / "a" / "u.csv").read_text().splitlines()) - 1
+        # the cap is inclusive, and checked before the march writes anything
+        monkeypatch.setattr(cli, "SOLVE_ENTRIES_MAX", entries)
+        code, _, _ = _run(capsys, "solve", "--out", str(tmp_path / "b"), *FAST_SOLVE)
+        assert code == 0
+        monkeypatch.setattr(cli, "SOLVE_ENTRIES_MAX", entries - 1)
+        code, _, err = _run(capsys, "solve", "--out", str(tmp_path / "c"), *FAST_SOLVE)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID")
+        assert list((tmp_path / "c").iterdir()) == []
+
+    def test_failing_block_worker_is_an_io_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(pide, "open", open_failing_on_descriptors, raising=False)
+        monkeypatch.setattr(_pool, "workers", lambda n: min(2, n))
+        out = tmp_path / "art"
+        code, stdout, err = _run(capsys, "solve", "--out", str(out), *FAST_SOLVE)
+        assert code == 2
+        assert err.startswith("IO_ERROR") and "no room for the block" in err
+        assert stdout == ""
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_malformed_override(self, capsys, tmp_path):
         code, _, err = _run(capsys, "solve", "--out", str(tmp_path),
@@ -341,6 +382,34 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+
+class TestProcessEntry:
+    def test_module_run_exits_zero_and_reports(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sublevy.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "art"
+        proc = subprocess.run([sys.executable, "-m", "sublevy.cli", "validate", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote {out / 'audit.txt'}\n"
+
+    def test_main_in_process_does_not_freeze(self, capsys, tmp_path):
+        before = gc.get_freeze_count()
+        code, _, _ = _run(capsys, "validate", "--out", str(tmp_path))
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_main_block_entry(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as fh:
+            script = re.search(r'^sublevy = "sublevy\.cli:(\w+)"$', fh.read(), re.MULTILINE)
+        assert script is not None
+        tree = ast.parse(inspect.getsource(cli))
+        main_block = next(node for node in tree.body if isinstance(node, ast.If)
+                          and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert [ast.unparse(stmt) for stmt in main_block.body] == [f"{script.group(1)}()"]
 
 
 class TestConsoleScript:

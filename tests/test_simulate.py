@@ -15,7 +15,7 @@ from sublevy.core import (
 )
 from sublevy.kou import GaussianBump, build_field, double_exponential_measure
 from sublevy.pide import SpatialGrid, solve
-from sublevy import simulate
+from sublevy import _pool, simulate
 from sublevy.simulate import (
     CHUNK,
     PolicySchedule,
@@ -512,7 +512,7 @@ class TestChunkWorkers:
         else:
             field = degenerate_field
             policy = PolicySchedule.constant(field.control_grid.points)
-        monkeypatch.setattr(simulate, "_workers", lambda n: min(workers, n))
+        monkeypatch.setattr(_pool, "workers", lambda n: min(workers, n))
         psi = GaussianBump().value
         args = (0.0, 0.3, 0.01, 3 * CHUNK + 500)
         terms, sizes, mean, stderr = _serial_reference(field, policy, psi, *args, seed=21)
@@ -535,7 +535,7 @@ class TestChunkWorkers:
             return real(plan, rng, n)
 
         monkeypatch.setattr(simulate, "_steps", steps)
-        monkeypatch.setattr(simulate, "_workers", lambda n: min(2, n))
+        monkeypatch.setattr(_pool, "workers", lambda n: min(2, n))
         policy = PolicySchedule.constant(degenerate_field.control_grid.points)
         with pytest.raises(RuntimeError, match=f"^chunk of {failing} paths failed$"):
             _terminals(degenerate_field, policy, 0.0, 0.2, 0.01, CHUNK + 500, seed=4)
