@@ -5,8 +5,7 @@ cores (``os.sched_getaffinity``) capped at the number of chunks, and 1
 where ``os.fork`` does not exist.  The calling process is worker 0; the
 others are forked for the call, send back what they return through a pipe,
 and are reaped before it returns.  The Monte Carlo in ``simulate`` deals
-its path chunks over it, and ``ValueField.write_csv`` in ``pide`` its
-timeline's row blocks.  Python 3.12 and later warn
+its path chunks over it.  Python 3.12 and later warn
 (``DeprecationWarning``) when ``os.fork`` runs in a multi-threaded
 process, as one with OpenBLAS threads is.
 """

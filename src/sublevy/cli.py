@@ -33,10 +33,9 @@ SUBCOMMANDS = ("solve", "simulate", "validate", "fourier-check", "transform", "d
 # run, so a mistyped mc.dt or mc.paths fails at once instead of after days.
 MC_PATH_STEPS_MAX = 10**9
 
-# Largest u.csv accepted by ``solve``, in (time, node) entries, each 8 bytes
-# in memory and about 50 of text: the nx=3201 march timeline (27.4M) fits,
-# and the default run has 290,763.
-SOLVE_ENTRIES_MAX = 3 * 10**7
+# Largest PIDE march accepted, in (steps + 1) x nx node-steps at pide.cfl_safety:
+# the nx=3201 march (27.4M) fits, and the default run has 290,763.
+MARCH_NODE_STEPS_MAX = 3 * 10**7
 
 
 class ConfigError(ValueError):
@@ -168,9 +167,18 @@ class RunConfig:
             raise ConfigError("audit.sample_budget must be >= 1")
         try:
             # builds the field, so the spec is checked, then its jump quadrature
-            self.field().reference.validate_mass()
+            # and the CFL step of its march
+            field = self.field()
+            field.reference.validate_mass()
+            dt = cfl_timestep(field, self.grid(), p["cfl_safety"])
         except (ValueError, QuadratureError) as e:
             raise ConfigError(str(e)) from e
+        # solve's step count; a zero step (an overflowed CFL denominator) never ends
+        steps = p["t_horizon"] / dt if dt > 0 else math.inf
+        if (steps > MARCH_NODE_STEPS_MAX
+                or (max(1, math.ceil(steps - 1e-12)) + 1) * p["nx"] > MARCH_NODE_STEPS_MAX):
+            raise ConfigError(f"the march's (steps + 1) x pide.nx exceeds {MARCH_NODE_STEPS_MAX:.0e} "
+                              "node-steps; lower pide.nx or pide.t_horizon")
 
     def kou_spec(self) -> KouSpec:
         m = self["model"]
@@ -274,14 +282,7 @@ def _meta_text(metadata: dict) -> str:
 
 def _run_solve(cfg: RunConfig, art: _Artifacts):
     p = cfg["pide"]
-    field, grid = cfg.field(), cfg.grid()
-    # u.csv holds the full timeline: (steps + 1) x nx entries, with solve's step count
-    steps = p["t_horizon"] / cfl_timestep(field, grid, p["cfl_safety"])
-    if (steps > SOLVE_ENTRIES_MAX
-            or (max(1, math.ceil(steps - 1e-12)) + 1) * grid.nx > SOLVE_ENTRIES_MAX):
-        raise ConfigError(f"the u.csv timeline exceeds {SOLVE_ENTRIES_MAX:.0e} entries; "
-                          "lower pide.nx or pide.t_horizon")
-    fieldU = solve(field, cfg.psi(), p["t_horizon"], grid, p["cfl_safety"], every_step=True)
+    fieldU = solve(cfg.field(), cfg.psi(), p["t_horizon"], cfg.grid(), p["cfl_safety"])
     fieldU.write_csv(art.path("u.csv"))
     art.write("meta.txt", _meta_text(fieldU.metadata))
     return 0, None

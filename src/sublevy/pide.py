@@ -32,8 +32,6 @@ their max and their argmax: within a group, a1 < a2 can round to a tie
 once the group's jump row is added, so only the full sums break ties as
 the per-control operators do.  The record is a ``PolicySchedule``, the
 feedback rule that the Monte Carlo in ``simulate`` runs its paths under.
-``ValueField.write_csv`` formats the timeline's row blocks over the fork
-pool of ``_pool``, the one the Monte Carlo deals its chunks over.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.
@@ -41,17 +39,12 @@ bitwise unchanged regardless of quadrature summation order.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import math
-import os
-import shutil
-import tempfile
 
 import numpy as np
 
-from . import _pool
 from .core import CoefficientField, _jump_table
 
 __all__ = [
@@ -197,42 +190,14 @@ class ValueField:
         return np.interp(np.asarray(x, dtype=float), self.grid.xs(), self.values[-1])
 
     def write_csv(self, path) -> None:
-        """Write ``t,x,u``, one line per (time, node), every float via repr.
-
-        The timeline's rows are dealt in k contiguous blocks over the fork
-        pool (``_pool``).  This process writes the header and block 0 into
-        ``path``; each forked worker formats its block into a scratch file
-        beside it, unlinked before the fork, and the blocks are appended in
-        order.  The bytes are the same whatever k is, and no block is held
-        in memory.
-        """
-        n = self.times.size
-        k = _pool.workers(n)
-        bounds = [n * b // k for b in range(k + 1)]
-        times = self.times.tolist()
+        """Write ``t,x,u``, one line per (time, node), every float via repr."""
         xs = [f"{x!r}," for x in self.grid.xs().tolist()]
-
-        with open(path, "w") as fh, contextlib.ExitStack() as stack:
-            where = os.path.dirname(os.path.abspath(path))
-            scratch = [stack.enter_context(tempfile.TemporaryFile(dir=where)) for _ in range(1, k)]
+        with open(path, "w") as fh:
             fh.write("t,x,u\n")
-            fh.flush()  # a forked worker must not inherit buffered bytes
-
-            def block(b):
-                # a worker's block goes through a text layer as ``fh``'s does, so
-                # newlines and encoding match; it exits without closing it
-                out = fh if b == 0 else open(scratch[b - 1].fileno(), "w", closefd=False)
-                # row by row: the whole timeline as Python floats costs ~19 MB more
-                lo, hi = bounds[b], bounds[b + 1]
-                for t, row in zip(times[lo:hi], self.values[lo:hi]):
-                    head = f"{t!r},"
-                    out.write("".join([f"{head}{x}{v!r}\n" for x, v in zip(xs, row.tolist())]))
-                out.flush()
-
-            _pool.map_chunks(block, k)
-            for f in scratch:
-                f.seek(0)
-                shutil.copyfileobj(f, fh.buffer)  # in fixed-size pieces
+            # row by row: the whole timeline as Python floats costs ~19 MB more
+            for t, row in zip(self.times.tolist(), self.values):
+                head = f"{t!r},"
+                fh.write("".join([f"{head}{x}{v!r}\n" for x, v in zip(xs, row.tolist())]))
 
 
 def _fft_length(n: int) -> int:

@@ -24,11 +24,10 @@ names one state-free control skips the per-path cell lookup.
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so a chunk's paths depend on the seed
 and the chunk index alone.  A call deals its chunks round-robin over the
-fork pool of ``_pool``, which ``ValueField.write_csv`` shares: k workers,
-k being the usable cores capped at the number of chunks, the calling
-process worker 0 and the others forked for the call and reaped before it
-returns.  Results are joined in chunk order, so estimates are bit-identical
-for a given seed whatever k is.
+fork pool of ``_pool``: k workers, k being the usable cores capped at the
+number of chunks, the calling process worker 0 and the others forked for
+the call and reaped before it returns.  Results are joined in chunk order,
+so estimates are bit-identical for a given seed whatever k is.
 """
 
 from __future__ import annotations

@@ -1,5 +1,3 @@
-import errno
-
 import numpy as np
 import pytest
 
@@ -20,13 +18,6 @@ from sublevy.core import (
 )
 from sublevy.kou import KouSpec, build_field
 from sublevy.pide import _Envelope
-
-
-def open_failing_on_descriptors(file, *args, **kwargs):
-    """``open`` that fails for a file descriptor, as only a forked writer passes one."""
-    if isinstance(file, int):
-        raise OSError(errno.ENOSPC, "no room for the block")
-    return open(file, *args, **kwargs)
 
 
 def constant_drift_field(b, sigma=0.0, controls=None):

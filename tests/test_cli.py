@@ -1,7 +1,9 @@
 import ast
+import errno
 import filecmp
 import gc
 import inspect
+import io
 import os
 import re
 import subprocess
@@ -10,10 +12,9 @@ import sys
 import pytest
 
 import sublevy
-from sublevy import _pool, cli, pide
+from sublevy import cli, pide
 from sublevy.cli import MC_PATH_STEPS_MAX, ConfigError, main, parse_config
-from sublevy.pide import ValueField
-from tests.conftest import open_failing_on_descriptors
+from sublevy.pide import ValueField, solve
 
 FAST_SOLVE = ["--set", "pide.nx=201", "--set", "pide.t_horizon=0.2"]
 
@@ -81,6 +82,22 @@ class TestSolveCommand:
         assert code == 0
         rows = (out / "u.csv").read_text().splitlines()[1:]
         assert all(row.endswith(",2.5") for row in rows)
+
+    @pytest.mark.parametrize("nx, T", [(201, 0.2), (101, 0.5)])
+    def test_value_file_holds_the_payoff_and_the_value_at_T(self, capsys, tmp_path, nx, T):
+        out = tmp_path / "art"
+        code, _, _ = _run(capsys, "solve", "--out", str(out),
+                          "--set", f"pide.nx={nx}", "--set", f"pide.t_horizon={T}")
+        assert code == 0
+        lines = (out / "u.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * nx
+        assert {line.split(",")[0] for line in lines[1:]} == {"0.0", repr(T)}
+        cfg = parse_config(f"pide.nx = {nx}\npide.t_horizon = {T}\n")
+        fieldU = solve(cfg.field(), cfg.psi(), T, cfg.grid(), cfg["pide"]["cfl_safety"])
+        xs = cfg.grid().xs().tolist()
+        for t, row, block in zip(("0.0", repr(T)), fieldU.values.tolist(),
+                                 (lines[1:1 + nx], lines[1 + nx:])):
+            assert block == [f"{t},{x!r},{v!r}" for x, v in zip(xs, row)]
 
     def test_reruns_are_bit_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -263,16 +280,18 @@ class TestErrorChannels:
         ("transform", ["--set", "transform.family=power", "--set", "transform.thresholds=1e-300"]),
         ("transform", ["--set", "transform.family=power", "--set", "transform.alpha=400"]),
         ("transform", ["--set", "transform.family=power", "--set", "transform.y_abs_min=1e-300"]),
+        ("dpp-check", ["--set", "model.b_hi=1e308"]),
     ], ids=["simulate-seed-flag", "validate-seed-flag", "mc-seed", "audit-seed",
             "no-check-points", "no-thresholds", "power-alpha", "power-c-target",
             "power-c-reference", "mc-dt-overflows", "mc-dt-tiny", "mc-paths-huge",
             "mc-path-steps-over-cap", "mc-path-steps-over-cap-by-dt",
             "power-tails-overflow-at-threshold", "power-tails-overflow-at-probe",
-            "power-tails-overflow-at-mark"])
+            "power-tails-overflow-at-mark", "march-step-underflows"])
     def test_out_of_range_entry_rejected(self, capsys, tmp_path, sub, args):
         # a negative seed or power-law parameter failed at run time, and so did
         # power-law tails overflowing a float; an empty list passed its gate over
-        # nothing; an unbounded Monte Carlo ran for days, or overflowed its step count
+        # nothing; an unbounded Monte Carlo ran for days, or overflowed its step count;
+        # a CFL denominator that overflows gives a zero step, which no march can take
         code, _, err = _run(capsys, sub, "--out", str(tmp_path), *args)
         assert code == 2
         assert err.startswith("CONFIG_INVALID")
@@ -282,31 +301,48 @@ class TestErrorChannels:
         # 1e6 paths x round(1.0 / 1e-3) steps is the cap itself
         parse_config(f"mc.paths = {MC_PATH_STEPS_MAX // 1000}\n").validate()
 
-    def test_solve_timeline_over_the_cap_rejected(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("sub, args", [
+        ("solve", []),
+        ("simulate", ["--set", "mc.paths=400", "--set", "mc.dt=0.01"]),
+        ("fourier-check", []),
+        ("dpp-check", []),
+    ], ids=["solve", "simulate", "fourier-check", "dpp-check"])
+    def test_march_over_the_cap_rejected(self, capsys, tmp_path, monkeypatch, sub, args):
         code, _, _ = _run(capsys, "solve", "--out", str(tmp_path / "a"), *FAST_SOLVE)
         assert code == 0
-        entries = len((tmp_path / "a" / "u.csv").read_text().splitlines()) - 1
+        meta = (tmp_path / "a" / "meta.txt").read_text()
+        n_steps = int(re.search(r"^n_steps = (\d+)$", meta, re.MULTILINE).group(1))
+        node_steps = (n_steps + 1) * 201
         # the cap is inclusive, and checked before the march writes anything
-        monkeypatch.setattr(cli, "SOLVE_ENTRIES_MAX", entries)
-        code, _, _ = _run(capsys, "solve", "--out", str(tmp_path / "b"), *FAST_SOLVE)
+        monkeypatch.setattr(cli, "MARCH_NODE_STEPS_MAX", node_steps)
+        code, _, _ = _run(capsys, sub, "--out", str(tmp_path / "b"), *FAST_SOLVE, *args)
         assert code == 0
-        monkeypatch.setattr(cli, "SOLVE_ENTRIES_MAX", entries - 1)
-        code, _, err = _run(capsys, "solve", "--out", str(tmp_path / "c"), *FAST_SOLVE)
+        monkeypatch.setattr(cli, "MARCH_NODE_STEPS_MAX", node_steps - 1)
+        code, _, err = _run(capsys, sub, "--out", str(tmp_path), *FAST_SOLVE, *args)
         assert code == 2
         assert err.startswith("CONFIG_INVALID")
-        assert list((tmp_path / "c").iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
-    def test_failing_block_worker_is_an_io_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(pide, "open", open_failing_on_descriptors, raising=False)
-        monkeypatch.setattr(_pool, "workers", lambda n: min(2, n))
+    def test_full_disk_is_an_io_error(self, capsys, tmp_path, monkeypatch):
+        class FullDisk(io.TextIOWrapper):
+            """A text file with room for its first write only."""
+
+            room = 1
+
+            def write(self, text):
+                if not self.room:
+                    raise OSError(errno.ENOSPC, "no room for the rows")
+                self.room -= 1
+                return super().write(text)
+
+        monkeypatch.setattr(pide, "open", lambda path, mode: FullDisk(open(path, mode + "b")),
+                            raising=False)
         out = tmp_path / "art"
         code, stdout, err = _run(capsys, "solve", "--out", str(out), *FAST_SOLVE)
         assert code == 2
-        assert err.startswith("IO_ERROR") and "no room for the block" in err
+        assert err.startswith("IO_ERROR") and "no room for the rows" in err
         assert stdout == ""
         assert list(out.iterdir()) == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_malformed_override(self, capsys, tmp_path):
         code, _, err = _run(capsys, "solve", "--out", str(tmp_path),

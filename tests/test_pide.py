@@ -1,12 +1,9 @@
 import dataclasses
-import errno
 import math
-import os
 
 import numpy as np
 import pytest
 
-from sublevy import _pool, pide
 from sublevy.core import ControlGrid, QuadratureError
 from sublevy.kou import GaussianBump, KouSpec, build_field
 from sublevy.pide import (
@@ -19,7 +16,7 @@ from sublevy.pide import (
     solve,
     viscosity_residual,
 )
-from tests.conftest import constant_drift_field, every_step_argmax, open_failing_on_descriptors
+from tests.conftest import constant_drift_field, every_step_argmax
 
 
 @pytest.fixture(scope="module")
@@ -118,33 +115,14 @@ class TestWriteCsv:
         field = constant_drift_field(0.3, sigma=0.5)
         psi = GaussianBump().value
         many = solve(field, psi, 0.3, coarse_grid, every_step=True)
-        # an uneven split: 3 workers get blocks of different sizes
-        assert many.times.size > 3 and many.times.size % 3 != 0
+        assert many.times.size > 3
         return {"timeline": many, "one-row": solve(field, psi, 0.0, coarse_grid)}
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("case", ["timeline", "one-row"])
-    def test_bytes_match_the_serial_formatting(self, monkeypatch, tmp_path, timelines,
-                                               case, workers):
+    def test_bytes_match_the_serial_formatting(self, tmp_path, timelines, case):
         fieldU = timelines[case]
-        monkeypatch.setattr(_pool, "workers", lambda n: min(workers, n))
         fieldU.write_csv(tmp_path / "u.csv")
         assert (tmp_path / "u.csv").read_bytes() == _serial_csv(fieldU)
-        # no scratch file and no worker outlive the call
-        assert [p.name for p in tmp_path.iterdir()] == ["u.csv"]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_a_failing_worker_reaches_the_caller_as_oserror(self, monkeypatch, tmp_path,
-                                                            timelines):
-        monkeypatch.setattr(pide, "open", open_failing_on_descriptors, raising=False)
-        monkeypatch.setattr(_pool, "workers", lambda n: min(2, n))
-        with pytest.raises(OSError, match="no room for the block") as caught:
-            timelines["timeline"].write_csv(tmp_path / "u.csv")
-        assert caught.value.errno == errno.ENOSPC
-        assert [p.name for p in tmp_path.iterdir()] == ["u.csv"]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 class TestCflTimestep:
