@@ -33,8 +33,9 @@ SUBCOMMANDS = ("solve", "simulate", "validate", "fourier-check", "transform", "d
 # run, so a mistyped mc.dt or mc.paths fails at once instead of after days.
 MC_PATH_STEPS_MAX = 10**9
 
-# Largest PIDE march accepted, in (steps + 1) x nx node-steps at pide.cfl_safety:
-# the nx=3201 march (27.4M) fits, and the default run has 290,763.
+# Largest PIDE march accepted, in (steps + 1) x nx node-steps: solve's march at
+# pide.cfl_safety and dpp-check's restart at dpp.restart_safety are each held to
+# it.  The nx=3201 march (27.4M) fits, and the default run has 290,763.
 MARCH_NODE_STEPS_MAX = 3 * 10**7
 
 
@@ -167,18 +168,28 @@ class RunConfig:
             raise ConfigError("audit.sample_budget must be >= 1")
         try:
             # builds the field, so the spec is checked, then its jump quadrature
-            # and the CFL step of its march
+            # and the CFL steps of its marches: solve's, and dpp-check's restart
+            # over the second half of the horizon
             field = self.field()
             field.reference.validate_mass()
-            dt = cfl_timestep(field, self.grid(), p["cfl_safety"])
+            grid = self.grid()
+            marches = [  # (name, span, its safety key, its CFL step)
+                (name, span, key, cfl_timestep(field, grid, value))
+                for name, span, key, value in (
+                    ("the march", p["t_horizon"], "pide.cfl_safety", p["cfl_safety"]),
+                    ("dpp-check's restart march", 0.5 * p["t_horizon"], "dpp.restart_safety",
+                     d["restart_safety"]),
+                )
+            ]
         except (ValueError, QuadratureError) as e:
             raise ConfigError(str(e)) from e
-        # solve's step count; a zero step (an overflowed CFL denominator) never ends
-        steps = p["t_horizon"] / dt if dt > 0 else math.inf
-        if (steps > MARCH_NODE_STEPS_MAX
-                or (max(1, math.ceil(steps - 1e-12)) + 1) * p["nx"] > MARCH_NODE_STEPS_MAX):
-            raise ConfigError(f"the march's (steps + 1) x pide.nx exceeds {MARCH_NODE_STEPS_MAX:.0e} "
-                              "node-steps; lower pide.nx or pide.t_horizon")
+        for name, span, key, dt in marches:
+            # solve's step count; a zero step (an overflowed CFL denominator) never ends
+            steps = span / dt if dt > 0 else math.inf
+            if (steps > MARCH_NODE_STEPS_MAX
+                    or (max(1, math.ceil(steps - 1e-12)) + 1) * p["nx"] > MARCH_NODE_STEPS_MAX):
+                raise ConfigError(f"{name} exceeds {MARCH_NODE_STEPS_MAX:.0e} node-steps, (steps + 1) x "
+                                  f"pide.nx; lower pide.nx or pide.t_horizon, or raise {key}")
 
     def kou_spec(self) -> KouSpec:
         m = self["model"]

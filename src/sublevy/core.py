@@ -256,6 +256,12 @@ class CoefficientField:
     increment ratio per mark; all three are optional and only checked by
     :func:`audit_conditions` when present.  ``state_box`` is the state range
     audits and symbol sups sample from.
+
+    ``control_axes`` optionally declares, as three distinct coordinates of
+    the control point, the one coordinate that alone drives the drift, the
+    one that alone drives the dispersion and the one that alone drives the
+    jump map.  The solver then takes its sup over the controls one axis at
+    a time when the grid holds every combination of the axes' values.
     """
 
     dimension: int
@@ -269,6 +275,7 @@ class CoefficientField:
     declared_bound: float | None = None
     gamma: Callable[[np.ndarray], np.ndarray] | None = None
     state_box: tuple = (-10.0, 10.0)
+    control_axes: tuple | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -276,6 +283,11 @@ class CoefficientField:
         lo, hi = self.state_box
         if not lo < hi:
             raise ValueError("state_box must be a nonempty interval")
+        n_coords = len(self.control_grid.box_lo)
+        if self.control_axes is not None and (
+            tuple(self.control_axes) not in itertools.permutations(range(n_coords), 3)
+        ):
+            raise ValueError("control_axes must name three distinct control coordinates")
 
 
 @dataclasses.dataclass(frozen=True)

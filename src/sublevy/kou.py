@@ -191,7 +191,9 @@ def build_field(
 
     ``control_resolution`` is an int or per-axis (drift, variance,
     intensity) triple.  Axes whose interval is a collapsed constant carry a
-    single grid point; the control has no effect there.
+    single grid point; the control has no effect there.  Control coordinate
+    0 alone drives the drift, 1 the variance and 2 the intensity, which the
+    field declares as its ``control_axes``.
     """
     spec.validate()
     if isinstance(control_resolution, (int, np.integer)):
@@ -241,6 +243,7 @@ def build_field(
         declared_bound=declared_bound,
         gamma=gamma,
         state_box=tuple(state_box),
+        control_axes=(0, 1, 2),
     )
 
 

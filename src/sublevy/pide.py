@@ -11,27 +11,42 @@ is what makes the scheme monotone and the discrete field a semigroup
 (constants preserved, pointwise monotone in the payoff, stable in sup
 norm).
 
-All controls are held as one envelope of (n_controls, nx) coefficient
-arrays, and controls with identical jump tables share one jump term.  The
-route of a term is read from the table's shape (the contract in ``core``):
-a one-row table is state-free and becomes one row of a stacked correlation
-kernel (conv), applied with the other conv rows by one batched FFT per step
-whose length is bounded by the grid, as the taps off the grid are folded
-into edge weights; any other table is interpolated node by node (gather), and a
+The envelope holds every control's operator as rows of coefficients, and
+controls with identical jump tables share one jump term.  The route of a
+term is read from the table's shape (the contract in ``core``): a one-row
+table is state-free and becomes one row of a stacked correlation kernel
+(conv), applied with the other conv rows by one batched FFT per step whose
+length is bounded by the grid, as the taps off the grid are folded into
+edge weights; any other table is interpolated node by node (gather), and a
 zero-mass measure has no jump term at all.  The envelope applies itself
 into buffers it owns and ``solve`` sizes its timeline before it marches,
 so no step allocates a new stack or row.
 
-Each control's operator on w sums cp*dp + cm*dm + jump - mass*w, where cp
-and cm fold the upwind and diffusion weights.  The march takes the max of
-each jump group's stencil rows, adds the group's jump row, takes the max
-over groups and subtracts mass*w once; round-to-nearest ``fl(a + c)`` is
-monotone in a, so this gives the bits of the max of the full sums.
-A march that records the policy forms the full sums instead and takes
-their max and their argmax: within a group, a1 < a2 can round to a tie
-once the group's jump row is added, so only the full sums break ties as
-the per-control operators do.  The record is a ``PolicySchedule``, the
-feedback rule that the Monte Carlo in ``simulate`` runs its paths under.
+A field may declare which control coordinate alone drives the drift, the
+dispersion and the jump map (``CoefficientField.control_axes``, which
+``kou.build_field`` sets).  When its grid holds more than one control and
+every combination of those coordinates' values, control f's operator on w sums ((bp*dp + bm*dm) +
+ca*(dp + dm)) + jump - mass*w, where bp and bm are the upwind weights of
+its effective drift and ca = a / (2 dx^2), and the march takes the sup one
+axis at a time, on rows only:
+
+    max over jump rows g of [(max_b drift_{b,g} + max_a diff_a) + jump_g] - mass*w
+
+with one drift row per (drift value, jump row) pair, as the compensator
+couples the two.  Any other field folds the diffusion into the upwind
+weights, cp*dp + cm*dm + jump - mass*w with one row per control, and the
+march takes the max of each jump group's rows, adds the group's jump row
+and takes the max over groups.  Round-to-nearest ``fl(a + c)`` is monotone
+in a and in c, so either way this gives the bits of the max of the full
+per-control sums; and ``fl(ca * s)`` is monotone in ca for s of either
+sign, so max_a diff_a is the larger of the products of s = dp + dm with
+the pointwise largest and smallest ca, Peng's G-heat nonlinearity,
+whatever the number of variance values.  A march that records the policy
+forms the full sums and takes their max and their argmax: a1 < a2 can
+round to a tie once a shared row is added, so only the full sums break
+ties as the per-control operators do.  The record is a
+``PolicySchedule``, the feedback rule that the Monte Carlo in ``simulate``
+runs its paths under.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.
@@ -281,13 +296,30 @@ def _compensator(field, ktab, weights):
 
 
 class _Envelope:
-    """Every control's spatial operator on one grid, as (n_controls, nx) arrays.
+    """Every control's spatial operator on one grid, held as rows of coefficients.
 
-    ``apply`` and ``sup`` shift u to w = u - u[mid] themselves; each row is
-    linear in w and zero on w = 0, which keeps constants exact.  Controls with
-    byte-identical jump tables share one row of ``_jumps`` (conv rows first),
-    so they tie exactly, and their rows of ``cp`` and ``cm`` are one slice:
-    the rows are held stably sorted by jump row.
+    Each control's operator on w = u - u[mid] is linear in w and zero on
+    w = 0, which keeps constants exact.  Controls with byte-identical jump
+    tables share one row of ``_jumps`` (conv rows first), so they tie
+    exactly.  The rest has one of two layouts:
+
+    * ``per_axis`` (the field declares ``control_axes`` and its grid holds
+      more than one control and every combination of the axes' values):
+      control f applies ((bp*dp +
+      bm*dm) + ca*(dp + dm)) + jump - mass*w, where bp and bm are the
+      upwind weights of its effective drift (drift minus the compensator of
+      its jump table) and ca = a / (2 dx^2).  The envelope holds n_a ``ca``
+      rows and n_b * n_jump drift rows, drift-major, so its size follows
+      the axes' values, not the controls.  A drift row whose drift and
+      compensator are both state-free is upwind on one side only, so it is
+      one product.
+    * otherwise, one row per control of cp = bp + ca and cm = bm + ca,
+      applied as cp*dp + cm*dm + jump - mass*w and held stably sorted by
+      jump row, so that a jump group's rows are one slice.
+
+    ``apply`` forms the (n_controls, nx) stack in control order; ``sup`` is
+    its max over the controls, bit for bit, and when ``per_axis`` never
+    forms it.  The stacks are allocated at the first step that needs them.
     """
 
     def __init__(self, field: CoefficientField, grid: SpatialGrid):
@@ -297,20 +329,42 @@ class _Envelope:
         controls = field.control_grid.points
         quad = field.reference.quadrature
         self.mass = quad.mass
-        b = np.empty((len(controls), nx))
-        a = np.empty_like(b)
-        comp = np.zeros_like(b)
+        axes = field.control_axes
+        keys = [tuple(f[i] for i in axes) for f in controls] if axes is not None else []
+        # every combination of the axes' values is on the grid, and there is more than one
+        # control to split (one control's folded row is the cheaper step): split by axis
+        self.per_axis = len(keys) > 1 and len(set(keys)) == math.prod(map(len, map(set, zip(*keys))))
+        if not self.per_axis:
+            keys = [(i, i, i) for i in range(len(controls))]
+        sources, at = [], []  # per axis: its sources' first controls, each control's source
+        for axis in zip(*keys):
+            first = {}
+            for f, k in zip(controls, axis):
+                first.setdefault(k, f)
+            index = {k: j for j, k in enumerate(first)}
+            sources.append(first.values())
+            at.append([index[k] for k in axis])
+        drift_at, disp_at, jump_at = at
+
+        def source_rows(coefficient, sources):
+            """One row per source, and whether each came back state-free (without a state axis)."""
+            rows = np.empty((len(sources), nx))
+            free = []
+            for row, f in zip(rows, sources):
+                value = coefficient(f, xs)
+                row[:] = value
+                free.append(np.ndim(value) == 0)
+                if not np.all(np.isfinite(row)):
+                    raise ValueError(f"non-finite coefficients at control {f}")
+            return rows, free
+
+        b, free_drift = source_rows(field.drift, sources[0])
+        sig, _ = source_rows(field.dispersion, sources[1])
+        a = sig * sig
         kappas, gathers = [], []
         term_of = {}  # table bytes -> (route, index on that route, compensator)
-        term_at = []  # each control's (route, index)
-        for i, f in enumerate(controls):
-            b[i] = np.asarray(field.drift(f, xs), dtype=float)
-            sig = np.broadcast_to(np.asarray(field.dispersion(f, xs), dtype=float), xs.shape)
-            if not (np.all(np.isfinite(b[i])) and np.all(np.isfinite(sig))):
-                raise ValueError(f"non-finite coefficients at control {f}")
-            a[i] = sig * sig
-            if self.mass == 0.0:
-                continue
+        terms = []  # each jump source's term
+        for f in sources[2] if self.mass != 0.0 else ():
             ktab = _jump_table(field, f, xs)
             if not np.all(np.isfinite(ktab)):
                 raise ValueError(f"non-finite jump map at control {f}")
@@ -323,31 +377,61 @@ class _Envelope:
                 else:
                     term_of[key] = ("gather", len(gathers), ck)
                     gathers.append(_gather_term(ktab, quad.weights, dx, nx))
-            route, k, comp[i] = term_of[key]
-            term_at.append((route, k))
+            terms.append(term_of[key])
         self.routes = sorted({route for route, _, _ in term_of.values()}) or ["none"]
         # with no jump term, one row of zeros: apply still adds 0.0, as it always has
         n_conv = len(kappas)
         self._jumps = np.zeros((max(1, n_conv + len(gathers)), nx))
-        group_of = [(n_conv if r == "gather" else 0) + k for r, k in term_at] or [0] * len(controls)
+        comp = np.zeros_like(self._jumps)
+        group_of = [0] * len(sources[2])
+        for j, (route, k, ck) in enumerate(terms):
+            group_of[j] = (n_conv if route == "gather" else 0) + k
+            comp[group_of[j]] = ck
         self._conv = _ConvBlock(kappas, quad.weights, dx, self._jumps[:n_conv]) if kappas else None
         self._gathers = list(zip(self._jumps[n_conv:], gathers))
-        # Python's stable sort: np.argsort and np.bincount map ~0.5 MB more numpy code into RSS
-        order = sorted(range(len(controls)), key=group_of.__getitem__)
-        self._rank = np.array(sorted(range(len(controls)), key=order.__getitem__))  # its inverse
-        ends = list(itertools.accumulate(map(group_of.count, range(len(self._jumps)))))
-        self._groups = [(slice(lo, hi), row) for lo, hi, row in zip([0, *ends], ends, self._jumps)]
 
-        eff = b - comp
-        diff = a / (2.0 * dx * dx)
-        self.cp = (np.maximum(eff, 0.0) / dx + diff).take(order, axis=0)
-        self.cm = (np.maximum(-eff, 0.0) / dx + diff).take(order, axis=0)
+        jump_rows = [group_of[j] for j in jump_at]
+        # sorted, the pairs of a per-axis field are the (n_b, n_jumps) grid, drift-major,
+        # and those of any other field are its controls, in order
+        pairs = sorted(set(zip(drift_at, jump_rows)))
+        b_of, g_of = (list(v) for v in zip(*pairs))
+        eff = b[b_of] - comp[g_of]
+        bps = np.maximum(eff, 0.0) / dx
+        bms = np.maximum(-eff, 0.0) / dx
+        ca = a / (2.0 * dx * dx)
         # the one CFL denominator; its drift sup uses |drift| + |compensator|
         a_max = float(a.max())
-        b_max = float((np.abs(b) + np.abs(comp)).max())
+        b_max = float((np.abs(b[b_of]) + np.abs(comp[g_of])).max())
         self.denom = a_max / (dx * dx) + b_max / dx + self.mass
-        self._stacks = (np.empty_like(b), np.empty_like(b))
-        self._rows = np.zeros((4, nx))
+        self._rows = np.zeros((6, nx))
+        self._stacks = None  # the (n_controls, nx) buffers, from the first step that needs them
+        if self.per_axis:
+            row_of = {pair: i for i, pair in enumerate(pairs)}
+            self._at = np.array([[row_of[p] for p in zip(drift_at, jump_rows)], disp_at, jump_rows])
+            self._ca = ca
+            # a row of ca*s is monotone in ca, so its max over the rows takes one of these two
+            self._ca_lo = ca.min(axis=0)
+            self._ca_hi = ca.max(axis=0)
+            self._drift = np.empty_like(eff)
+            dp, dm = self._rows[:2]
+            gather_rows = range(n_conv, n_conv + len(gathers))
+            self._upwind = []  # each drift row's (coefficient, difference) terms
+            for bp, bm, (j, g) in zip(bps, bms, pairs):
+                if free_drift[j] and g not in gather_rows:
+                    # a state-free effective drift is upwind on one side only
+                    terms = [(bp[0], dp)] if bp[0] > 0 else [(bm[0], dm)]
+                else:
+                    terms = [(bp, dp), (bm, dm)]
+                self._upwind.append(terms)
+            self._best = np.empty_like(self._jumps)
+        else:
+            # Python's stable sort: np.argsort and np.bincount map ~0.5 MB more numpy code into RSS
+            order = sorted(range(len(controls)), key=jump_rows.__getitem__)
+            self._rank = np.array(sorted(range(len(controls)), key=order.__getitem__))  # its inverse
+            ends = list(itertools.accumulate(map(jump_rows.count, range(len(self._jumps)))))
+            self._groups = [(slice(lo, hi), row) for lo, hi, row in zip([0, *ends], ends, self._jumps)]
+            self.cp = (bps + ca).take(order, axis=0)
+            self.cm = (bms + ca).take(order, axis=0)
 
     def timestep(self, safety: float, dt_max: float) -> float:
         """Stable explicit step safety / denom, capped at ``dt_max``."""
@@ -359,47 +443,92 @@ class _Envelope:
             return float(dt_max)
         return float(min(safety / self.denom, dt_max))
 
-    def _stencil(self, u):
-        """Fill the jump rows; return cp*dp + cm*dm of w = u - u[mid] in group order, and w."""
-        out, tmp = self._stacks
-        dp, dm, _, w = self._rows  # dp[-1] and dm[0] stay 0
+    def _differences(self, u):
+        """Fill the jump rows; return w = u - u[mid] and its upwind differences dp, dm."""
+        dp, dm, _, w = self._rows[:4]  # dp[-1] and dm[0] stay 0
         np.subtract(u, u[u.size // 2], out=w)
         np.subtract(w[1:], w[:-1], out=dp[:-1])
         np.negative(dp[:-1], out=dm[1:])
-        np.multiply(self.cp, dp, out=out)
-        out += np.multiply(self.cm, dm, out=tmp)
         if self._conv is not None:
             self._conv(w)
         for row, term in self._gathers:
             row[:] = term(w)
+        return w, dp, dm
+
+    def _axis_rows(self, u):
+        """Per axis: fill the drift and jump rows; return s = dp + dm and w."""
+        w, dp, dm = self._differences(u)
+        s, tmp = self._rows[2], self._rows[5]
+        np.add(dp, dm, out=s)
+        for row, ((c, d), *rest) in zip(self._drift, self._upwind):
+            np.multiply(c, d, out=row)
+            for c, d in rest:
+                row += np.multiply(c, d, out=tmp)
+        return s, w
+
+    def _control_stack(self, u):
+        """Per control: fill the jump rows; return cp*dp + cm*dm in group order, and w."""
+        w, dp, dm = self._differences(u)
+        if self._stacks is None:
+            self._stacks = np.empty_like(self.cp), np.empty_like(self.cp)
+        out, tmp = self._stacks
+        np.multiply(self.cp, dp, out=out)
+        out += np.multiply(self.cm, dm, out=tmp)
         return out, w
 
     def apply(self, u):
-        """The (n_controls, nx) stack of L_f u, in a buffer the next call overwrites.
-
-        On w = u - u[mid] it sums cp*dp + cm*dm + jump - mass*w in that
-        order, and returns the rows in control order.
-        """
-        out, w = self._stencil(u)
-        for rows, jump in self._groups:
-            out[rows] += jump
-        out -= np.multiply(self.mass, w, out=self._rows[2])
-        # every index is valid; mode="raise" would copy through a buffer
-        return np.take(out, self._rank, axis=0, out=self._stacks[1], mode="clip")
+        """The (n_controls, nx) stack of L_f u, in control order, in a buffer the next call overwrites."""
+        if not self.per_axis:
+            out, w = self._control_stack(u)
+            for rows, jump in self._groups:
+                out[rows] += jump
+            out -= np.multiply(self.mass, w, out=self._rows[4])
+            # every index is valid; mode="raise" would copy through a buffer
+            return np.take(out, self._rank, axis=0, out=self._stacks[1], mode="clip")
+        s, w = self._axis_rows(u)
+        if self._stacks is None:
+            stack = np.empty((self._at.shape[1], u.size))
+            self._stacks = stack, np.empty_like(stack), np.empty_like(self._ca)
+        out, tmp, diff = self._stacks
+        at_drift, at_disp, at_jump = self._at
+        np.take(self._drift, at_drift, axis=0, out=out, mode="clip")
+        np.multiply(self._ca, s, out=diff)
+        out += np.take(diff, at_disp, axis=0, out=tmp, mode="clip")
+        out += np.take(self._jumps, at_jump, axis=0, out=tmp, mode="clip")
+        out -= np.multiply(self.mass, w, out=self._rows[4])
+        return out
 
     def sup(self, u, out):
-        """max_f L_f u into ``out``, group by group: bit for bit ``apply(u).max(axis=0)``."""
-        stack, w = self._stencil(u)
-        best = self._rows[2]
-        (rows, jump), *rest = self._groups
-        np.max(stack[rows], axis=0, out=out)
-        out += jump
-        for rows, jump in rest:
-            np.max(stack[rows], axis=0, out=best)
-            best += jump
-            np.maximum(out, best, out=out)
-        out -= np.multiply(self.mass, w, out=best)
+        """max_f L_f u into ``out``: bit for bit ``apply(u).max(axis=0)``."""
+        tmp = self._rows[5]
+        if not self.per_axis:
+            stack, w = self._control_stack(u)
+            (rows, jump), *rest = self._groups
+            np.max(stack[rows], axis=0, out=out)
+            out += jump
+            for rows, jump in rest:
+                np.max(stack[rows], axis=0, out=tmp)
+                tmp += jump
+                np.maximum(out, tmp, out=out)
+        else:
+            s, w = self._axis_rows(u)
+            diff = self._rows[4]
+            np.multiply(self._ca_hi, s, out=diff)
+            np.maximum(diff, np.multiply(self._ca_lo, s, out=tmp), out=diff)
+            best = _max_rows(self._drift.reshape(-1, *self._best.shape), self._best)  # per jump row
+            best += diff
+            best += self._jumps
+            _max_rows(best, out)
+        out -= np.multiply(self.mass, w, out=tmp)
         return out
+
+
+def _max_rows(rows, out):
+    """Max over the first axis into ``out``, one ``np.maximum`` per row: faster than a reduction."""
+    np.maximum(rows[0], rows[-1], out=out)
+    for row in rows[1:-1]:
+        np.maximum(out, row, out=out)
+    return out
 
 
 def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, dt_max: float = 1.0) -> float:

@@ -323,6 +323,24 @@ class TestErrorChannels:
         assert err.startswith("CONFIG_INVALID")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
+    def test_restart_march_over_the_cap_rejected(self, capsys, tmp_path, monkeypatch):
+        # the cap counted solve's march only, so a small dpp.restart_safety made
+        # dpp-check's restart march over T/2 run without bound
+        args = [*FAST_SOLVE, "--set", "dpp.restart_safety=0.3"]
+        cfg = parse_config("pide.nx = 201\npide.t_horizon = 0.2\n")
+        restart = solve(cfg.field(), cfg.psi(), 0.1, cfg.grid(), 0.3)
+        node_steps = (restart.metadata["n_steps"] + 1) * 201
+        direct = solve(cfg.field(), cfg.psi(), 0.2, cfg.grid(), 0.9)
+        assert (direct.metadata["n_steps"] + 1) * 201 < node_steps - 1
+        monkeypatch.setattr(cli, "MARCH_NODE_STEPS_MAX", node_steps)
+        code, _, _ = _run(capsys, "dpp-check", "--out", str(tmp_path / "a"), *args)
+        assert code == 0
+        monkeypatch.setattr(cli, "MARCH_NODE_STEPS_MAX", node_steps - 1)
+        code, _, err = _run(capsys, "dpp-check", "--out", str(tmp_path), *args)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID") and "restart" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
     def test_full_disk_is_an_io_error(self, capsys, tmp_path, monkeypatch):
         class FullDisk(io.TextIOWrapper):
             """A text file with room for its first write only."""

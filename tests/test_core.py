@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,13 @@ class TestCoefficientField:
                 control_grid=ControlGrid.uniform((0.0,), (0.0,), 1),
                 state_box=(1.0, -1.0),
             )
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 0, 1), (0, 1, 3), (-1, 0, 1)],
+                             ids=["two", "repeated", "out-of-range", "negative"])
+    def test_control_axes_name_three_distinct_coordinates(self, kou_field, axes):
+        assert kou_field.control_axes == (0, 1, 2)
+        with pytest.raises(ValueError, match="control_axes"):
+            dataclasses.replace(kou_field, control_axes=axes)
 
 
 class TestAudit:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -562,6 +563,66 @@ class TestEnvelope:
         assert plain.metadata["routes"] == ["gather"]
         assert abs(float(plain.terminal_value(1.5))
                    - float(aligned.terminal_value(1.5))) <= 1e-2
+
+
+def _without_the_axes(field):
+    return dataclasses.replace(field, control_axes=None)
+
+
+class TestPerAxisLayout:
+    @pytest.mark.parametrize("case", ENVELOPE_CASES)
+    def test_both_layouts_give_one_operator_and_one_step(self, case, kou_spec, degenerate_spec):
+        field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
+        tol = 1e-13 * float(np.max(np.abs(w)))
+        declared = _Envelope(field, grid)
+        per_control = _Envelope(_without_the_axes(field), grid)
+        assert declared.per_axis == (field.control_axes is not None and len(field.control_grid.points) > 1)
+        assert not per_control.per_axis
+        assert declared.routes == per_control.routes
+        assert declared.denom == per_control.denom
+        assert float(np.max(np.abs(declared.apply(w) - per_control.apply(w)))) <= tol
+        got = declared.sup(w, np.empty(grid.nx))
+        assert float(np.max(np.abs(got - per_control.sup(w, np.empty(grid.nx))))) <= tol
+
+    def test_a_grid_that_misses_a_combination_takes_the_per_control_rows(self, kou_spec):
+        field = build_field(kou_spec, 2)
+        full = field.control_grid
+        # (1, 1, 1) dropped: every axis keeps both of its values
+        field = dataclasses.replace(field, control_grid=dataclasses.replace(full, points=full.points[:-1]))
+        grid = SpatialGrid(-10.0, 10.0, 401)
+        xs = grid.xs()
+        w = np.exp(-0.5 * (xs - 0.3) ** 2) + 0.2 * np.tanh(xs)
+        w -= w[grid.nx // 2]
+        env = _Envelope(field, grid)
+        assert not env.per_axis
+        stack = env.apply(w).copy()  # the next call overwrites the buffer
+        assert stack.shape == (7, grid.nx)
+        want = _reference_stack(field, grid, w)
+        assert float(np.max(np.abs(stack - want))) <= 1e-13 * float(np.max(np.abs(w)))
+        got = env.sup(w, np.empty(grid.nx))
+        assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
+
+    def test_rows_grow_with_the_axes_values_not_the_controls(self, kou_spec):
+        field = build_field(kou_spec, (3, 2, 3))
+        env = _Envelope(field, SpatialGrid(-10.0, 10.0, 201))
+        assert env.per_axis
+        assert len(field.control_grid.points) == 18
+        assert env._jumps.shape[0] == 3 and env._drift.shape[0] == 3 * 3
+        assert env._ca.shape[0] == 2
+        assert env._stacks is None  # until the first apply
+
+    def test_cfl_step_does_not_build_per_control_arrays(self, kou_spec):
+        # 1,000 controls: one (controls, nx) array is 6.4 MB, and the step
+        # used to build several of them (58 MB at its peak)
+        field = build_field(kou_spec, 10)
+        grid = SpatialGrid(-10.0, 10.0, 801)
+        tracemalloc.start()
+        try:
+            cfl_timestep(field, grid, 0.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * len(field.control_grid.points) * grid.nx * 8
 
 
 class TestRecordedPolicy:

@@ -1,17 +1,19 @@
 """Randomized invariant checks for the core monotone-scheme guarantees."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sublevy.core import TruncationFunction
+from sublevy.core import TruncationFunction, _jump_table
 from sublevy.generator import gaussian_bump, hamiltonian_G
 from sublevy.generator import TestFunction as GenTestFunction
-from sublevy.kou import clamp_jump, double_exponential_measure
-from sublevy.pide import SpatialGrid, solve
+from sublevy.kou import KouSpec, build_field, clamp_jump, double_exponential_measure
+from sublevy.pide import SpatialGrid, _Envelope, solve
 from sublevy.transform import exponential_tails, quantile_k
+from tests.test_pide import _reference_stack
 
 GRID = SpatialGrid(-8.0, 8.0, 101)
 
@@ -188,3 +190,110 @@ def kou_field_coarse(kou_spec):
     from sublevy.kou import build_field
 
     return build_field(kou_spec, 2, nz=201)
+
+
+def _bound(kind, base, height, center):
+    """A constant bound, or a tent or step of ``height`` on ``base`` at ``center``."""
+    if kind == "constant":
+        return base
+    if kind == "tent":
+        return lambda x: base + height * np.maximum(0.0, 1.0 - np.abs(np.asarray(x) - center))
+    return lambda x: base + height * (np.asarray(x) > center)
+
+
+def _above(bound, gap):
+    """``bound`` + ``gap``: a number for a number, a function for a function."""
+    return (lambda x: bound(x) + gap) if callable(bound) else bound + gap
+
+
+@st.composite
+def _kou_cases(draw, route):
+    """(field, grid, w): a random uncertain Kou field, its jump tables given a state
+    axis as ``route`` says, a grid and a smooth w, 0 at mid."""
+    kinds = st.sampled_from(["constant", "tent", "step"])
+    centers = st.floats(-1.0, 1.0)
+    # drift intervals from collapsed to straddling the compensator (which is about 0)
+    b_lo = _bound(draw(st.sampled_from(["constant", "constant", "tent", "step"])),
+                  draw(st.sampled_from([-0.05, 0.0, -0.2, 0.05])),
+                  draw(st.floats(-0.1, 0.1)), draw(centers))
+    b_hi = _above(b_lo, draw(st.sampled_from([0.1, 0.3, 0.0])))
+    a_lo = _bound(draw(kinds), draw(st.floats(0.0, 0.3)), draw(st.floats(0.0, 0.2)), draw(centers))
+    a_hi = _above(a_lo, draw(st.sampled_from([0.0, 0.05, 0.2])))
+    lam_star = draw(st.floats(1.0, 3.0))
+    lam_floor = 0.5
+    span = lam_star - lam_floor
+    lo, hi = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    hi = draw(st.sampled_from([hi, lo]))  # a collapsed intensity axis, or not
+    base, height = lam_floor + span * lo * 0.5, span * lo * 0.5
+    lam_lo = _bound(draw(st.sampled_from(["constant", "constant", "tent", "step"])),
+                    base, height, draw(centers))
+    # a function lam_lo peaks at base + height
+    lam_hi = min(max(lam_floor + span * hi, base + height), lam_star)
+    if hi == lo and not callable(lam_lo):
+        lam_hi = lam_lo
+    spec = KouSpec(b_lo=b_lo, b_hi=b_hi, a_lo=a_lo, a_hi=a_hi, lam_lo=lam_lo, lam_hi=lam_hi,
+                   lam_star=lam_star, lam_floor=lam_floor)
+    res = tuple(draw(st.sampled_from([2, 3])) for _ in range(3))
+    field = build_field(spec, res, z_cut=draw(st.sampled_from([3.0, 10.0])),
+                        nz=draw(st.sampled_from([101, 201])))
+    # a shift makes the jumps asymmetric, so the compensator is not about 0; on
+    # a table with a state axis it varies with the state, and so does the compensator
+    shift = draw(st.sampled_from([0.0, 0.02, -0.03]))
+    kmap = field.jump_density_map
+    state_axis = {"as-built": lambda f: False, "mixed": lambda f: f[2] > 0.5,
+                  "gather": lambda f: True}[route]
+    field = dataclasses.replace(field, jump_density_map=lambda f, x, z: (
+        kmap(f, x, z) + shift * (1.0 + np.tanh(x)) if state_axis(f) else kmap(f, x, z) + shift))
+    # half-widths down to 1: narrower than the jumps' reach of z_cut
+    half = draw(st.sampled_from([1.0, 2.5, 10.0]))
+    mid = draw(st.floats(-1.0, 1.0))
+    grid = SpatialGrid(mid - half, mid + half, draw(st.integers(21, 121)))
+    xs = grid.xs()
+    w = (draw(st.floats(-2.0, 2.0)) * np.exp(-0.5 * ((xs - draw(centers)) / draw(st.floats(0.5, 2.0))) ** 2)
+         + draw(st.floats(-1.0, 1.0)) * np.tanh(xs - draw(centers)))
+    w -= w[grid.nx // 2]
+    return field, grid, w
+
+
+_ORACLE = settings(max_examples=20, deadline=None, derandomize=True,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestEnvelopeOracle:
+    """The envelope against the per-control formulas, on random uncertain Kou fields."""
+
+    @pytest.mark.parametrize("route", ["as-built", "mixed", "gather"])
+    @_ORACLE
+    @given(data=st.data(), c=st.floats(-5.0, 5.0), lift=st.floats(0.0, 1.0))
+    def test_envelope_matches_the_per_control_formulas(self, route, data, c, lift):
+        field, grid, w = data.draw(_kou_cases(route))
+        env = _Envelope(field, grid)
+        assert env.per_axis == (len(field.control_grid.points) > 1)
+        stack = env.apply(w).copy()
+        scale = float(np.max(np.abs(w)))
+        tol = 1e-13 * scale
+        # sup is the max of the stack, bit for bit
+        got = env.sup(w, np.empty(grid.nx))
+        assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
+        assert float(np.max(np.abs(stack - _reference_stack(field, grid, w)))) <= tol
+        # the route is conv exactly when the table has one row
+        tables = [_jump_table(field, f, grid.xs()) for f in field.control_grid.points]
+        assert env.routes == sorted({"conv" if t.shape[0] == 1 else "gather" for t in tables})
+        # the same field without its declaration: per-control rows, the same operator
+        plain = _Envelope(dataclasses.replace(field, control_axes=None), grid)
+        assert not plain.per_axis and plain.denom == env.denom and plain.routes == env.routes
+        assert float(np.max(np.abs(plain.apply(w) - stack))) <= tol
+        assert float(np.max(np.abs(plain.sup(w, np.empty(grid.nx)) - got))) <= tol
+        dt = env.timestep(0.9, 1.0)
+
+        def step(u):
+            """One step of the march from u, as ``solve`` takes it."""
+            du = env.sup(u, np.empty(grid.nx))
+            du *= dt
+            return u + du
+
+        # one step keeps a constant exactly, and is monotone in the payoff
+        u = np.full(grid.nx, c)
+        assert np.array_equal(step(u), u)
+        bump = lift * np.exp(-((grid.xs() - grid.xs()[grid.nx // 3]) ** 2))
+        assert np.all(step(w + bump) >= step(w) - 1e-13 * (scale + lift))
