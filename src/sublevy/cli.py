@@ -38,6 +38,11 @@ MC_PATH_STEPS_MAX = 10**9
 # it.  The nx=3201 march (27.4M) fits, and the default run has 290,763.
 MARCH_NODE_STEPS_MAX = 3 * 10**7
 
+# Largest control grid accepted.  Its cost grows with the controls: at 1,000,
+# validate takes about 1 s and simulate (400 paths, dt 0.01) about 5 s on 2
+# cores; at 1e6, the audit alone ran for 4 minutes.
+CONTROLS_MAX = 1000
+
 
 class ConfigError(ValueError):
     """Config text failed parsing or semantic validation."""
@@ -126,6 +131,14 @@ class RunConfig:
             raise ConfigError("pide.t_horizon and pide.z_cut must be positive")
         if self["control"]["resolution"] < 1:
             raise ConfigError("control.resolution must be >= 1")
+        # the field's controls, counted before it is built: the resolution on each
+        # axis whose model interval is not collapsed
+        model = self["model"]
+        open_axes = sum(model[f"{k}_lo"] != model[f"{k}_hi"] for k in ("b", "a", "lam"))
+        n_controls = self["control"]["resolution"] ** open_axes
+        if n_controls > CONTROLS_MAX:
+            raise ConfigError(f"control.resolution gives {n_controls} controls, over {CONTROLS_MAX}; "
+                              "lower it or collapse a model interval")
         if self["psi"]["width"] <= 0:
             raise ConfigError("psi.width must be positive")
         m = self["mc"]
@@ -184,8 +197,7 @@ class RunConfig:
         except (ValueError, QuadratureError) as e:
             raise ConfigError(str(e)) from e
         for name, span, key, dt in marches:
-            # solve's step count; a zero step (an overflowed CFL denominator) never ends
-            steps = span / dt if dt > 0 else math.inf
+            steps = span / dt  # solve's step count
             if (steps > MARCH_NODE_STEPS_MAX
                     or (max(1, math.ceil(steps - 1e-12)) + 1) * p["nx"] > MARCH_NODE_STEPS_MAX):
                 raise ConfigError(f"{name} exceeds {MARCH_NODE_STEPS_MAX:.0e} node-steps, (steps + 1) x "

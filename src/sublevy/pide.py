@@ -22,22 +22,24 @@ zero-mass measure has no jump term at all.  The envelope applies itself
 into buffers it owns and ``solve`` sizes its timeline before it marches,
 so no step allocates a new stack or row.
 
-A field may declare which control coordinate alone drives the drift, the
-dispersion and the jump map (``CoefficientField.control_axes``, which
-``kou.build_field`` sets).  When its grid holds more than one control and
-every combination of those coordinates' values, control f's operator on w sums ((bp*dp + bm*dm) +
-ca*(dp + dm)) + jump - mass*w, where bp and bm are the upwind weights of
-its effective drift and ca = a / (2 dx^2), and the march takes the sup one
-axis at a time, on rows only:
+Control f's operator on w sums ((bp*dp + bm*dm) + ca*(dp + dm)) + jump -
+mass*w, where bp and bm are the upwind weights of its effective drift and
+ca = a / (2 dx^2).  The envelope holds one drift row per (jump row, drift
+source) pair, sorted jump-major so that each jump row's drift rows are one
+slice, and the march takes the sup on rows only:
 
     max over jump rows g of [(max_b drift_{b,g} + max_a diff_a) + jump_g] - mass*w
 
-with one drift row per (drift value, jump row) pair, as the compensator
-couples the two.  Any other field folds the diffusion into the upwind
-weights, cp*dp + cm*dm + jump - mass*w with one row per control, and the
-march takes the max of each jump group's rows, adds the group's jump row
-and takes the max over groups.  Round-to-nearest ``fl(a + c)`` is monotone
-in a and in c, so either way this gives the bits of the max of the full
+A field may declare which control coordinate alone drives the drift, the
+dispersion and the jump map (``CoefficientField.control_axes``, which
+``kou.build_field`` sets).  When its grid holds more than one control and
+every combination of those coordinates' values, the drift sources are the
+drift values and the diffusion is held apart, one row of ca per variance
+value; the compensator couples drift and jump, hence one drift row per
+pair.  Any other field has one drift source per control and folds its
+diffusion into the upwind weights, (bp + ca)*dp + (bm + ca)*dm, so that
+max_a diff_a drops out.  Round-to-nearest ``fl(a + c)`` is monotone in a
+and in c, so either way this gives the bits of the max of the full
 per-control sums; and ``fl(ca * s)`` is monotone in ca for s of either
 sign, so max_a diff_a is the larger of the products of s = dp + dm with
 the pointwise largest and smallest ca, Peng's G-heat nonlinearity,
@@ -299,27 +301,27 @@ class _Envelope:
     """Every control's spatial operator on one grid, held as rows of coefficients.
 
     Each control's operator on w = u - u[mid] is linear in w and zero on
-    w = 0, which keeps constants exact.  Controls with byte-identical jump
-    tables share one row of ``_jumps`` (conv rows first), so they tie
-    exactly.  The rest has one of two layouts:
+    w = 0, which keeps constants exact.  Control f applies ((bp*dp + bm*dm)
+    + ca*(dp + dm)) + jump - mass*w, where bp and bm are the upwind weights
+    of its effective drift (drift minus the compensator of its jump table)
+    and ca = a / (2 dx^2).  Controls with byte-identical jump tables share
+    one row of ``_jumps`` (conv rows first), so they tie exactly.  There is
+    one drift row per (jump row, drift source) pair, sorted jump-major, so
+    that each jump row's drift rows are one slice of ``_drift``.
 
-    * ``per_axis`` (the field declares ``control_axes`` and its grid holds
-      more than one control and every combination of the axes' values):
-      control f applies ((bp*dp +
-      bm*dm) + ca*(dp + dm)) + jump - mass*w, where bp and bm are the
-      upwind weights of its effective drift (drift minus the compensator of
-      its jump table) and ca = a / (2 dx^2).  The envelope holds n_a ``ca``
-      rows and n_b * n_jump drift rows, drift-major, so its size follows
-      the axes' values, not the controls.  A drift row whose drift and
-      compensator are both state-free is upwind on one side only, so it is
-      one product.
-    * otherwise, one row per control of cp = bp + ca and cm = bm + ca,
-      applied as cp*dp + cm*dm + jump - mass*w and held stably sorted by
-      jump row, so that a jump group's rows are one slice.
+    ``per_axis`` says that the diffusion is held apart: the field declares
+    ``control_axes`` and its grid holds more than one control and every
+    combination of the axes' values.  Its drift sources are the drift axis's
+    values and the envelope holds n_a ``ca`` rows, so its size follows the
+    axes' values, not the controls; a drift row whose drift and compensator
+    are both state-free is upwind on one side only, so it is one product.
+    Any other field has one drift source per control, so its drift rows are
+    its controls stably sorted by jump row, and folds its diffusion into the
+    upwind weights, (bp + ca)*dp + (bm + ca)*dm, leaving ``_ca`` None.
 
     ``apply`` forms the (n_controls, nx) stack in control order; ``sup`` is
-    its max over the controls, bit for bit, and when ``per_axis`` never
-    forms it.  The stacks are allocated at the first step that needs them.
+    its max over the controls, bit for bit, and never forms it.  The stacks
+    are allocated at the first ``apply``.
     """
 
     def __init__(self, field: CoefficientField, grid: SpatialGrid):
@@ -391,47 +393,45 @@ class _Envelope:
         self._gathers = list(zip(self._jumps[n_conv:], gathers))
 
         jump_rows = [group_of[j] for j in jump_at]
-        # sorted, the pairs of a per-axis field are the (n_b, n_jumps) grid, drift-major,
-        # and those of any other field are its controls, in order
-        pairs = sorted(set(zip(drift_at, jump_rows)))
-        b_of, g_of = (list(v) for v in zip(*pairs))
+        pairs = sorted(set(zip(jump_rows, drift_at)))  # jump-major
+        g_of, b_of = (list(v) for v in zip(*pairs))
+        # the one CFL denominator, checked before the upwind weights divide by dx; its drift
+        # sup uses |drift| + |compensator|
+        b_max = float((np.abs(b[b_of]) + np.abs(comp[g_of])).max())
+        self.denom = float(a.max()) / (dx * dx) + b_max / dx + self.mass
+        if not math.isfinite(self.denom):
+            raise ValueError("the CFL denominator a_max/dx^2 + b_max/dx + jump rate overflows a float")
         eff = b[b_of] - comp[g_of]
         bps = np.maximum(eff, 0.0) / dx
         bms = np.maximum(-eff, 0.0) / dx
         ca = a / (2.0 * dx * dx)
-        # the one CFL denominator; its drift sup uses |drift| + |compensator|
-        a_max = float(a.max())
-        b_max = float((np.abs(b[b_of]) + np.abs(comp[g_of])).max())
-        self.denom = a_max / (dx * dx) + b_max / dx + self.mass
-        self._rows = np.zeros((6, nx))
-        self._stacks = None  # the (n_controls, nx) buffers, from the first step that needs them
         if self.per_axis:
-            row_of = {pair: i for i, pair in enumerate(pairs)}
-            self._at = np.array([[row_of[p] for p in zip(drift_at, jump_rows)], disp_at, jump_rows])
             self._ca = ca
             # a row of ca*s is monotone in ca, so its max over the rows takes one of these two
             self._ca_lo = ca.min(axis=0)
             self._ca_hi = ca.max(axis=0)
-            self._drift = np.empty_like(eff)
-            dp, dm = self._rows[:2]
-            gather_rows = range(n_conv, n_conv + len(gathers))
-            self._upwind = []  # each drift row's (coefficient, difference) terms
-            for bp, bm, (j, g) in zip(bps, bms, pairs):
-                if free_drift[j] and g not in gather_rows:
-                    # a state-free effective drift is upwind on one side only
-                    terms = [(bp[0], dp)] if bp[0] > 0 else [(bm[0], dm)]
-                else:
-                    terms = [(bp, dp), (bm, dm)]
-                self._upwind.append(terms)
-            self._best = np.empty_like(self._jumps)
-        else:
-            # Python's stable sort: np.argsort and np.bincount map ~0.5 MB more numpy code into RSS
-            order = sorted(range(len(controls)), key=jump_rows.__getitem__)
-            self._rank = np.array(sorted(range(len(controls)), key=order.__getitem__))  # its inverse
-            ends = list(itertools.accumulate(map(jump_rows.count, range(len(self._jumps)))))
-            self._groups = [(slice(lo, hi), row) for lo, hi, row in zip([0, *ends], ends, self._jumps)]
-            self.cp = (bps + ca).take(order, axis=0)
-            self.cm = (bms + ca).take(order, axis=0)
+        else:  # one drift row per control: its diffusion folds into the upwind weights
+            bps += ca[b_of]
+            bms += ca[b_of]
+            self._ca = None
+        row_of = {pair: i for i, pair in enumerate(pairs)}
+        self._at = np.array([[row_of[p] for p in zip(jump_rows, drift_at)], disp_at, jump_rows])
+        ends = list(itertools.accumulate(map(g_of.count, range(len(self._jumps)))))
+        self._groups = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+        self._rows = np.zeros((6, nx))
+        dp, dm = self._rows[:2]
+        gather_rows = range(n_conv, n_conv + len(gathers))
+        self._upwind = []  # each drift row's (coefficient, difference) terms
+        for bp, bm, (g, j) in zip(bps, bms, pairs):
+            if self.per_axis and free_drift[j] and g not in gather_rows:
+                # a state-free effective drift is upwind on one side only
+                terms = [(bp[0], dp)] if bp[0] > 0 else [(bm[0], dm)]
+            else:
+                terms = [(bp, dp), (bm, dm)]
+            self._upwind.append(terms)
+        self._drift = np.empty_like(eff)
+        self._best = np.empty_like(self._jumps)
+        self._stacks = None  # the (n_controls, nx) buffers, from the first apply
 
     def timestep(self, safety: float, dt_max: float) -> float:
         """Stable explicit step safety / denom, capped at ``dt_max``."""
@@ -441,11 +441,14 @@ class _Envelope:
             raise ValueError(f"dt_max must be positive, got {dt_max!r}")
         if self.denom == 0.0:
             return float(dt_max)
-        return float(min(safety / self.denom, dt_max))
+        step = min(safety / self.denom, dt_max)
+        if step == 0.0:
+            raise ValueError(f"safety {safety!r} / CFL denominator {self.denom!r} underflows to a zero step")
+        return float(step)
 
-    def _differences(self, u):
-        """Fill the jump rows; return w = u - u[mid] and its upwind differences dp, dm."""
-        dp, dm, _, w = self._rows[:4]  # dp[-1] and dm[0] stay 0
+    def _fill_rows(self, u):
+        """Fill the jump and drift rows; return w = u - u[mid] and s = dp + dm."""
+        dp, dm, s, w, _, tmp = self._rows  # dp[-1] and dm[0] stay 0
         np.subtract(u, u[u.size // 2], out=w)
         np.subtract(w[1:], w[:-1], out=dp[:-1])
         np.negative(dp[:-1], out=dm[1:])
@@ -453,72 +456,41 @@ class _Envelope:
             self._conv(w)
         for row, term in self._gathers:
             row[:] = term(w)
-        return w, dp, dm
-
-    def _axis_rows(self, u):
-        """Per axis: fill the drift and jump rows; return s = dp + dm and w."""
-        w, dp, dm = self._differences(u)
-        s, tmp = self._rows[2], self._rows[5]
-        np.add(dp, dm, out=s)
         for row, ((c, d), *rest) in zip(self._drift, self._upwind):
             np.multiply(c, d, out=row)
             for c, d in rest:
                 row += np.multiply(c, d, out=tmp)
-        return s, w
-
-    def _control_stack(self, u):
-        """Per control: fill the jump rows; return cp*dp + cm*dm in group order, and w."""
-        w, dp, dm = self._differences(u)
-        if self._stacks is None:
-            self._stacks = np.empty_like(self.cp), np.empty_like(self.cp)
-        out, tmp = self._stacks
-        np.multiply(self.cp, dp, out=out)
-        out += np.multiply(self.cm, dm, out=tmp)
-        return out, w
+        return w, np.add(dp, dm, out=s)
 
     def apply(self, u):
         """The (n_controls, nx) stack of L_f u, in control order, in a buffer the next call overwrites."""
-        if not self.per_axis:
-            out, w = self._control_stack(u)
-            for rows, jump in self._groups:
-                out[rows] += jump
-            out -= np.multiply(self.mass, w, out=self._rows[4])
-            # every index is valid; mode="raise" would copy through a buffer
-            return np.take(out, self._rank, axis=0, out=self._stacks[1], mode="clip")
-        s, w = self._axis_rows(u)
+        w, s = self._fill_rows(u)
         if self._stacks is None:
             stack = np.empty((self._at.shape[1], u.size))
-            self._stacks = stack, np.empty_like(stack), np.empty_like(self._ca)
+            self._stacks = stack, np.empty_like(stack), None if self._ca is None else np.empty_like(self._ca)
         out, tmp, diff = self._stacks
         at_drift, at_disp, at_jump = self._at
+        # every index is valid; mode="raise" would copy through a buffer
         np.take(self._drift, at_drift, axis=0, out=out, mode="clip")
-        np.multiply(self._ca, s, out=diff)
-        out += np.take(diff, at_disp, axis=0, out=tmp, mode="clip")
+        if self._ca is not None:
+            np.multiply(self._ca, s, out=diff)
+            out += np.take(diff, at_disp, axis=0, out=tmp, mode="clip")
         out += np.take(self._jumps, at_jump, axis=0, out=tmp, mode="clip")
         out -= np.multiply(self.mass, w, out=self._rows[4])
         return out
 
     def sup(self, u, out):
         """max_f L_f u into ``out``: bit for bit ``apply(u).max(axis=0)``."""
-        tmp = self._rows[5]
-        if not self.per_axis:
-            stack, w = self._control_stack(u)
-            (rows, jump), *rest = self._groups
-            np.max(stack[rows], axis=0, out=out)
-            out += jump
-            for rows, jump in rest:
-                np.max(stack[rows], axis=0, out=tmp)
-                tmp += jump
-                np.maximum(out, tmp, out=out)
-        else:
-            s, w = self._axis_rows(u)
+        w, s = self._fill_rows(u)
+        best, tmp = self._best, self._rows[5]
+        for rows, row in zip(self._groups, best):
+            _max_rows(self._drift[rows], row)
+        if self._ca is not None:
             diff = self._rows[4]
             np.multiply(self._ca_hi, s, out=diff)
-            np.maximum(diff, np.multiply(self._ca_lo, s, out=tmp), out=diff)
-            best = _max_rows(self._drift.reshape(-1, *self._best.shape), self._best)  # per jump row
-            best += diff
-            best += self._jumps
-            _max_rows(best, out)
+            best += np.maximum(diff, np.multiply(self._ca_lo, s, out=tmp), out=diff)
+        best += self._jumps
+        _max_rows(best, out)
         out -= np.multiply(self.mass, w, out=tmp)
         return out
 
@@ -537,7 +509,8 @@ def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, d
     ``a_max`` is the squared-dispersion sup, ``b_max`` the sup of
     |drift| + |jump compensator| over controls and grid nodes, and the jump
     rate is the quadrature mass.  Zero coefficients cap the step at
-    ``dt_max``.
+    ``dt_max``.  A denominator that overflows a float, or a step that
+    underflows to 0, raises ``ValueError``: no explicit step is stable.
     """
     return _Envelope(field, grid).timestep(safety, dt_max)
 

@@ -297,6 +297,26 @@ class TestErrorChannels:
         assert err.startswith("CONFIG_INVALID")
         assert list(tmp_path.iterdir()) == []
 
+    # an uncertain model whose three intervals are open
+    OPEN_AXES = ["model.b_hi=0.15", "model.a_hi=0.3", "model.lam_lo=1.0"]
+
+    def test_control_count_at_the_cap_accepted(self):
+        assert cli.CONTROLS_MAX == 1000
+        entries = [*self.OPEN_AXES, "control.resolution=10", "pide.nx=101"]
+        parse_config("".join(f"{e}\n" for e in entries)).validate()
+
+    @pytest.mark.parametrize("entries", [
+        [*OPEN_AXES, "control.resolution=11"],
+        ["model.b_hi=0.15", "control.resolution=1001"],
+    ], ids=["three-axes", "one-axis"])
+    def test_control_count_over_the_cap_rejected(self, capsys, tmp_path, entries):
+        # the control grid was unbounded: 1e6 controls took minutes to validate
+        args = [a for e in entries for a in ("--set", e)]
+        code, _, err = _run(capsys, "validate", "--out", str(tmp_path), *args)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID") and "controls" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_mc_size_at_the_cap_accepted(self):
         # 1e6 paths x round(1.0 / 1e-3) steps is the cap itself
         parse_config(f"mc.paths = {MC_PATH_STEPS_MAX // 1000}\n").validate()

@@ -172,6 +172,21 @@ class TestCflTimestep:
             with pytest.raises(ValueError, match="dt_max"):
                 solve(field, np.sin, 1.0, coarse_grid, dt_max=math.nan)
 
+    def test_overflowing_denominator_rejected(self, coarse_grid):
+        # b_max / dx overflows to inf, so the step was 0.0 and solve divided by it
+        field = constant_drift_field(1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            cfl_timestep(field, coarse_grid, 0.9)
+        with pytest.raises(ValueError, match="overflows"):
+            solve(field, np.sin, 1.0, coarse_grid)
+
+    def test_step_that_underflows_to_zero_rejected(self, coarse_grid):
+        # a finite denominator over 1 takes the smallest safety to a zero step
+        field = constant_drift_field(1.0, sigma=1.0)
+        with pytest.raises(ValueError, match="zero step"):
+            cfl_timestep(field, coarse_grid, 5e-324)
+        assert cfl_timestep(field, coarse_grid, 1e-300) > 0.0
+
 
 class TestSolve:
     def test_constant_payoff_is_exactly_preserved(self, kou_field):

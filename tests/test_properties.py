@@ -11,7 +11,7 @@ from sublevy.core import TruncationFunction, _jump_table
 from sublevy.generator import gaussian_bump, hamiltonian_G
 from sublevy.generator import TestFunction as GenTestFunction
 from sublevy.kou import KouSpec, build_field, clamp_jump, double_exponential_measure
-from sublevy.pide import SpatialGrid, _Envelope, solve
+from sublevy.pide import SpatialGrid, _Envelope, cfl_timestep, solve
 from sublevy.transform import exponential_tails, quantile_k
 from tests.test_pide import _reference_stack
 
@@ -297,3 +297,18 @@ class TestEnvelopeOracle:
         assert np.array_equal(step(u), u)
         bump = lift * np.exp(-((grid.xs() - grid.xs()[grid.nx // 3]) ** 2))
         assert np.all(step(w + bump) >= step(w) - 1e-13 * (scale + lift))
+
+    @pytest.mark.parametrize("route", ["as-built", "mixed", "gather"])
+    @_ORACLE
+    @given(data=st.data())
+    def test_march_is_the_march_of_the_per_control_rows(self, route, data):
+        field, grid, psi = data.draw(_kou_cases(route))
+        T = 3.0 * cfl_timestep(field, grid, 0.9)  # a few CFL steps
+        declared = solve(field, psi, T, grid)
+        plain = solve(dataclasses.replace(field, control_axes=None), psi, T, grid)
+        assert declared.metadata == plain.metadata
+        tol = 1e-12 * float(np.max(np.abs(psi)))
+        assert float(np.max(np.abs(declared.values - plain.values))) <= tol
+        # recording the policy leaves the values bit for bit
+        recorded = solve(field, psi, T, grid, policy=True)
+        assert np.array_equal(recorded.values.view(np.int64), declared.values.view(np.int64))
