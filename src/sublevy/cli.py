@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Quadrature, QuadratureError, audit_conditions
 from .kou import GaussianBump, KouSpec, LinearKouTriplet, build_field, fourier_reference
-from .pide import SpatialGrid, cfl_timestep, restart, solve
+from .pide import SpatialGrid, _landings, cfl_timestep, restart, solve
 from .simulate import mc_lower_bound
 from .transform import exponential_tails, power_tails, quantile_k, verify_transport
 
@@ -34,8 +34,9 @@ SUBCOMMANDS = ("solve", "simulate", "validate", "fourier-check", "transform", "d
 MC_PATH_STEPS_MAX = 10**9
 
 # Largest PIDE march accepted, in (steps + 1) x nx node-steps: solve's march at
-# pide.cfl_safety and dpp-check's restart at dpp.restart_safety are each held to
-# it.  The nx=3201 march (27.4M) fits, and the default run has 290,763.
+# pide.cfl_safety, counted with dpp-check's landing at T/2, and dpp-check's
+# restart at dpp.restart_safety are each held to it.  The nx=3201 march (27.4M)
+# fits, and the default run has 290,763.
 MARCH_NODE_STEPS_MAX = 3 * 10**7
 
 # Largest control grid accepted.  Its cost grows with the controls: at 1,000,
@@ -181,25 +182,29 @@ class RunConfig:
             raise ConfigError("audit.sample_budget must be >= 1")
         try:
             # builds the field, so the spec is checked, then its jump quadrature
-            # and the CFL steps of its marches: solve's, and dpp-check's restart
-            # over the second half of the horizon
+            # and the CFL steps of its marches: solve's, landing at T/2 as
+            # dpp-check's direct solve does (never fewer steps than without),
+            # and dpp-check's restart over the second half of the horizon
             field = self.field()
             field.reference.validate_mass()
             grid = self.grid()
-            marches = [  # (name, span, its safety key, its CFL step)
-                (name, span, key, cfl_timestep(field, grid, value))
-                for name, span, key, value in (
-                    ("the march", p["t_horizon"], "pide.cfl_safety", p["cfl_safety"]),
-                    ("dpp-check's restart march", 0.5 * p["t_horizon"], "dpp.restart_safety",
+            T = p["t_horizon"]
+            marches = [  # (name, horizon, checkpoints, its safety key, its CFL step)
+                (name, horizon, stops, key, cfl_timestep(field, grid, value))
+                for name, horizon, stops, key, value in (
+                    ("the march", T, (0.5 * T,), "pide.cfl_safety", p["cfl_safety"]),
+                    ("dpp-check's restart march", 0.5 * T, (), "dpp.restart_safety",
                      d["restart_safety"]),
                 )
             ]
         except (ValueError, QuadratureError) as e:
             raise ConfigError(str(e)) from e
-        for name, span, key, dt in marches:
-            steps = span / dt  # solve's step count
-            if (steps > MARCH_NODE_STEPS_MAX
-                    or (max(1, math.ceil(steps - 1e-12)) + 1) * p["nx"] > MARCH_NODE_STEPS_MAX):
+        for name, horizon, stops, key, dt in marches:
+            # solve's step count; a horizon over the cap in steps is rejected before
+            # the count, whose ceil would overflow at an infinite ratio
+            if (horizon / dt > MARCH_NODE_STEPS_MAX
+                    or (sum(n for _, n in _landings(horizon, stops, dt)) + 1) * p["nx"]
+                    > MARCH_NODE_STEPS_MAX):
                 raise ConfigError(f"{name} exceeds {MARCH_NODE_STEPS_MAX:.0e} node-steps, (steps + 1) x "
                                   f"pide.nx; lower pide.nx or pide.t_horizon, or raise {key}")
 

@@ -14,7 +14,9 @@ marks (pass ``x[:, None]`` and ``z[None, :]`` for a full table).  A result
 that comes back without a state axis (a number for drift or dispersion,
 a single row for the jump table) declares that coefficient state-free.
 The solver (its jump route), the Monte Carlo and the audit all rely on
-this, and read jump tables only through ``_jump_table``, which keeps it.
+this.  Every layer reads a control's coefficients on the quadrature nodes
+through ``_coefficients``, the one reader: it keeps that shape and raises
+``AuditError`` on a value that is not finite.
 """
 
 from __future__ import annotations
@@ -315,17 +317,32 @@ class ConditionAudit:
         return self.sup_drift_dispersion + self.sup_jump_moment
 
 
-def _coeff_pair(field, f, xs):
-    b = np.broadcast_to(np.asarray(field.drift(f, xs), dtype=float), np.shape(xs))
-    s = np.broadcast_to(np.asarray(field.dispersion(f, xs), dtype=float), np.shape(xs))
-    return b, s
-
-
 def _jump_table(field, f, x):
     """Jump sizes at states x (rows) and quadrature nodes; one row if the map is state-free."""
     nodes = field.reference.quadrature.nodes
     k = np.asarray(field.jump_density_map(f, x[:, None], nodes[None, :]), dtype=float)
     return np.broadcast_to(k, np.broadcast_shapes(k.shape, (1, nodes.size)))
+
+
+def _coefficients(field, f, x):
+    """Control f's (drift, dispersion, jump table) at the 1-d states x, as the model returns them.
+
+    A value without a state axis declares its coefficient state-free.  A
+    value that is not finite raises ``AuditError`` naming the coefficient,
+    the control and, when the value has a state axis, the first bad state.
+    """
+    values = (
+        np.asarray(field.drift(f, x), dtype=float),
+        np.asarray(field.dispersion(f, x), dtype=float),
+        _jump_table(field, f, x),
+    )
+    for name, v in zip(("drift", "dispersion", "jump map"), values):
+        if not np.all(np.isfinite(v)):
+            where = f"non-finite {name} at control {f}"
+            if v.ndim and v.shape[0] == x.size:
+                where += f", state {x[np.argwhere(~np.isfinite(v))[0][0]]}"
+            raise AuditError(where)
+    return values
 
 
 def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int) -> ConditionAudit:
@@ -369,19 +386,16 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
         if len(violations) < 50:
             violations.append((kind, witness))
 
+    def read(f, states):
+        """Control f's drift, dispersion and jump table, broadcast to the states."""
+        b, s, kappa = _coefficients(field, f, states)
+        n = states.size
+        return np.broadcast_to(b, n), np.broadcast_to(s, n), np.broadcast_to(kappa, (n, nodes.size))
+
     for f in grid.points:
-        b, s = _coeff_pair(field, f, xs)
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(s))):
-            raise AuditError(f"non-finite drift/dispersion at control {f}")
+        b, s, kappa = read(f, xs)
         mag = np.abs(b) + np.abs(s)
         sup_bs = max(sup_bs, float(mag.max()))
-
-        kappa = np.broadcast_to(_jump_table(field, f, xs), (xs.size, nodes.size))
-        if not np.all(np.isfinite(kappa)):
-            bad = np.argwhere(~np.isfinite(kappa))[0]
-            raise AuditError(
-                f"non-finite jump map at control {f}, state {xs[bad[0]]}, mark {nodes[bad[1]]}"
-            )
         jm = (np.minimum(kappa * kappa, 1.0) * weights).sum(axis=1)
         sup_jump = max(sup_jump, float(jm.max()))
         beta_nodes = np.maximum(beta_nodes, np.abs(kappa).max(axis=0))
@@ -405,7 +419,7 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
             ok = dx > 1e-12
             if not ok.any():
                 continue
-            b2, s2 = _coeff_pair(field, f, ys)
+            b2, s2, kappa2 = read(f, ys)
             ratios = (np.abs(b - b2) + np.abs(s - s2))[ok] / dx[ok]
             rmax = float(ratios.max())
             lip_est = max(lip_est, rmax)
@@ -417,7 +431,6 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
                     "drift-dispersion-lipschitz",
                     (f, float(xs[i]), float(ys[i]), rmax),
                 )
-            kappa2 = _jump_table(field, f, ys)
             inc = np.abs(kappa - kappa2)[ok] / dx[ok, None]
             gamma_nodes = np.maximum(gamma_nodes, inc.max(axis=0))
             if gamma_declared is not None:
@@ -514,7 +527,7 @@ def pushforward_tail(field: CoefficientField, f, x, threshold: float) -> float:
         raise ValueError("threshold must be nonzero")
     measure = field.reference
     nodes = measure.quadrature.nodes
-    kappa = _jump_table(field, f, np.array([x], dtype=float))[0]
+    kappa = _coefficients(field, f, np.array([x], dtype=float))[2][0]
     if threshold > 0:
         ind = kappa >= threshold
     else:

@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .core import CoefficientField, _jump_table
+from .core import CoefficientField, _coefficients
 
 __all__ = [
     "TestFunction",
@@ -97,6 +97,12 @@ def gaussian_bump(amplitude: float = 1.0, center: float = 0.0, width: float = 1.
     )
 
 
+def _point(field, f, x):
+    """Control f's drift, dispersion and jump row at the one state x, checked finite."""
+    b, sig, kappa = _coefficients(field, f, np.array([float(x)]))
+    return b.item(0), sig.item(0), kappa[0]
+
+
 def apply_generator(
     field: CoefficientField,
     f,
@@ -112,17 +118,10 @@ def apply_generator(
     and the measure mass outside the window.
     """
     x = float(x)
-    b = float(np.asarray(field.drift(f, x), dtype=float))
-    sig = float(np.asarray(field.dispersion(f, x), dtype=float))
-    if not (math.isfinite(b) and math.isfinite(sig)):
-        raise ValueError(f"non-finite coefficients at control {f}, x {x}")
+    b, sig, kappa = _point(field, f, x)
     g = float(np.asarray(phi.gradient(x), dtype=float))
     hess = float(np.asarray(phi.hessian(x), dtype=float))
     quad = field.reference.quadrature
-    kappa = _jump_table(field, f, np.array([x]))[0]
-    if not np.all(np.isfinite(kappa)):
-        bad = quad.nodes[~np.isfinite(kappa)][0]
-        raise ValueError(f"non-finite jump size at control {f}, x {x}, mark {bad}")
     h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
     phi_x = float(np.asarray(phi.value(x), dtype=float))
     incr = np.asarray(phi.value(x + kappa), dtype=float) - phi_x - g * h
@@ -150,14 +149,11 @@ def hamiltonian_G(field: CoefficientField, phi: TestFunction, x: float):
 
 def symbol(field: CoefficientField, f, x: float, xi):
     """Fourier multiplier of the one-control generator at state x."""
-    x = float(x)
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     xv = np.atleast_1d(xi_arr)
-    b = float(np.asarray(field.drift(f, x), dtype=float))
-    sig = float(np.asarray(field.dispersion(f, x), dtype=float))
+    b, sig, kappa = _point(field, f, x)
     quad = field.reference.quadrature
-    kappa = _jump_table(field, f, np.array([x]))[0]
     h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
     term = (
         1.0
@@ -206,9 +202,8 @@ def drift_correction(field: CoefficientField, f, x: float, gamma=None) -> float:
     contribute -h(kappa).  ``gamma`` defaults to the field's majorant, then
     to |z|.
     """
-    x = float(x)
     quad = field.reference.quadrature
-    kappa = _jump_table(field, f, np.array([x]))[0]
+    kappa = _point(field, f, x)[2]
     h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
     if gamma is None:
         gamma = field.gamma

@@ -20,7 +20,8 @@ length is bounded by the grid, as the taps off the grid are folded into
 edge weights; any other table is interpolated node by node (gather), and a
 zero-mass measure has no jump term at all.  The envelope applies itself
 into buffers it owns and ``solve`` sizes its timeline before it marches,
-so no step allocates a new stack or row.
+so no step allocates a new stack or row, except on the gather route: each
+gather term forms (nx, nz) temporaries and a new row at every step.
 
 Control f's operator on w sums ((bp*dp + bm*dm) + ca*(dp + dm)) + jump -
 mass*w, where bp and bm are the upwind weights of its effective drift and
@@ -62,7 +63,7 @@ import math
 
 import numpy as np
 
-from .core import CoefficientField, _jump_table
+from .core import CoefficientField, _coefficients
 
 __all__ = [
     "PolicySchedule",
@@ -304,10 +305,13 @@ class _Envelope:
     w = 0, which keeps constants exact.  Control f applies ((bp*dp + bm*dm)
     + ca*(dp + dm)) + jump - mass*w, where bp and bm are the upwind weights
     of its effective drift (drift minus the compensator of its jump table)
-    and ca = a / (2 dx^2).  Controls with byte-identical jump tables share
-    one row of ``_jumps`` (conv rows first), so they tie exactly.  There is
-    one drift row per (jump row, drift source) pair, sorted jump-major, so
-    that each jump row's drift rows are one slice of ``_drift``.
+    and ca = a / (2 dx^2).  Each source control is read once, through
+    ``core._coefficients``, and the envelope keeps one list of the distinct
+    jump tables, by their bytes, one-row (conv) tables first: each is one
+    row of ``_jumps``, so controls with byte-identical tables share it and
+    tie exactly.  There is one drift row per (jump row, drift source) pair,
+    sorted jump-major, so that each jump row's drift rows are one slice of
+    ``_drift``.
 
     ``per_axis`` says that the diffusion is held apart: the field declares
     ``control_axes`` and its grid holds more than one control and every
@@ -338,61 +342,41 @@ class _Envelope:
         self.per_axis = len(keys) > 1 and len(set(keys)) == math.prod(map(len, map(set, zip(*keys))))
         if not self.per_axis:
             keys = [(i, i, i) for i in range(len(controls))]
-        sources, at = [], []  # per axis: its sources' first controls, each control's source
-        for axis in zip(*keys):
-            first = {}
-            for f, k in zip(controls, axis):
-                first.setdefault(k, f)
-            index = {k: j for j, k in enumerate(first)}
-            sources.append(first.values())
-            at.append([index[k] for k in axis])
-        drift_at, disp_at, jump_at = at
-
-        def source_rows(coefficient, sources):
-            """One row per source, and whether each came back state-free (without a state axis)."""
-            rows = np.empty((len(sources), nx))
-            free = []
-            for row, f in zip(rows, sources):
-                value = coefficient(f, xs)
-                row[:] = value
-                free.append(np.ndim(value) == 0)
-                if not np.all(np.isfinite(row)):
-                    raise ValueError(f"non-finite coefficients at control {f}")
-            return rows, free
-
-        b, free_drift = source_rows(field.drift, sources[0])
-        sig, _ = source_rows(field.dispersion, sources[1])
+        # read each source control once: the first control with each value of an axis
+        firsts = ({}, {}, {})  # per axis: each value's source index, first seen first
+        drifts, disps, jump_of = [], [], []  # per source: its drift, dispersion, jump table
+        tables = {}  # each distinct jump table, by its bytes, first seen first
+        for f, key in zip(controls, keys):
+            new = [k not in first for k, first in zip(key, firsts)]
+            if not any(new):
+                continue
+            drift, disp, ktab = _coefficients(field, f, xs)
+            for k, first in zip(key, firsts):
+                first.setdefault(k, len(first))
+            if new[0]:
+                drifts.append(drift)
+            if new[1]:
+                disps.append(disp)
+            if new[2] and self.mass != 0.0:
+                jump_of.append(tables.setdefault(ktab.tobytes(), ktab))
+        drift_at, disp_at, jump_at = ([first[k] for k in ax] for first, ax in zip(firsts, zip(*keys)))
+        b = np.array([np.broadcast_to(v, xs.shape) for v in drifts])
+        sig = np.array([np.broadcast_to(v, xs.shape) for v in disps])
         a = sig * sig
-        kappas, gathers = [], []
-        term_of = {}  # table bytes -> (route, index on that route, compensator)
-        terms = []  # each jump source's term
-        for f in sources[2] if self.mass != 0.0 else ():
-            ktab = _jump_table(field, f, xs)
-            if not np.all(np.isfinite(ktab)):
-                raise ValueError(f"non-finite jump map at control {f}")
-            key = ktab.tobytes()
-            if key not in term_of:
-                ck = _compensator(field, ktab, quad.weights)
-                if ktab.shape[0] == 1:
-                    term_of[key] = ("conv", len(kappas), ck)
-                    kappas.append(ktab[0])
-                else:
-                    term_of[key] = ("gather", len(gathers), ck)
-                    gathers.append(_gather_term(ktab, quad.weights, dx, nx))
-            terms.append(term_of[key])
-        self.routes = sorted({route for route, _, _ in term_of.values()}) or ["none"]
+        kappas = sorted(tables.values(), key=lambda t: len(t) > 1)  # conv (one-row) tables first
+        n_conv = sum(len(t) == 1 for t in kappas)
+        self.routes = sorted({"conv" if len(t) == 1 else "gather" for t in kappas}) or ["none"]
         # with no jump term, one row of zeros: apply still adds 0.0, as it always has
-        n_conv = len(kappas)
-        self._jumps = np.zeros((max(1, n_conv + len(gathers)), nx))
+        self._jumps = np.zeros((max(1, len(kappas)), nx))
         comp = np.zeros_like(self._jumps)
-        group_of = [0] * len(sources[2])
-        for j, (route, k, ck) in enumerate(terms):
-            group_of[j] = (n_conv if route == "gather" else 0) + k
-            comp[group_of[j]] = ck
-        self._conv = _ConvBlock(kappas, quad.weights, dx, self._jumps[:n_conv]) if kappas else None
-        self._gathers = list(zip(self._jumps[n_conv:], gathers))
-
-        jump_rows = [group_of[j] for j in jump_at]
+        for row, ktab in zip(comp, kappas):
+            row[:] = _compensator(field, ktab, quad.weights)
+        conv = [t[0] for t in kappas[:n_conv]]
+        self._conv = _ConvBlock(conv, quad.weights, dx, self._jumps[:n_conv]) if conv else None
+        self._gathers = [(row, _gather_term(t, quad.weights, dx, nx))
+                         for row, t in zip(self._jumps[n_conv:], kappas[n_conv:])]
+        row_of_table = {id(t): i for i, t in enumerate(kappas)}
+        jump_rows = [row_of_table[id(jump_of[j])] for j in jump_at] if kappas else [0] * len(controls)
         pairs = sorted(set(zip(jump_rows, drift_at)))  # jump-major
         g_of, b_of = (list(v) for v in zip(*pairs))
         # the one CFL denominator, checked before the upwind weights divide by dx; its drift
@@ -420,10 +404,9 @@ class _Envelope:
         self._groups = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
         self._rows = np.zeros((6, nx))
         dp, dm = self._rows[:2]
-        gather_rows = range(n_conv, n_conv + len(gathers))
         self._upwind = []  # each drift row's (coefficient, difference) terms
         for bp, bm, (g, j) in zip(bps, bms, pairs):
-            if self.per_axis and free_drift[j] and g not in gather_rows:
+            if self.per_axis and np.ndim(drifts[j]) == 0 and g not in range(n_conv, len(kappas)):
                 # a state-free effective drift is upwind on one side only
                 terms = [(bp[0], dp)] if bp[0] > 0 else [(bm[0], dm)]
             else:
@@ -515,6 +498,14 @@ def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, d
     return _Envelope(field, grid).timestep(safety, dt_max)
 
 
+def _landings(T, checkpoints, dt):
+    """Solve's schedule: each time in (0, T] it lands on, in order, and its steps of at most dt to it."""
+    t = 0.0
+    for target in sorted({c for c in (*checkpoints, float(T)) if 0.0 < c <= T}):
+        yield target, max(1, math.ceil((target - t) / dt - 1e-12))
+        t = target
+
+
 def solve(
     field: CoefficientField,
     psi,
@@ -554,14 +545,12 @@ def solve(
     dt = env.timestep(safety, dt_max)
     psi_sup = float(np.max(np.abs(u)))
 
-    targets = sorted({c for c in (*checkpoints, float(T)) if 0.0 < c <= T})
     times = [0.0]
     sub_dts = []  # sub_dts[k - 1] is the step that ends at times[k]
     landed = []
     t = 0.0
-    for target in targets:
+    for target, n_sub in _landings(T, checkpoints, dt):
         span = target - t
-        n_sub = max(1, math.ceil(span / dt - 1e-12))
         sub_dt = span / n_sub
         if sub_dt > dt * (1.0 + 1e-9):
             raise RuntimeError(

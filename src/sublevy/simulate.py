@@ -37,8 +37,8 @@ import math
 
 import numpy as np
 
-from . import _pool
-from .core import CoefficientField, _jump_table
+from . import _pool, core
+from .core import CoefficientField
 from .pide import PolicySchedule, ValueField, _compensator
 
 __all__ = [
@@ -71,12 +71,12 @@ def _coefficients(field, f, x):
 
     Results are not broadcast to x's shape: by the broadcasting contract of
     the coefficient callables, one that comes back without a state axis
-    does not vary with the state.
+    does not vary with the state.  They are read through
+    ``core._coefficients``, so a value that is not finite raises
+    ``AuditError`` here.
     """
-    b = np.asarray(field.drift(f, x), dtype=float)
-    s = np.asarray(field.dispersion(f, x), dtype=float)
+    b, s, ktab = core._coefficients(field, f, x)
     if field.reference.total_mass > 0:
-        ktab = _jump_table(field, f, x)
         b = b - _compensator(field, ktab, field.reference.quadrature.weights)
     return b, s
 

@@ -361,6 +361,24 @@ class TestErrorChannels:
         assert err.startswith("CONFIG_INVALID") and "restart" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
 
+    def test_march_counted_with_the_landing_at_half_horizon(self, capsys, tmp_path, monkeypatch):
+        # the cap counted solve's march over T in one span, but dpp-check's direct
+        # solve lands at T/2, which here takes one step more
+        args = ["--set", "pide.nx=201", "--set", "pide.t_horizon=0.25"]
+        cfg = parse_config("pide.nx = 201\npide.t_horizon = 0.25\n")
+        plain = solve(cfg.field(), cfg.psi(), 0.25, cfg.grid(), 0.9)
+        landed = solve(cfg.field(), cfg.psi(), 0.25, cfg.grid(), 0.9, checkpoints=(0.125,))
+        assert landed.metadata["n_steps"] == plain.metadata["n_steps"] + 1
+        node_steps = (landed.metadata["n_steps"] + 1) * 201
+        monkeypatch.setattr(cli, "MARCH_NODE_STEPS_MAX", node_steps)
+        code, _, _ = _run(capsys, "dpp-check", "--out", str(tmp_path / "a"), *args)
+        assert code == 0
+        monkeypatch.setattr(cli, "MARCH_NODE_STEPS_MAX", node_steps - 1)
+        code, _, err = _run(capsys, "dpp-check", "--out", str(tmp_path), *args)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID") and "the march" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
     def test_full_disk_is_an_io_error(self, capsys, tmp_path, monkeypatch):
         class FullDisk(io.TextIOWrapper):
             """A text file with room for its first write only."""

@@ -208,6 +208,22 @@ class TestAudit:
         with pytest.raises(AuditError):
             audit_conditions(field, 32, 0)
 
+    def test_non_finite_drift_at_a_partner_state_detected(self):
+        # the partner states were read unchecked: this drift, nan beyond x = 9, passed
+        # with a Lipschitz estimate of 0.0 from the state 0.236 and its partner 9.009
+        field = CoefficientField(
+            dimension=1,
+            drift=lambda f, x: np.where(np.asarray(x) > 9.0, np.nan, 0.0),
+            dispersion=lambda f, x: 0.0 * np.asarray(x, dtype=float),
+            jump_density_map=lambda f, x, z: 0.0 * (np.asarray(x) + np.asarray(z)),
+            reference=zero_jump_measure(),
+            truncation=TruncationFunction.clip(),
+            control_grid=ControlGrid.uniform((0.0,), (0.0,), 1),
+            declared_lipschitz=0.0,
+        )
+        with pytest.raises(AuditError, match=r"non-finite drift at control \(0\.0,\), state 9\.009"):
+            audit_conditions(field, 1, 1)
+
     def test_lipschitz_violation_recorded(self):
         field = CoefficientField(
             dimension=1,
@@ -292,6 +308,17 @@ class TestPushforwardTail:
         f = field.control_grid.points[0]
         got = pushforward_tail(field, f, 0.0, 1.0)
         assert got == pytest.approx(0.36787944117144233, abs=1e-10)
+
+    def test_non_finite_jump_map_rejected(self):
+        # a nan jump size failed both indicator tests, so the tail read 0.0
+        spec = KouSpec(b_lo=0.0, b_hi=0.0, a_lo=0.0, a_hi=0.0,
+                       lam_lo=2.0, lam_hi=2.0, lam_star=2.0, lam_floor=0.5)
+        field = dataclasses.replace(
+            build_field(spec, 1),
+            jump_density_map=lambda f, x, z: np.where(np.asarray(z) > 0, np.nan, z) + 0.0 * x,
+        )
+        with pytest.raises(AuditError, match="non-finite jump map"):
+            pushforward_tail(field, field.control_grid.points[0], 0.0, 0.5)
 
     def test_far_threshold_gives_zero(self, kou_field):
         f = kou_field.control_grid.points[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sublevy.core import (
+    AuditError,
     CoefficientField,
     ControlGrid,
     TruncationFunction,
@@ -199,8 +200,18 @@ class TestSymbol:
         assert arr.shape == (2,)
         assert arr[0] == pytest.approx(symbol(kou_field, f, 0.0, 0.2))
 
+    def test_non_finite_drift_rejected(self):
+        # the drift was read unchecked, so the symbol came back nan+nanj
+        with pytest.raises(AuditError, match="non-finite drift"):
+            symbol(constant_drift_field(np.nan), (0.0,), 0.0, 1.0)
+
 
 class TestSmallSymbolSup:
+    def test_non_finite_drift_rejected(self):
+        # max(0.0, nan) is 0.0, so a nan drift gave a sup of 0.0: a certificate on garbage
+        with pytest.raises(AuditError, match="non-finite drift"):
+            small_symbol_sup(constant_drift_field(np.nan), 0.5)
+
     def test_zero_coefficients_give_zero(self):
         field = constant_drift_field(0.0)
         assert small_symbol_sup(field, 0.5) == pytest.approx(0.0, abs=1e-15)
