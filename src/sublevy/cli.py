@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Quadrature, QuadratureError, audit_conditions
 from .kou import GaussianBump, KouSpec, LinearKouTriplet, build_field, fourier_reference
-from .pide import SpatialGrid, _landings, cfl_timestep, restart, solve
+from .pide import SpatialGrid, _Envelope, _landings, restart, solve
 from .simulate import mc_lower_bound
 from .transform import exponential_tails, power_tails, quantile_k, verify_transport
 
@@ -43,6 +43,20 @@ MARCH_NODE_STEPS_MAX = 3 * 10**7
 # validate takes about 1 s and simulate (400 paths, dt 0.01) about 5 s on 2
 # cores; at 1e6, the audit alone ran for 4 minutes.
 CONTROLS_MAX = 1000
+
+# Largest audit table accepted, in audit.sample_budget x pide.nz entries: the
+# audit forms (budget, nodes) arrays, and validate's peak resident size grows
+# with their product, to about 190 MiB at the cap (37 MiB at the default
+# 64 x 401).
+AUDIT_TABLE_MAX = 4 * 10**6
+
+# Largest fourier.n_xi accepted: fourier-check holds about 79 B per frequency,
+# 100 MiB at the cap (31 MiB at the default 4,097).
+FOURIER_N_XI_MAX = 10**6
+
+# Largest transform.n_points accepted: each point pays for two quantile
+# bisections: the transform run takes 0.3-0.6 s at the cap (default 41).
+TRANSFORM_POINTS_MAX = 10**4
 
 
 class ConfigError(ValueError):
@@ -155,6 +169,8 @@ class RunConfig:
         f = self["fourier"]
         if f["n_xi"] < 3 or f["tolerance"] <= 0 or f["xi_max"] < 0:
             raise ConfigError("fourier section out of range")
+        if f["n_xi"] > FOURIER_N_XI_MAX:
+            raise ConfigError(f"fourier.n_xi is {f['n_xi']}, over {FOURIER_N_XI_MAX:.0e}")
         if not f["check_points"]:
             raise ConfigError("fourier.check_points must name at least one point")
         d = self["dpp"]
@@ -163,6 +179,8 @@ class RunConfig:
         t = self["transform"]
         if t["n_points"] < 1 or t["tol"] <= 0 or t["tolerance"] <= 0 or t["z_max"] <= 0:
             raise ConfigError("transform section out of range")
+        if t["n_points"] > TRANSFORM_POINTS_MAX:
+            raise ConfigError(f"transform.n_points is {t['n_points']}, over {TRANSFORM_POINTS_MAX:.0e}")
         if not 0 < t["y_abs_min"] < t["y_abs_max"]:
             raise ConfigError("need 0 < transform.y_abs_min < transform.y_abs_max")
         if not t["thresholds"] or any(v == 0 for v in t["thresholds"]):
@@ -180,17 +198,19 @@ class RunConfig:
                 raise ConfigError(f"power-law tails c * |z|**-alpha overflow at z = {z!r}")
         if self["audit"]["sample_budget"] < 1:
             raise ConfigError("audit.sample_budget must be >= 1")
+        if self["audit"]["sample_budget"] * p["nz"] > AUDIT_TABLE_MAX:
+            raise ConfigError(f"audit.sample_budget x pide.nz exceeds {AUDIT_TABLE_MAX:.0e}; lower either")
         try:
-            # builds the field, so the spec is checked, then its jump quadrature
-            # and the CFL steps of its marches: solve's, landing at T/2 as
-            # dpp-check's direct solve does (never fewer steps than without),
-            # and dpp-check's restart over the second half of the horizon
+            # builds the field, so the spec is checked, then its jump quadrature,
+            # then its envelope, once, for the CFL steps of its marches: solve's,
+            # landing at T/2 as dpp-check's direct solve does (never fewer steps
+            # than without), and dpp-check's restart over the second half of the horizon
             field = self.field()
             field.reference.validate_mass()
-            grid = self.grid()
+            envelope = _Envelope(field, self.grid())
             T = p["t_horizon"]
             marches = [  # (name, horizon, checkpoints, its safety key, its CFL step)
-                (name, horizon, stops, key, cfl_timestep(field, grid, value))
+                (name, horizon, stops, key, envelope.timestep(value, 1.0))
                 for name, horizon, stops, key, value in (
                     ("the march", T, (0.5 * T,), "pide.cfl_safety", p["cfl_safety"]),
                     ("dpp-check's restart march", 0.5 * T, (), "dpp.restart_safety",

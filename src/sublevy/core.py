@@ -16,7 +16,9 @@ a single row for the jump table) declares that coefficient state-free.
 The solver (its jump route), the Monte Carlo and the audit all rely on
 this.  Every layer reads a control's coefficients on the quadrature nodes
 through ``_coefficients``, the one reader: it keeps that shape and raises
-``AuditError`` on a value that is not finite.
+``AuditError`` on a value that is not finite.  ``_sources`` reads all the
+controls through it, each distinct coefficient once, for the solver's
+envelope, the audit and the symbol sup.
 """
 
 from __future__ import annotations
@@ -324,25 +326,49 @@ def _jump_table(field, f, x):
     return np.broadcast_to(k, np.broadcast_shapes(k.shape, (1, nodes.size)))
 
 
-def _coefficients(field, f, x):
+def _coefficients(field, f, x, wanted=(True, True, True)):
     """Control f's (drift, dispersion, jump table) at the 1-d states x, as the model returns them.
 
     A value without a state axis declares its coefficient state-free.  A
     value that is not finite raises ``AuditError`` naming the coefficient,
     the control and, when the value has a state axis, the first bad state.
+    A coefficient that is not ``wanted`` is not read and comes back None.
     """
     values = (
-        np.asarray(field.drift(f, x), dtype=float),
-        np.asarray(field.dispersion(f, x), dtype=float),
-        _jump_table(field, f, x),
+        np.asarray(field.drift(f, x), dtype=float) if wanted[0] else None,
+        np.asarray(field.dispersion(f, x), dtype=float) if wanted[1] else None,
+        _jump_table(field, f, x) if wanted[2] else None,
     )
     for name, v in zip(("drift", "dispersion", "jump map"), values):
-        if not np.all(np.isfinite(v)):
+        if v is not None and not np.all(np.isfinite(v)):
             where = f"non-finite {name} at control {f}"
             if v.ndim and v.shape[0] == x.size:
                 where += f", state {x[np.argwhere(~np.isfinite(v))[0][0]]}"
             raise AuditError(where)
     return values
+
+
+def _sources(field, x):
+    """Every distinct coefficient read of the controls at the 1-d states x, and each control's.
+
+    Returns the drift, dispersion and jump-table reads, each as
+    ``_coefficients`` returns it, in the order of the first control to make
+    it, and ``at``, (3, n_controls) ints: control c's reads are
+    ``drifts[at[0, c]]``, ``dispersions[at[1, c]]`` and ``tables[at[2, c]]``.
+    On a field that declares ``control_axes`` the controls with the same
+    value on an axis share that axis's read; any other control reads its own.
+    """
+    controls, axes = field.control_grid.points, field.control_axes
+    keys = [tuple(f[i] for i in axes) if axes is not None else (c,) * 3 for c, f in enumerate(controls)]
+    reads, firsts = ([], [], []), ({}, {}, {})  # per coefficient: its reads, each key's read
+    for f, key in zip(controls, keys):
+        wanted = [k not in first for k, first in zip(key, firsts)]
+        if any(wanted):
+            for k, first, read, v in zip(key, firsts, reads, _coefficients(field, f, x, wanted)):
+                if v is not None:
+                    first[k] = len(read)
+                    read.append(v)
+    return (*reads, np.array([[first[k] for k in ax] for first, ax in zip(firsts, zip(*keys))]))
 
 
 def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int) -> ConditionAudit:
@@ -386,14 +412,17 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
         if len(violations) < 50:
             violations.append((kind, witness))
 
-    def read(f, states):
-        """Control f's drift, dispersion and jump table, broadcast to the states."""
-        b, s, kappa = _coefficients(field, f, states)
-        n = states.size
-        return np.broadcast_to(b, n), np.broadcast_to(s, n), np.broadcast_to(kappa, (n, nodes.size))
+    # every distinct read at the samples and at each partner set, indexed per control below
+    sources = [_sources(field, states) for states in (xs, *partners)]
+    shapes = (sample_budget,), (sample_budget,), (sample_budget, nodes.size)
 
-    for f in grid.points:
-        b, s, kappa = read(f, xs)
+    def read(c, k):
+        """Control c's drift, dispersion and jump table at state set k, broadcast to its states."""
+        *values, at = sources[k]
+        return tuple(np.broadcast_to(v[i], shape) for v, i, shape in zip(values, at[:, c], shapes))
+
+    for c, f in enumerate(grid.points):
+        b, s, kappa = read(c, 0)
         mag = np.abs(b) + np.abs(s)
         sup_bs = max(sup_bs, float(mag.max()))
         jm = (np.minimum(kappa * kappa, 1.0) * weights).sum(axis=1)
@@ -414,12 +443,12 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
                     (f, float(xs[i]), float(nodes[j]), float(abs(kappa[i, j]))),
                 )
 
-        for ys in partners:
+        for k, ys in enumerate(partners, 1):
             dx = np.abs(xs - ys)
             ok = dx > 1e-12
             if not ok.any():
                 continue
-            b2, s2, kappa2 = read(f, ys)
+            b2, s2, kappa2 = read(c, k)
             ratios = (np.abs(b - b2) + np.abs(s - s2))[ok] / dx[ok]
             rmax = float(ratios.max())
             lip_est = max(lip_est, rmax)

@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .core import CoefficientField, _coefficients
+from .core import CoefficientField, _coefficients, _sources
 
 __all__ = [
     "TestFunction",
@@ -150,18 +150,19 @@ def hamiltonian_G(field: CoefficientField, phi: TestFunction, x: float):
 def symbol(field: CoefficientField, f, x: float, xi):
     """Fourier multiplier of the one-control generator at state x."""
     xi_arr = np.asarray(xi, dtype=float)
-    scalar = xi_arr.ndim == 0
-    xv = np.atleast_1d(xi_arr)
-    b, sig, kappa = _point(field, f, x)
-    quad = field.reference.quadrature
+    out = _symbol(field, *_point(field, f, x), np.atleast_1d(xi_arr))
+    return complex(out[0]) if xi_arr.ndim == 0 else out
+
+
+def _symbol(field, b, sig, kappa, xv):
+    """The symbol at the frequencies xv of the generator with drift b, dispersion sig and jump row kappa."""
     h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
     term = (
         1.0
         - np.exp(1j * xv[:, None] * kappa[None, :])
         + 1j * xv[:, None] * h[None, :]
     )
-    out = -1j * b * xv + 0.5 * sig * sig * xv * xv + term @ quad.weights
-    return complex(out[0]) if scalar else out
+    return -1j * b * xv + 0.5 * sig * sig * xv * xv + term @ field.reference.quadrature.weights
 
 
 def small_symbol_sup(
@@ -174,7 +175,8 @@ def small_symbol_sup(
 
     The state sample always contains both box edges and the midpoint, and
     the frequency sample always contains +-radius, so shrinking the radius
-    can only shrink the reported sup for a fixed seed.
+    can only shrink the reported sup for a fixed seed.  The coefficients are
+    read once, at all the sampled states, through ``core._sources``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -188,10 +190,15 @@ def small_symbol_sup(
     # unit draws scaled by radius: nested radii give nested frequency samples
     unit = rng.uniform(-1.0, 1.0, size=sample_budget)
     xis = np.concatenate([[-radius, radius], radius * unit])
+    drifts, disps, tables, at = _sources(field, xs)
     worst = 0.0
-    for f in field.control_grid.points:
-        for x in xs:
-            worst = max(worst, float(np.max(np.abs(symbol(field, f, x, xis)))))
+    for i, j, k in at.T:
+        # a control whose three reads are state-free has one symbol, the same at every state
+        n = 1 if drifts[i].ndim == disps[j].ndim == 0 and len(tables[k]) == 1 else xs.size
+        b, sig = (np.broadcast_to(v, xs.shape)[:n].tolist() for v in (drifts[i], disps[j]))
+        kappa = np.broadcast_to(tables[k], (xs.size, tables[k].shape[1]))
+        for point in zip(b, sig, kappa):
+            worst = max(worst, float(np.max(np.abs(_symbol(field, *point, xis)))))
     return worst
 
 

@@ -63,7 +63,7 @@ import math
 
 import numpy as np
 
-from .core import CoefficientField, _coefficients
+from .core import CoefficientField, _sources
 
 __all__ = [
     "PolicySchedule",
@@ -305,8 +305,8 @@ class _Envelope:
     w = 0, which keeps constants exact.  Control f applies ((bp*dp + bm*dm)
     + ca*(dp + dm)) + jump - mass*w, where bp and bm are the upwind weights
     of its effective drift (drift minus the compensator of its jump table)
-    and ca = a / (2 dx^2).  Each source control is read once, through
-    ``core._coefficients``, and the envelope keeps one list of the distinct
+    and ca = a / (2 dx^2).  The coefficients come from ``core._sources``,
+    each distinct read once, and the envelope keeps one list of the distinct
     jump tables, by their bytes, one-row (conv) tables first: each is one
     row of ``_jumps``, so controls with byte-identical tables share it and
     tie exactly.  There is one drift row per (jump row, drift source) pair,
@@ -335,35 +335,24 @@ class _Envelope:
         controls = field.control_grid.points
         quad = field.reference.quadrature
         self.mass = quad.mass
-        axes = field.control_axes
-        keys = [tuple(f[i] for i in axes) for f in controls] if axes is not None else []
-        # every combination of the axes' values is on the grid, and there is more than one
-        # control to split (one control's folded row is the cheaper step): split by axis
-        self.per_axis = len(keys) > 1 and len(set(keys)) == math.prod(map(len, map(set, zip(*keys))))
-        if not self.per_axis:
-            keys = [(i, i, i) for i in range(len(controls))]
-        # read each source control once: the first control with each value of an axis
-        firsts = ({}, {}, {})  # per axis: each value's source index, first seen first
-        drifts, disps, jump_of = [], [], []  # per source: its drift, dispersion, jump table
-        tables = {}  # each distinct jump table, by its bytes, first seen first
-        for f, key in zip(controls, keys):
-            new = [k not in first for k, first in zip(key, firsts)]
-            if not any(new):
-                continue
-            drift, disp, ktab = _coefficients(field, f, xs)
-            for k, first in zip(key, firsts):
-                first.setdefault(k, len(first))
-            if new[0]:
-                drifts.append(drift)
-            if new[1]:
-                disps.append(disp)
-            if new[2] and self.mass != 0.0:
-                jump_of.append(tables.setdefault(ktab.tobytes(), ktab))
-        drift_at, disp_at, jump_at = ([first[k] for k in ax] for first, ax in zip(firsts, zip(*keys)))
+        drifts, disps, tables, at = _sources(field, xs)
+        drift_at, disp_at, jump_at = at.tolist()
+        # every combination of the sources is a control, and there is more than one control
+        # to split (one control's folded row is the cheaper step): split by axis
+        combinations = len(drifts) * len(disps) * len(tables)
+        self.per_axis = len(controls) > 1 and len(set(zip(drift_at, disp_at, jump_at))) == combinations
+        if not self.per_axis:  # one drift and one dispersion row per control
+            drifts, disps = [drifts[i] for i in drift_at], [disps[i] for i in disp_at]
+            drift_at = disp_at = list(range(len(controls)))
         b = np.array([np.broadcast_to(v, xs.shape) for v in drifts])
         sig = np.array([np.broadcast_to(v, xs.shape) for v in disps])
         a = sig * sig
-        kappas = sorted(tables.values(), key=lambda t: len(t) > 1)  # conv (one-row) tables first
+        # each distinct jump table once, by its bytes, first seen first, conv (one-row) tables
+        # first; none with zero mass
+        names = [t.tobytes() for t in tables] if self.mass != 0.0 else []
+        distinct = dict(zip(names, tables))
+        row_of_table = {k: i for i, k in enumerate(sorted(distinct, key=lambda k: len(distinct[k]) > 1))}
+        kappas = [distinct[k] for k in row_of_table]
         n_conv = sum(len(t) == 1 for t in kappas)
         self.routes = sorted({"conv" if len(t) == 1 else "gather" for t in kappas}) or ["none"]
         # with no jump term, one row of zeros: apply still adds 0.0, as it always has
@@ -375,8 +364,7 @@ class _Envelope:
         self._conv = _ConvBlock(conv, quad.weights, dx, self._jumps[:n_conv]) if conv else None
         self._gathers = [(row, _gather_term(t, quad.weights, dx, nx))
                          for row, t in zip(self._jumps[n_conv:], kappas[n_conv:])]
-        row_of_table = {id(t): i for i, t in enumerate(kappas)}
-        jump_rows = [row_of_table[id(jump_of[j])] for j in jump_at] if kappas else [0] * len(controls)
+        jump_rows = [row_of_table[names[j]] for j in jump_at] if kappas else [0] * len(controls)
         pairs = sorted(set(zip(jump_rows, drift_at)))  # jump-major
         g_of, b_of = (list(v) for v in zip(*pairs))
         # the one CFL denominator, checked before the upwind weights divide by dx; its drift

@@ -321,6 +321,28 @@ class TestErrorChannels:
         # 1e6 paths x round(1.0 / 1e-3) steps is the cap itself
         parse_config(f"mc.paths = {MC_PATH_STEPS_MAX // 1000}\n").validate()
 
+    def test_sizes_at_their_caps_accepted(self):
+        assert (cli.AUDIT_TABLE_MAX, cli.FOURIER_N_XI_MAX, cli.TRANSFORM_POINTS_MAX) == (
+            4 * 10**6, 10**6, 10**4)
+        # 10,000 x 400 is the audit table's cap itself
+        parse_config("audit.sample_budget = 10000\npide.nz = 400\npide.nx = 101\n"
+                     "fourier.n_xi = 1000000\ntransform.n_points = 10000\n").validate()
+
+    @pytest.mark.parametrize("sub, entries", [
+        ("validate", ["audit.sample_budget=10000", "pide.nz=401"]),
+        ("validate", ["audit.sample_budget=64", "pide.nz=62501"]),
+        ("fourier-check", ["fourier.n_xi=1000001"]),
+        ("transform", ["transform.n_points=10001"]),
+    ], ids=["audit-budget", "audit-nz", "fourier-n-xi", "transform-points"])
+    def test_size_over_its_cap_rejected(self, capsys, tmp_path, sub, entries):
+        # the audit's (budget, nz) tables, fourier-check's frequencies and the
+        # transform's bisections grew without bound, in memory or in time
+        args = [a for e in entries for a in ("--set", e)]
+        code, _, err = _run(capsys, sub, "--out", str(tmp_path), "--set", "pide.nx=101", *args)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("sub, args", [
         ("solve", []),
         ("simulate", ["--set", "mc.paths=400", "--set", "mc.dt=0.01"]),

@@ -1,8 +1,13 @@
+import ast
+import collections
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import sublevy
 
 from sublevy.core import (
     AuditError,
@@ -12,12 +17,15 @@ from sublevy.core import (
     Quadrature,
     QuadratureError,
     TruncationFunction,
+    _sources,
     audit_conditions,
     pushforward_tail,
     simpson_quadrature,
     zero_jump_measure,
 )
+from sublevy.generator import small_symbol_sup
 from sublevy.kou import KouSpec, build_field, double_exponential_measure
+from sublevy.pide import SpatialGrid, _Envelope
 
 from tests.conftest import constant_drift_field
 
@@ -323,3 +331,103 @@ class TestPushforwardTail:
     def test_far_threshold_gives_zero(self, kou_field):
         f = kou_field.control_grid.points[0]
         assert pushforward_tail(kou_field, f, 0.0, 50.0) == 0.0
+
+
+def _counted(field):
+    """The field with its three coefficient callables counting their calls."""
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(field, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    names = ("drift", "dispersion", "jump_density_map")
+    return dataclasses.replace(field, **{name: counting(name) for name in names}), calls
+
+
+class TestSources:
+    def test_each_distinct_axis_value_is_read_once(self, kou_spec):
+        # 27 controls, 3 values on each axis: one call per value and state set,
+        # not one per control or per control that brings a new value
+        field, calls = _counted(build_field(kou_spec, 3))
+        assert len(field.control_grid.points) == 27
+
+        def reads(state_sets):
+            return {"drift": 3 * state_sets, "dispersion": 3 * state_sets,
+                    "jump_density_map": 3 * state_sets}
+
+        _Envelope(field, SpatialGrid(-10.0, 10.0, 101))
+        assert calls == reads(1)
+        calls.clear()
+        audit_conditions(field, 16, 0)  # the samples and both partner sets
+        assert calls == reads(3)
+        calls.clear()
+        small_symbol_sup(field, 0.1, sample_budget=8)
+        assert calls == reads(1)
+
+    def test_a_field_without_axes_reads_each_control(self, kou_spec):
+        field, calls = _counted(dataclasses.replace(build_field(kou_spec, 2), control_axes=None))
+        drifts, dispersions, tables, at = _sources(field, np.array([-1.0, 0.5]))
+        assert len(drifts) == len(dispersions) == len(tables) == 8
+        assert np.array_equal(at, np.tile(np.arange(8), (3, 1)))
+        assert calls == {"drift": 8, "dispersion": 8, "jump_density_map": 8}
+
+
+# (module, enclosing function) -> the model reads it may make; core._coefficients
+# and _jump_table are the reader, and the map is called directly at single marks only
+MODEL_READS = {
+    ("core", "_coefficients"): {"drift", "dispersion", "_jump_table"},
+    ("core", "_jump_table"): {"jump_density_map"},
+    ("core", "pushforward_tail.predicate"): {"jump_density_map"},  # the bisection's one mark
+    ("simulate", "_steps"): {"jump_density_map"},  # the Monte Carlo's applied jumps
+}
+# the callers of core._coefficients
+READER_CALLERS = {("core", "_sources"), ("generator", "_point"), ("simulate", "_coefficients"),
+                  ("core", "pushforward_tail")}
+
+
+def _calls(module):
+    """Each call in a module of the package: (enclosing function, called name, is core's reader)."""
+    tree = ast.parse((Path(sublevy.__file__).parent / f"{module}.py").read_text())
+    # a module with its own _coefficients calls core's as core._coefficients
+    own = module != "core" and any(
+        isinstance(n, ast.FunctionDef) and n.name == "_coefficients" for n in tree.body)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                fn = child.func
+                if isinstance(fn, ast.Attribute):
+                    found.append((scope, fn.attr, fn.attr == "_coefficients"
+                                  and isinstance(fn.value, ast.Name) and fn.value.id == "core"))
+                elif isinstance(fn, ast.Name):
+                    found.append((scope, fn.id, fn.id == "_coefficients" and not own))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+class TestOneReader:
+    def test_the_model_is_read_through_the_one_reader(self):
+        modules = sorted(p.stem for p in Path(sublevy.__file__).parent.glob("*.py"))
+        assert {"core", "generator", "pide", "simulate"} <= set(modules)
+        stray, callers = [], set()
+        for module in modules:
+            for scope, name, reader in _calls(module):
+                allowed = MODEL_READS.get((module, scope), set())
+                if name in {"drift", "dispersion", "jump_density_map", "_jump_table"} - allowed:
+                    stray.append(f"{module}.{scope} calls {name}")
+                if reader:
+                    callers.add((module, scope))
+        assert stray == []
+        assert ("core", "_sources") in callers and callers <= READER_CALLERS

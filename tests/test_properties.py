@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sublevy.core import TruncationFunction, _jump_table
-from sublevy.generator import gaussian_bump, hamiltonian_G
+from sublevy.core import TruncationFunction, _jump_table, audit_conditions
+from sublevy.generator import gaussian_bump, hamiltonian_G, small_symbol_sup
 from sublevy.generator import TestFunction as GenTestFunction
 from sublevy.kou import KouSpec, build_field, clamp_jump, double_exponential_measure
 from sublevy.pide import SpatialGrid, _Envelope, cfl_timestep, solve
@@ -259,6 +259,20 @@ _ORACLE = settings(max_examples=20, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])
 
 
+def _bits(*values):
+    """The float64 bits of each value, so that equality is bit for bit."""
+    return [np.asarray(v, dtype=float).view(np.int64).tolist() for v in values]
+
+
+def _audit_bits(field):
+    """Every field of the audit, the majorants at the quadrature nodes, as bits."""
+    audit = audit_conditions(field, 8, 3)
+    nodes = field.reference.quadrature.nodes
+    return audit.violations, _bits(audit.lipschitz_constant_estimate, audit.sup_drift_dispersion,
+                                   audit.sup_jump_moment, audit.gamma_majorant(nodes),
+                                   audit.beta_majorant(nodes))
+
+
 class TestEnvelopeOracle:
     """The envelope against the per-control formulas, on random uncertain Kou fields."""
 
@@ -312,3 +326,19 @@ class TestEnvelopeOracle:
         # recording the policy leaves the values bit for bit
         recorded = solve(field, psi, T, grid, policy=True)
         assert np.array_equal(recorded.values.view(np.int64), declared.values.view(np.int64))
+
+    @pytest.mark.parametrize("route", ["as-built", "mixed", "gather"])
+    @_ORACLE
+    @given(data=st.data())
+    def test_audit_and_symbol_sup_are_those_of_the_per_control_reads(self, route, data):
+        field, _, _ = data.draw(_kou_cases(route))
+        # declared constants no control meets, so that every check records violations
+        tight = dataclasses.replace(field, declared_lipschitz=0.0, declared_bound=0.0,
+                                    gamma=lambda z: 0.0 * z)
+        for f in (field, tight):
+            declared = _audit_bits(f)
+            assert declared == _audit_bits(dataclasses.replace(f, control_axes=None))
+        assert declared[0]  # the tight field's violations
+        plain = dataclasses.replace(field, control_axes=None)
+        sups = [small_symbol_sup(f, 0.4, sample_budget=4) for f in (field, plain)]
+        assert _bits(sups[0]) == _bits(sups[1])
