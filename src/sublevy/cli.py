@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import Quadrature, QuadratureError, audit_conditions
 from .kou import GaussianBump, KouSpec, LinearKouTriplet, build_field, fourier_reference
-from .pide import SpatialGrid, _Envelope, _landings, restart, solve
+from .pide import SpatialGrid, _landings, _preflight, _step, restart, solve
 from .simulate import mc_lower_bound
 from .transform import exponential_tails, power_tails, quantile_k, verify_transport
 
@@ -49,6 +49,15 @@ CONTROLS_MAX = 1000
 # with their product, to about 190 MiB at the cap (37 MiB at the default
 # 64 x 401).
 AUDIT_TABLE_MAX = 4 * 10**6
+
+# Largest PIDE envelope accepted, in the entries pide._preflight counts from the
+# coefficient reads before anything of size nx is built: the drift, ca, jump and
+# compensator rows, the conv block, each gather table's three (nx, nz) arrays and
+# the policy march's two (controls, nx) stacks, counted for every subcommand.
+# The peak resident size measured up to 6.5 B per entry for solve and 10.4 B for
+# simulate (1,000 variance values, whose policy march also copies its stack for
+# the argmax): at the cap simulate peaked at 1,461 MiB and solve at 911 MiB.
+ENVELOPE_ENTRIES_MAX = 15 * 10**7
 
 # Largest fourier.n_xi accepted: fourier-check holds about 79 B per frequency,
 # 100 MiB at the cap (31 MiB at the default 4,097).
@@ -202,15 +211,16 @@ class RunConfig:
             raise ConfigError(f"audit.sample_budget x pide.nz exceeds {AUDIT_TABLE_MAX:.0e}; lower either")
         try:
             # builds the field, so the spec is checked, then its jump quadrature,
-            # then its envelope, once, for the CFL steps of its marches: solve's,
+            # then reads the march's CFL denominator and the envelope's size, once,
+            # building no envelope, for the CFL steps of its marches: solve's,
             # landing at T/2 as dpp-check's direct solve does (never fewer steps
             # than without), and dpp-check's restart over the second half of the horizon
             field = self.field()
             field.reference.validate_mass()
-            envelope = _Envelope(field, self.grid())
+            denom, entries, _ = _preflight(field, self.grid())
             T = p["t_horizon"]
             marches = [  # (name, horizon, checkpoints, its safety key, its CFL step)
-                (name, horizon, stops, key, envelope.timestep(value, 1.0))
+                (name, horizon, stops, key, _step(denom, value, 1.0))
                 for name, horizon, stops, key, value in (
                     ("the march", T, (0.5 * T,), "pide.cfl_safety", p["cfl_safety"]),
                     ("dpp-check's restart march", 0.5 * T, (), "dpp.restart_safety",
@@ -219,6 +229,9 @@ class RunConfig:
             ]
         except (ValueError, QuadratureError) as e:
             raise ConfigError(str(e)) from e
+        if entries > ENVELOPE_ENTRIES_MAX:
+            raise ConfigError(f"the PIDE envelope would hold {entries} entries, over {ENVELOPE_ENTRIES_MAX:.2g}; "
+                              "lower pide.nx, pide.nz or control.resolution")
         for name, horizon, stops, key, dt in marches:
             # solve's step count; a horizon over the cap in steps is rejected before
             # the count, whose ceil would overflow at an infinite ratio

@@ -23,6 +23,16 @@ into buffers it owns and ``solve`` sizes its timeline before it marches,
 so no step allocates a new stack or row, except on the gather route: each
 gather term forms (nx, nz) temporaries and a new row at every step.
 
+The envelope is built in two parts.  The preflight, ``_preflight``, reads
+the controls through ``core._sources``, takes the distinct jump tables and
+their compensators, and returns the CFL denominator with the count of the
+entries the envelope will hold; it forms nothing of size (rows, nx) when
+the reads are state-free.  ``cfl_timestep`` and the CLI's config check
+call only the preflight.  The allocation, ``_Envelope``, builds the rows
+from the preflight's results and takes its denominator from it, so a solve
+reads and evaluates each coefficient once.  A max does not depend on its
+order, so the denominator has the bits of the max over the full rows.
+
 Control f's operator on w sums ((bp*dp + bm*dm) + ca*(dp + dm)) + jump -
 mass*w, where bp and bm are the upwind weights of its effective drift and
 ca = a / (2 dx^2).  The envelope holds one drift row per (jump row, drift
@@ -298,6 +308,72 @@ def _compensator(field, ktab, weights):
     return (h * weights[None, :]).sum(axis=1)
 
 
+def _preflight(field: CoefficientField, grid: SpatialGrid):
+    """The march's CFL denominator and the envelope's size, from the coefficient reads alone.
+
+    Returns ``(denom, entries, layout)``.  ``denom`` is a_max/dx^2 +
+    b_max/dx + mass, where a_max is the squared-dispersion sup and b_max the
+    sup of |drift| + |compensator|, pointwise, over the (jump row, drift
+    read) pairs; a denominator that overflows a float raises ``ValueError``.
+    ``entries`` counts the floats of the envelope built on ``layout``: the
+    arrays it holds after its first ``apply``, the policy march's two
+    (n_controls, nx) stacks included, and its build's compensator rows and
+    conv taps.  ``layout`` is what ``_Envelope`` allocates from: the reads
+    of ``core._sources``, each distinct read once, the distinct jump tables
+    and their compensators, and the drift rows.  Nothing of size
+    (rows, nx) is formed when the reads are state-free.
+    """
+    dx, nx = grid.dx, grid.nx
+    quad = field.reference.quadrature
+    drifts, disps, tables, at = _sources(field, grid.xs())
+    drift_at, disp_at, jump_at = at.tolist()
+    n = len(drift_at)
+    # every combination of the sources is a control, and there is more than one control
+    # to split (one control's folded row is the cheaper step): split by axis
+    per_axis = n > 1 and len(set(zip(drift_at, disp_at, jump_at))) == len(drifts) * len(disps) * len(tables)
+    # each distinct jump table once, by its bytes, first seen first, conv (one-row) tables
+    # first; none with zero mass
+    names = [t.tobytes() for t in tables] if quad.mass != 0.0 else []
+    distinct = dict(zip(names, tables))
+    row_of_table = {k: i for i, k in enumerate(sorted(distinct, key=lambda k: len(distinct[k]) > 1))}
+    kappas = [distinct[k] for k in row_of_table]
+    # with no jump term, one jump row of zeros: apply still adds 0.0, as it always has
+    comps = [_compensator(field, t, quad.weights) for t in kappas] or [0.0]
+    jump_rows = [row_of_table[names[j]] for j in jump_at] if kappas else [0] * n
+    # the one CFL denominator, checked before the upwind weights divide by dx
+    a_max = max(float(np.max(v * v)) for v in disps)
+    b_max = max(float(np.max(np.abs(drifts[j]) + np.abs(comps[g]))) for g, j in set(zip(jump_rows, drift_at)))
+    denom = a_max / (dx * dx) + b_max / dx + quad.mass
+    if not math.isfinite(denom):
+        raise ValueError("the CFL denominator a_max/dx^2 + b_max/dx + jump rate overflows a float")
+    if not per_axis:  # one drift and one dispersion row per control
+        drifts, disps = [drifts[i] for i in drift_at], [disps[i] for i in disp_at]
+        drift_at = disp_at = list(range(n))
+    pairs = sorted(set(zip(jump_rows, drift_at)))  # jump-major
+    n_conv, n_fft = sum(len(t) == 1 for t in kappas), _fft_length(2 * nx - 1)
+    # rows of nx: the drift rows and their two upwind weights; the compensator, jump and
+    # best rows; the ca rows and their product with s; the two stacks; 8 scratch rows.
+    # Each conv row's taps, edge weights, kernel, spectra and correlation take at most
+    # 4 (nx + n_fft + 2), and each gather table three (nx, nz) arrays
+    entries = (nx * (3 * len(pairs) + 3 * len(comps) + 2 * len(disps) + 2 * n + 8)
+               + 4 * n_conv * (nx + n_fft + 2) + 3 * nx * quad.nodes.size * (len(kappas) - n_conv))
+    return denom, entries, (drifts, disps, kappas, comps, per_axis, jump_rows, drift_at, disp_at, pairs, n_conv)
+
+
+def _step(denom: float, safety: float, dt_max: float) -> float:
+    """The one step rule: safety / denom, capped at ``dt_max``; no cap on a zero denominator."""
+    if not 0.0 < safety <= 1.0:
+        raise ValueError("safety must be in (0, 1]")
+    if not dt_max > 0:
+        raise ValueError(f"dt_max must be positive, got {dt_max!r}")
+    if denom == 0.0:
+        return float(dt_max)
+    step = min(safety / denom, dt_max)
+    if step == 0.0:
+        raise ValueError(f"safety {safety!r} / CFL denominator {denom!r} underflows to a zero step")
+    return float(step)
+
+
 class _Envelope:
     """Every control's spatial operator on one grid, held as rows of coefficients.
 
@@ -329,50 +405,22 @@ class _Envelope:
     """
 
     def __init__(self, field: CoefficientField, grid: SpatialGrid):
-        xs = grid.xs()
-        dx = grid.dx
-        nx = grid.nx
-        controls = field.control_grid.points
+        dx, nx = grid.dx, grid.nx
         quad = field.reference.quadrature
         self.mass = quad.mass
-        drifts, disps, tables, at = _sources(field, xs)
-        drift_at, disp_at, jump_at = at.tolist()
-        # every combination of the sources is a control, and there is more than one control
-        # to split (one control's folded row is the cheaper step): split by axis
-        combinations = len(drifts) * len(disps) * len(tables)
-        self.per_axis = len(controls) > 1 and len(set(zip(drift_at, disp_at, jump_at))) == combinations
-        if not self.per_axis:  # one drift and one dispersion row per control
-            drifts, disps = [drifts[i] for i in drift_at], [disps[i] for i in disp_at]
-            drift_at = disp_at = list(range(len(controls)))
-        b = np.array([np.broadcast_to(v, xs.shape) for v in drifts])
-        sig = np.array([np.broadcast_to(v, xs.shape) for v in disps])
-        a = sig * sig
-        # each distinct jump table once, by its bytes, first seen first, conv (one-row) tables
-        # first; none with zero mass
-        names = [t.tobytes() for t in tables] if self.mass != 0.0 else []
-        distinct = dict(zip(names, tables))
-        row_of_table = {k: i for i, k in enumerate(sorted(distinct, key=lambda k: len(distinct[k]) > 1))}
-        kappas = [distinct[k] for k in row_of_table]
-        n_conv = sum(len(t) == 1 for t in kappas)
+        self.denom, _, layout = _preflight(field, grid)
+        drifts, disps, kappas, comps, self.per_axis, jump_rows, drift_at, disp_at, pairs, n_conv = layout
         self.routes = sorted({"conv" if len(t) == 1 else "gather" for t in kappas}) or ["none"]
-        # with no jump term, one row of zeros: apply still adds 0.0, as it always has
-        self._jumps = np.zeros((max(1, len(kappas)), nx))
-        comp = np.zeros_like(self._jumps)
-        for row, ktab in zip(comp, kappas):
-            row[:] = _compensator(field, ktab, quad.weights)
+        b = np.array([np.broadcast_to(v, (nx,)) for v in drifts])
+        sig = np.array([np.broadcast_to(v, (nx,)) for v in disps])
+        a = sig * sig
+        comp = np.array([np.broadcast_to(v, (nx,)) for v in comps])
+        self._jumps = np.zeros_like(comp)
         conv = [t[0] for t in kappas[:n_conv]]
         self._conv = _ConvBlock(conv, quad.weights, dx, self._jumps[:n_conv]) if conv else None
         self._gathers = [(row, _gather_term(t, quad.weights, dx, nx))
                          for row, t in zip(self._jumps[n_conv:], kappas[n_conv:])]
-        jump_rows = [row_of_table[names[j]] for j in jump_at] if kappas else [0] * len(controls)
-        pairs = sorted(set(zip(jump_rows, drift_at)))  # jump-major
         g_of, b_of = (list(v) for v in zip(*pairs))
-        # the one CFL denominator, checked before the upwind weights divide by dx; its drift
-        # sup uses |drift| + |compensator|
-        b_max = float((np.abs(b[b_of]) + np.abs(comp[g_of])).max())
-        self.denom = float(a.max()) / (dx * dx) + b_max / dx + self.mass
-        if not math.isfinite(self.denom):
-            raise ValueError("the CFL denominator a_max/dx^2 + b_max/dx + jump rate overflows a float")
         eff = b[b_of] - comp[g_of]
         bps = np.maximum(eff, 0.0) / dx
         bms = np.maximum(-eff, 0.0) / dx
@@ -394,7 +442,7 @@ class _Envelope:
         dp, dm = self._rows[:2]
         self._upwind = []  # each drift row's (coefficient, difference) terms
         for bp, bm, (g, j) in zip(bps, bms, pairs):
-            if self.per_axis and np.ndim(drifts[j]) == 0 and g not in range(n_conv, len(kappas)):
+            if self.per_axis and np.ndim(drifts[j]) == np.ndim(comps[g]) == 0:
                 # a state-free effective drift is upwind on one side only
                 terms = [(bp[0], dp)] if bp[0] > 0 else [(bm[0], dm)]
             else:
@@ -405,17 +453,8 @@ class _Envelope:
         self._stacks = None  # the (n_controls, nx) buffers, from the first apply
 
     def timestep(self, safety: float, dt_max: float) -> float:
-        """Stable explicit step safety / denom, capped at ``dt_max``."""
-        if not 0.0 < safety <= 1.0:
-            raise ValueError("safety must be in (0, 1]")
-        if not dt_max > 0:
-            raise ValueError(f"dt_max must be positive, got {dt_max!r}")
-        if self.denom == 0.0:
-            return float(dt_max)
-        step = min(safety / self.denom, dt_max)
-        if step == 0.0:
-            raise ValueError(f"safety {safety!r} / CFL denominator {self.denom!r} underflows to a zero step")
-        return float(step)
+        """Stable explicit step safety / denom, capped at ``dt_max`` (``_step``)."""
+        return _step(self.denom, safety, dt_max)
 
     def _fill_rows(self, u):
         """Fill the jump and drift rows; return w = u - u[mid] and s = dp + dm."""
@@ -482,8 +521,11 @@ def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, d
     rate is the quadrature mass.  Zero coefficients cap the step at
     ``dt_max``.  A denominator that overflows a float, or a step that
     underflows to 0, raises ``ValueError``: no explicit step is stable.
+    The denominator comes from ``_preflight``, which reads the coefficients
+    and builds no envelope, and the step from ``_step``, the rule the
+    envelope's ``timestep`` applies.
     """
-    return _Envelope(field, grid).timestep(safety, dt_max)
+    return _step(_preflight(field, grid)[0], safety, dt_max)
 
 
 def _landings(T, checkpoints, dt):

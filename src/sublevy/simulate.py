@@ -108,16 +108,19 @@ class _Plan:
         self.n_steps = max(1, int(round(T / dt)))
         self.dt_eff = T / self.n_steps
 
-        # two states tell a state-free one-row jump table from a single state's row
-        self.btab = np.zeros(len(controls))
-        self.stab = np.zeros(len(controls))
-        self.per_state = np.zeros(len(controls), dtype=bool)
-        for ci, f in enumerate(controls):
-            b, s = _coefficients(field, f, np.full(2, self.x0))
-            if b.ndim == 0 and s.ndim == 0:
-                self.btab[ci], self.stab[ci] = b, s
-            else:
-                self.per_state[ci] = True
+        # each distinct read once, at two states: they tell a state-free one-row jump table
+        # from a single state's row
+        drifts, disps, tables, at = core._sources(field, np.full(2, self.x0))
+        weights = measure.quadrature.weights
+        comps = [_compensator(field, t, weights) if mass > 0 else 0.0 for t in tables]
+        # each control's state-free reads, nan for a read with a state axis (the reader lets
+        # no nan through); b - 0.0 is b, bit for bit
+        b, s, c = (np.array([v if np.ndim(v) == 0 else np.nan for v in reads])[i]
+                   for reads, i in zip((drifts, disps, comps), at))
+        b = b - c
+        self.per_state = np.isnan(b) | np.isnan(s)
+        self.btab = np.where(self.per_state, 0.0, b)
+        self.stab = np.where(self.per_state, 0.0, s)
         # as intp: the recorded indices are uint8, where -1 would wrap to 255
         lo = policy.indices.min(axis=1).astype(np.intp)
         one = (lo == policy.indices.max(axis=1)) & ~self.per_state[lo]

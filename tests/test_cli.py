@@ -343,6 +343,69 @@ class TestErrorChannels:
         assert err.startswith("CONFIG_INVALID")
         assert list(tmp_path.iterdir()) == []
 
+    # the 961-control config of the envelope's memory defect: 31 drift and 31 intensity
+    # values, and four CFL steps at any grid
+    MANY_ROWS = ["model.b_lo=0.0", "model.b_hi=1e-9", "model.a_lo=0.0", "model.a_hi=0.0",
+                 "model.lam_lo=1.0", "model.lam_hi=1.5", "model.lam_star=1.5",
+                 "control.resolution=31", "audit.sample_budget=1"]
+    # 1,000 controls on the march spec
+    THOUSAND = ["model.b_lo=0.0", "model.b_hi=0.1", "model.a_lo=0.1", "model.a_hi=0.3",
+                "model.lam_lo=1.0", "model.lam_hi=1.5", "model.lam_star=2.0", "control.resolution=10"]
+
+    @pytest.mark.parametrize("entries", [[], [*MANY_ROWS, "pide.nx=20001"]],
+                             ids=["default", "961-controls"])
+    def test_validate_builds_no_envelope(self, monkeypatch, entries):
+        # validate built the whole envelope to read its CFL denominator: 646 MiB at peak
+        # on the 961-control config
+        def refuse(*args):
+            raise AssertionError("validate built an envelope")
+
+        monkeypatch.setattr(pide._Envelope, "__init__", refuse)
+        parse_config("".join(f"{e}\n" for e in entries)).validate()
+
+    @pytest.mark.parametrize("entries, code", [
+        ([], 0),
+        ([*THOUSAND, "pide.nx=100001"], 2),
+        ([*THOUSAND, "pide.nx=300001"], 2),
+    ], ids=["default", "thousand-controls-nx-100001", "thousand-controls-nx-300001"])
+    def test_rejected_before_any_envelope_is_allocated(self, tmp_path, entries, code):
+        # validate built 1,000 controls x nx of envelope before its caps rejected the
+        # config: 1,138 MiB at nx=300,001, a MemoryError under this limit.  The default
+        # run shows that the limit leaves room for a run
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sublevy.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        limited = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+                   "from sublevy.cli import entry; entry()")
+        args = [a for e in entries for a in ("--set", e)]
+        proc = subprocess.run([sys.executable, "-c", limited, "validate", "--out", str(tmp_path), *args],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stderr.startswith("CONFIG_INVALID")
+            assert list(tmp_path.iterdir()) == []
+
+    def test_envelope_size_at_the_cap_accepted_and_over_it_rejected(self, capsys, tmp_path):
+        # the envelope grew as nx x its rows and nothing capped it: this config was
+        # accepted at nx=100,001, where solve would need about 3 GB.  The grid with the
+        # last count under the cap is accepted, the next one rejected
+        field = parse_config("".join(f"{e}\n" for e in self.MANY_ROWS)).field()
+
+        def count(nx):
+            return pide._preflight(field, pide.SpatialGrid(-10.0, 10.0, nx))[1]
+
+        lo, hi = 3, 10**6
+        assert count(lo) <= cli.ENVELOPE_ENTRIES_MAX < count(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if count(mid) <= cli.ENVELOPE_ENTRIES_MAX else (lo, mid)
+        args = [a for e in self.MANY_ROWS for a in ("--set", e)]
+        code, _, err = _run(capsys, "validate", "--out", str(tmp_path / "a"), *args, "--set", f"pide.nx={lo}")
+        assert code == 0, err
+        code, _, err = _run(capsys, "validate", "--out", str(tmp_path), *args, "--set", f"pide.nx={hi}")
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID") and "envelope" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
     @pytest.mark.parametrize("sub, args", [
         ("solve", []),
         ("simulate", ["--set", "mc.paths=400", "--set", "mc.dt=0.01"]),

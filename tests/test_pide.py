@@ -12,6 +12,7 @@ from sublevy.pide import (
     ValueField,
     _Envelope,
     _fft_length,
+    _preflight,
     cfl_timestep,
     restart,
     solve,
@@ -126,6 +127,18 @@ class TestWriteCsv:
         assert (tmp_path / "u.csv").read_bytes() == _serial_csv(fieldU)
 
 
+def _drift_and_intensity_vary_field(kou_field):
+    """Kou field whose drift peaks at x = -3 and whose one-sided jumps peak at x = 3.
+
+    Its jumps are all upward, so the compensator is not 0, and the sup of
+    |drift| + |compensator| lies below the sum of the two sups.
+    """
+    return dataclasses.replace(
+        kou_field,
+        drift=lambda f, x: 0.3 * f[0] * np.exp(-(np.asarray(x, dtype=float) + 3.0) ** 2),
+        jump_density_map=lambda f, x, z: np.abs(z) * (0.5 + 0.5 * f[2] * np.exp(-(np.asarray(x) - 3.0) ** 2)))
+
+
 class TestCflTimestep:
     def test_stated_arithmetic_example(self, coarse_grid):
         field = constant_drift_field(0.0, sigma=1.0)
@@ -136,23 +149,26 @@ class TestCflTimestep:
         field = constant_drift_field(0.0)
         assert cfl_timestep(field, coarse_grid, 0.9, dt_max=0.125) == 0.125
 
-    def test_matches_independent_sups(self, kou_field):
+    @pytest.mark.parametrize("case", ["kou", "state-dependent"])
+    def test_matches_independent_sups(self, kou_field, case):
+        field = kou_field if case == "kou" else _drift_and_intensity_vary_field(kou_field)
         grid = SpatialGrid(-10.0, 10.0, 401)
         xs = grid.xs()
-        quad = kou_field.reference.quadrature
+        quad = field.reference.quadrature
         a_max = b_max = 0.0
-        for f in kou_field.control_grid.points:
-            b = np.broadcast_to(np.asarray(kou_field.drift(f, xs), dtype=float),
+        for f in field.control_grid.points:
+            b = np.broadcast_to(np.asarray(field.drift(f, xs), dtype=float),
                                 xs.shape)
             sig = np.broadcast_to(
-                np.asarray(kou_field.dispersion(f, xs), dtype=float), xs.shape)
-            ks = np.asarray(kou_field.jump_density_map(f, 0.0, quad.nodes),
-                            dtype=float)
-            comp = float(kou_field.truncation.evaluate(ks) @ quad.weights)
+                np.asarray(field.dispersion(f, xs), dtype=float), xs.shape)
+            # the compensator at each state, summed with |drift| state by state
+            ks = np.broadcast_to(np.asarray(field.jump_density_map(f, xs[:, None], quad.nodes[None, :]),
+                                            dtype=float), (xs.size, quad.nodes.size))
+            comp = (field.truncation.evaluate(ks) * quad.weights).sum(axis=1)
             a_max = max(a_max, float(np.max(sig * sig)))
-            b_max = max(b_max, float(np.max(np.abs(b) + abs(comp))))
+            b_max = max(b_max, float(np.max(np.abs(b) + np.abs(comp))))
         want = 0.9 / (a_max / grid.dx**2 + b_max / grid.dx + quad.mass)
-        assert cfl_timestep(kou_field, grid, 0.9) == pytest.approx(want, rel=1e-12)
+        assert cfl_timestep(field, grid, 0.9) == pytest.approx(want, rel=1e-12)
 
     def test_safety_range_enforced(self, coarse_grid):
         field = constant_drift_field(1.0)
@@ -638,6 +654,42 @@ class TestPerAxisLayout:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * len(field.control_grid.points) * grid.nx * 8
+
+
+def _held_bytes(obj, held=None):
+    """Bytes of the distinct arrays an object reaches: its attributes, lists and closures."""
+    held = {} if held is None else held
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        held[id(obj)] = obj.nbytes
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _held_bytes(item, held)
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        for cell in obj.__closure__:
+            _held_bytes(cell.cell_contents, held)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            _held_bytes(item, held)
+    return sum(held.values())
+
+
+class TestPreflight:
+    @pytest.mark.parametrize("case", ["march", "mixed", "state-dependent"])
+    def test_count_bounds_the_bytes_the_envelope_holds(self, case, kou_spec, degenerate_spec):
+        # conv, mixed and gather fields.  The count takes 8 B an entry and covers every
+        # array the envelope holds after its first apply; it also counts the build's
+        # compensator rows and conv taps, and the longest conv FFT the grid allows, so it
+        # may exceed them, but by less than half
+        field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
+        for f in (field, _without_the_axes(field)):
+            denom, entries, _ = _preflight(f, grid)
+            env = _Envelope(f, grid)
+            env.apply(w)
+            held = _held_bytes(env)
+            assert held <= 8 * entries <= 1.5 * held
+            assert denom == env.denom
 
 
 class TestRecordedPolicy:
