@@ -1,7 +1,10 @@
 """Batch front end: config-driven pipelines emitting CSV artifacts.
 
 Config files are line-oriented ``section.key = value`` text with ``#``
-comments; unknown sections or keys are rejected.  Every run either
+comments; unknown sections or keys are rejected.  ``_KEYS`` gives each key
+its type, its default and any range of its own; ``RunConfig.validate``
+checks every key against its range, naming the key, then makes the checks
+that join keys or read the model.  Every run either
 completes all its artifacts or removes the partial ones, and failures
 print a single machine-parsable line (CONFIG_INVALID, IO_ERROR,
 TOLERANCE_EXCEEDED, AUDIT_VIOLATIONS, RUNTIME_FAILURE) to stderr.
@@ -20,7 +23,7 @@ import sys
 import numpy as np
 
 from .core import Quadrature, QuadratureError, audit_conditions
-from .kou import GaussianBump, KouSpec, LinearKouTriplet, build_field, fourier_reference
+from .kou import GaussianBump, KouSpec, LinearKouTriplet, _axis_resolution, build_field, fourier_reference
 from .pide import SpatialGrid, _landings, _preflight, _step, restart, solve
 from .simulate import mc_lower_bound
 from .transform import exponential_tails, power_tails, quantile_k, verify_transport
@@ -79,36 +82,53 @@ def _floats(raw: str):
         raise ConfigError(f"bad float list {raw!r}") from e
 
 
-# each key's type (a converter, or the tuple of allowed strings) and its default
+_POSITIVE = (lambda v: v > 0, "> 0")
+_UNIT = (lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def _closed(lo, hi=math.inf):
+    """The (test, wording) pair of the range [lo, hi]."""
+    return (lambda v: lo <= v <= hi), (f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]")
+
+
+# a seed reaches numpy's SeedSequence, which takes no negative entropy
+_SEED = _closed(0)
+
+# each key's type (a converter, or the tuple of allowed strings), its default and,
+# for a key with a range of its own, that range as a (test, wording) pair
 _KEYS = {
     "model": {
         "b_lo": (float, 0.05), "b_hi": (float, 0.05), "a_lo": (float, 0.2), "a_hi": (float, 0.2),
         "lam_lo": (float, 1.5), "lam_hi": (float, 1.5), "lam_star": (float, 1.5),
         "lam_floor": (float, 0.5),
     },
-    "control": {"resolution": (int, 2)},
+    "control": {"resolution": (int, 2, _closed(1))},
     "pide": {
-        "x_min": (float, -10.0), "x_max": (float, 10.0), "nx": (int, 801),
-        "t_horizon": (float, 1.0), "cfl_safety": (float, 0.9), "z_cut": (float, 10.0),
-        "nz": (int, 401),
+        "x_min": (float, -10.0), "x_max": (float, 10.0), "nx": (int, 801, _closed(3)),
+        "t_horizon": (float, 1.0, _POSITIVE), "cfl_safety": (float, 0.9, _UNIT),
+        "z_cut": (float, 10.0, _POSITIVE), "nz": (int, 401, _closed(3)),
     },
     "psi": {"kind": (("gaussian", "tanh", "constant"), "gaussian"), "amplitude": (float, 1.0),
-            "center": (float, 0.0), "width": (float, 1.0)},
-    "mc": {"paths": (int, 10000), "dt": (float, 1e-3), "seed": (int, 12345),
-           "tolerance": (float, 1e-2)},
-    "fourier": {"check_points": (_floats, (-1.0, 0.0, 1.0)), "tolerance": (float, 1e-2),
-                "n_xi": (int, 4097), "xi_max": (float, 0.0)},
-    "dpp": {"tolerance": (float, 2e-2), "restart_safety": (float, 0.45),
-            "inner_fraction": (float, 0.6)},
+            "center": (float, 0.0), "width": (float, 1.0, _POSITIVE)},
+    "mc": {"paths": (int, 10000, _closed(2)), "dt": (float, 1e-3, _POSITIVE),
+           "seed": (int, 12345, _SEED), "tolerance": (float, 1e-2, _POSITIVE)},
+    "fourier": {"check_points": (_floats, (-1.0, 0.0, 1.0), (bool, "a nonempty list")),
+                "tolerance": (float, 1e-2, _POSITIVE),
+                "n_xi": (int, 4097, _closed(3, FOURIER_N_XI_MAX)),
+                "xi_max": (float, 0.0, _closed(0))},
+    "dpp": {"tolerance": (float, 2e-2, _POSITIVE), "restart_safety": (float, 0.45, _UNIT),
+            "inner_fraction": (float, 0.6, _UNIT)},
     "transform": {
         "family": (("exponential", "power"), "exponential"), "lam": (float, 1.0),
         "lam_star": (float, 2.0), "alpha": (float, 1.5), "c_target": (float, 1.0),
-        "c_reference": (float, 2.0), "y_abs_min": (float, 0.05), "y_abs_max": (float, 4.0),
-        "n_points": (int, 41), "tol": (float, 1e-9),
-        "thresholds": (_floats, (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)),
-        "tolerance": (float, 1e-6), "z_max": (float, 1e6),
+        "c_reference": (float, 2.0), "y_abs_min": (float, 0.05, _POSITIVE),
+        "y_abs_max": (float, 4.0), "n_points": (int, 41, _closed(1, TRANSFORM_POINTS_MAX)),
+        "tol": (float, 1e-9, _POSITIVE),
+        "thresholds": (_floats, (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),
+                       (lambda v: bool(v) and all(v), "a nonempty list of nonzero values")),
+        "tolerance": (float, 1e-6, _POSITIVE), "z_max": (float, 1e6, _POSITIVE),
     },
-    "audit": {"sample_budget": (int, 64), "seed": (int, 0)},
+    "audit": {"sample_budget": (int, 64, _closed(1)), "seed": (int, 0, _SEED)},
     "output": {"directory": (str, "out")},
 }
 
@@ -144,56 +164,28 @@ class RunConfig:
         self.values[section][key] = value
 
     def validate(self) -> None:
+        for section, keys in _KEYS.items():
+            for key, (_, _, *accepted) in keys.items():
+                value = self[section][key]
+                for test, wording in accepted:
+                    if not test(value):
+                        raise ConfigError(f"{section}.{key} must be {wording}, got {value!r}")
         p = self["pide"]
         if not p["x_min"] < p["x_max"]:
             raise ConfigError("pide.x_min must be below pide.x_max")
-        if p["nx"] < 3 or p["nz"] < 3:
-            raise ConfigError("pide.nx and pide.nz must be >= 3")
-        if not 0 < p["cfl_safety"] <= 1:
-            raise ConfigError("pide.cfl_safety must be in (0, 1]")
-        if p["t_horizon"] <= 0 or p["z_cut"] <= 0:
-            raise ConfigError("pide.t_horizon and pide.z_cut must be positive")
-        if self["control"]["resolution"] < 1:
-            raise ConfigError("control.resolution must be >= 1")
-        # the field's controls, counted before it is built: the resolution on each
-        # axis whose model interval is not collapsed
-        model = self["model"]
-        open_axes = sum(model[f"{k}_lo"] != model[f"{k}_hi"] for k in ("b", "a", "lam"))
-        n_controls = self["control"]["resolution"] ** open_axes
+        # the field's controls, counted before it is built
+        n_controls = math.prod(_axis_resolution(self.kou_spec(), self["control"]["resolution"]))
         if n_controls > CONTROLS_MAX:
             raise ConfigError(f"control.resolution gives {n_controls} controls, over {CONTROLS_MAX}; "
                               "lower it or collapse a model interval")
-        if self["psi"]["width"] <= 0:
-            raise ConfigError("psi.width must be positive")
         m = self["mc"]
-        if m["paths"] < 2 or m["dt"] <= 0 or m["tolerance"] <= 0:
-            raise ConfigError("mc section out of range")
         # the simulator's step count is max(1, round(T/dt)); a tiny dt overflows the round
         steps = p["t_horizon"] / m["dt"]
         if steps > MC_PATH_STEPS_MAX or m["paths"] * max(1, round(steps)) > MC_PATH_STEPS_MAX:
             raise ConfigError(f"mc.paths x Euler steps exceeds {MC_PATH_STEPS_MAX:.0e}")
-        # a seed reaches numpy's SeedSequence, which takes no negative entropy
-        if m["seed"] < 0 or self["audit"]["seed"] < 0:
-            raise ConfigError("mc.seed and audit.seed must be >= 0")
-        f = self["fourier"]
-        if f["n_xi"] < 3 or f["tolerance"] <= 0 or f["xi_max"] < 0:
-            raise ConfigError("fourier section out of range")
-        if f["n_xi"] > FOURIER_N_XI_MAX:
-            raise ConfigError(f"fourier.n_xi is {f['n_xi']}, over {FOURIER_N_XI_MAX:.0e}")
-        if not f["check_points"]:
-            raise ConfigError("fourier.check_points must name at least one point")
-        d = self["dpp"]
-        if d["tolerance"] <= 0 or not 0 < d["restart_safety"] <= 1 or not 0 < d["inner_fraction"] <= 1:
-            raise ConfigError("dpp section out of range")
         t = self["transform"]
-        if t["n_points"] < 1 or t["tol"] <= 0 or t["tolerance"] <= 0 or t["z_max"] <= 0:
-            raise ConfigError("transform section out of range")
-        if t["n_points"] > TRANSFORM_POINTS_MAX:
-            raise ConfigError(f"transform.n_points is {t['n_points']}, over {TRANSFORM_POINTS_MAX:.0e}")
-        if not 0 < t["y_abs_min"] < t["y_abs_max"]:
-            raise ConfigError("need 0 < transform.y_abs_min < transform.y_abs_max")
-        if not t["thresholds"] or any(v == 0 for v in t["thresholds"]):
-            raise ConfigError("transform.thresholds must be a nonempty list of nonzero values")
+        if not t["y_abs_min"] < t["y_abs_max"]:
+            raise ConfigError("transform.y_abs_min must be below transform.y_abs_max")
         if t["family"] == "exponential" and not 0 < t["lam"] <= t["lam_star"]:
             raise ConfigError("need 0 < transform.lam <= transform.lam_star")
         if t["family"] == "power":
@@ -205,8 +197,6 @@ class RunConfig:
             log_c = max(0.0, math.log(t["c_target"]), math.log(t["c_reference"]))
             if log_c - t["alpha"] * math.log(z) >= math.log(sys.float_info.max):
                 raise ConfigError(f"power-law tails c * |z|**-alpha overflow at z = {z!r}")
-        if self["audit"]["sample_budget"] < 1:
-            raise ConfigError("audit.sample_budget must be >= 1")
         if self["audit"]["sample_budget"] * p["nz"] > AUDIT_TABLE_MAX:
             raise ConfigError(f"audit.sample_budget x pide.nz exceeds {AUDIT_TABLE_MAX:.0e}; lower either")
         try:
@@ -224,7 +214,7 @@ class RunConfig:
                 for name, horizon, stops, key, value in (
                     ("the march", T, (0.5 * T,), "pide.cfl_safety", p["cfl_safety"]),
                     ("dpp-check's restart march", 0.5 * T, (), "dpp.restart_safety",
-                     d["restart_safety"]),
+                     self["dpp"]["restart_safety"]),
                 )
             ]
         except (ValueError, QuadratureError) as e:
@@ -289,7 +279,7 @@ def _apply_entry(cfg: RunConfig, entry: str, where: str) -> None:
 
 
 def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig({s: {k: d for k, (_, d) in keys.items()} for s, keys in _KEYS.items()})
+    cfg = RunConfig({s: {k: spec[1] for k, spec in keys.items()} for s, keys in _KEYS.items()})
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
         if line:

@@ -253,13 +253,15 @@ def zero_jump_measure(z_cut: float = 1.0) -> JumpReferenceMeasure:
 class CoefficientField:
     """Controlled Markovian coefficients over a finite control grid.
 
-    Callables broadcast elementwise over states.  ``declared_lipschitz``
-    bounds the sampled increment ratio (|drift| + |dispersion|) / |x - y|,
-    ``declared_bound`` the pointwise |drift| + |dispersion| + capped jump
-    second moment, and ``gamma`` majorizes both the jump size and the jump
-    increment ratio per mark; all three are optional and only checked by
-    :func:`audit_conditions` when present.  ``state_box`` is the state range
-    audits and symbol sups sample from.
+    ``dimension`` must be 1, as the engine is one-dimensional; any other
+    value is a ``ValueError``.  Callables broadcast elementwise over states.
+    ``declared_lipschitz`` bounds the sampled increment ratio
+    (|drift| + |dispersion|) / |x - y|, ``declared_bound`` the pointwise
+    |drift| + |dispersion| + capped jump second moment, and ``gamma``
+    majorizes both the jump size and the jump increment ratio per mark; all
+    three are optional and only checked by :func:`audit_conditions` when
+    present.  ``state_box`` is the state range audits and symbol sups sample
+    from.
 
     ``control_axes`` optionally declares, as three distinct coordinates of
     the control point, the one coordinate that alone drives the drift, the
@@ -282,8 +284,8 @@ class CoefficientField:
     control_axes: tuple | None = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+        if self.dimension != 1:
+            raise ValueError(f"dimension must be 1, got {self.dimension!r}")
         lo, hi = self.state_box
         if not lo < hi:
             raise ValueError("state_box must be a nonempty interval")
@@ -528,17 +530,36 @@ def _indicator_intervals(nodes, ind, predicate):
     return intervals
 
 
-def _interval_mass(measure, a, b):
-    """Measure of [a, b] through the tail functions (atomless convention)."""
+def _interval_mass(upper, lower, a, b):
+    """Mass of [a, b] under the tail functions ``upper`` and ``lower`` (atomless convention)."""
     if b < a:
         return 0.0
     if a >= 0:
-        hi = 0.0 if math.isinf(b) else measure.tail_upper(b)
-        return max(measure.tail_upper(a) - hi, 0.0)
+        hi = 0.0 if math.isinf(b) else upper(b)
+        return max(upper(a) - hi, 0.0)
     if b <= 0:
-        lo = 0.0 if math.isinf(a) else measure.tail_lower(a)
-        return max(measure.tail_lower(b) - lo, 0.0)
-    return _interval_mass(measure, a, 0.0) + _interval_mass(measure, 0.0, b)
+        lo = 0.0 if math.isinf(a) else lower(a)
+        return max(lower(b) - lo, 0.0)
+    return _interval_mass(upper, lower, a, 0.0) + _interval_mass(upper, lower, 0.0, b)
+
+
+def _pushed_mass(upper, lower, nodes, k_nodes, k, y):
+    """Mass, under the tails ``upper`` and ``lower``, that a map k sends at or beyond y.
+
+    For y > 0 this is the mass of {z : k(z) >= y} (respectively <= y for
+    y < 0).  The indicator's sign changes are located on the node mesh from
+    ``k_nodes``, k at the nodes, refined by bisection on k itself, and the
+    resulting intervals are integrated exactly through the tails; runs
+    touching the mesh's ends extend to infinity through the tails.
+    """
+    if y == 0:
+        raise ValueError("threshold must be nonzero")
+    if y > 0:
+        ind, predicate = k_nodes >= y, lambda z: k(z) >= y
+    else:
+        ind, predicate = k_nodes <= y, lambda z: k(z) <= y
+    runs = _indicator_intervals(nodes, ind, predicate)
+    return sum((_interval_mass(upper, lower, a, b) for a, b in runs), 0.0)
 
 
 def pushforward_tail(field: CoefficientField, f, x, threshold: float) -> float:
@@ -546,25 +567,14 @@ def pushforward_tail(field: CoefficientField, f, x, threshold: float) -> float:
 
     For ``threshold`` y > 0 this is the mass of {z : jump(f,x,z) >= y}
     (respectively <= y for y < 0); marks mapped exactly to 0 never qualify
-    because y is nonzero.  Indicator sign changes are located on the
-    quadrature node mesh, refined by bisection on the map itself, and the
-    resulting intervals are integrated exactly via the measure's tail
-    functions; runs touching the window edge extend to infinity through the
-    tails.
+    because y is nonzero.  The map is read on the quadrature node mesh and
+    at single marks for the bisection; see ``_pushed_mass``.
     """
-    if threshold == 0:
-        raise ValueError("threshold must be nonzero")
     measure = field.reference
-    nodes = measure.quadrature.nodes
     kappa = _coefficients(field, f, np.array([x], dtype=float))[2][0]
-    if threshold > 0:
-        ind = kappa >= threshold
-    else:
-        ind = kappa <= threshold
 
-    def predicate(z):
-        k = float(np.asarray(field.jump_density_map(f, x, np.array([z])), dtype=float).reshape(-1)[0])
-        return k >= threshold if threshold > 0 else k <= threshold
+    def predicate(z):  # the map at one mark
+        return float(np.asarray(field.jump_density_map(f, x, np.array([z])), dtype=float).reshape(-1)[0])
 
-    runs = _indicator_intervals(nodes, ind, predicate)
-    return sum((_interval_mass(measure, a, b) for a, b in runs), 0.0)
+    return _pushed_mass(measure.tail_upper, measure.tail_lower, measure.quadrature.nodes, kappa,
+                        predicate, threshold)

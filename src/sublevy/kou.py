@@ -179,6 +179,25 @@ def control_coefficients(spec: KouSpec, f, x):
 _CAPPED_MOMENT = 2.0 * (2.0 - 4.0 / math.e)
 
 
+def _axis_resolution(spec: KouSpec, control_resolution) -> list:
+    """Grid points on each control axis (drift, variance, intensity).
+
+    ``control_resolution`` is an int or a per-axis triple; an axis whose
+    interval is a collapsed constant gets one point, as the control has no
+    effect there.
+    """
+    if isinstance(control_resolution, (int, np.integer)):
+        res = [int(control_resolution)] * 3
+    else:
+        res = [int(r) for r in control_resolution]
+    for axis, (lo, hi) in enumerate(
+        ((spec.b_lo, spec.b_hi), (spec.a_lo, spec.a_hi), (spec.lam_lo, spec.lam_hi))
+    ):
+        if not callable(lo) and not callable(hi) and float(lo) == float(hi):
+            res[axis] = 1
+    return res
+
+
 def build_field(
     spec: KouSpec,
     control_resolution,
@@ -196,16 +215,7 @@ def build_field(
     field declares as its ``control_axes``.
     """
     spec.validate()
-    if isinstance(control_resolution, (int, np.integer)):
-        res = [int(control_resolution)] * 3
-    else:
-        res = [int(r) for r in control_resolution]
-    for axis, (lo, hi) in enumerate(
-        ((spec.b_lo, spec.b_hi), (spec.a_lo, spec.a_hi), (spec.lam_lo, spec.lam_hi))
-    ):
-        if not callable(lo) and not callable(hi) and float(lo) == float(hi):
-            res[axis] = 1
-    grid = ControlGrid.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), res)
+    grid = ControlGrid.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), _axis_resolution(spec, control_resolution))
     measure = double_exponential_measure(spec.lam_star, z_cut, nz)
     lam_star = float(spec.lam_star)
 
@@ -254,8 +264,6 @@ def verify_pushforward(spec: KouSpec, f, x, thresholds, *, z_cut: float = 10.0, 
     worst = 0.0
     for y in thresholds:
         y = float(y)
-        if y == 0:
-            raise ValueError("thresholds must be nonzero")
         got = pushforward_tail(field, f, x, y)
         worst = max(worst, abs(got - lam * math.exp(-abs(y))))
     return worst

@@ -13,11 +13,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections.abc import Callable
-from types import SimpleNamespace
 
 import numpy as np
 
-from .core import _indicator_intervals, _interval_mass
+from .core import _pushed_mass
 
 __all__ = [
     "NonMonotoneTailError",
@@ -133,25 +132,10 @@ def verify_transport(
         return quantile_k(tails, float(z), tol, z_max=z_max)
 
     k_vals = np.array([k_at(z) for z in nodes])
-    measure = SimpleNamespace(
-        tail_upper=tails.reference_upper, tail_lower=tails.reference_lower
-    )
     worst = 0.0
-    for y in thresholds:
-        y = float(y)
-        if y == 0:
-            raise ValueError("thresholds must be nonzero")
-        if y > 0:
-            ind = k_vals >= y
-            predicate = lambda z: k_at(z) >= y
-            want = tails.target_upper(y)
-        else:
-            ind = k_vals <= y
-            predicate = lambda z: k_at(z) <= y
-            want = tails.target_lower(y)
-        runs = _indicator_intervals(nodes, ind, predicate)
-        got = sum((_interval_mass(measure, a, b) for a, b in runs), 0.0)
-        worst = max(worst, abs(got - want))
+    for y in map(float, thresholds):
+        got = _pushed_mass(tails.reference_upper, tails.reference_lower, nodes, k_vals, k_at, y)
+        worst = max(worst, abs(got - (tails.target_upper(y) if y > 0 else tails.target_lower(y))))
     return worst
 
 

@@ -549,6 +549,79 @@ class TestErrorChannels:
         assert not (out / "u.csv").exists()
 
 
+# each bound of each key with a range of its own: (key, its last accepted value,
+# its first rejected value, other entries).  An open end at 0 accepts the smallest
+# float unless a cross-key check rejects it there, as the quadrature does for
+# pide.z_cut and the CFL step's underflow for the safeties; those take 1e-300.
+RANGE_BOUNDS = [
+    ("control.resolution", "1", "0", []),
+    ("pide.nx", "3", "2", []),
+    ("pide.nz", "3", "2", ["pide.z_cut=1e-3"]),
+    ("pide.t_horizon", "5e-324", "0.0", []),
+    ("pide.cfl_safety", "1.0", "1.0000000000000002", []),
+    ("pide.cfl_safety", "1e-300", "0.0", ["pide.t_horizon=1e-300"]),
+    ("pide.z_cut", "1e-300", "0.0", []),
+    ("psi.width", "5e-324", "0.0", []),
+    ("mc.paths", "2", "1", []),
+    ("mc.dt", "5e-324", "0.0", ["pide.t_horizon=5e-324"]),
+    ("mc.seed", "0", "-1", []),
+    ("mc.tolerance", "5e-324", "0.0", []),
+    ("fourier.check_points", "0.0", "", []),
+    ("fourier.tolerance", "5e-324", "0.0", []),
+    ("fourier.n_xi", "3", "2", []),
+    ("fourier.n_xi", "1000000", "1000001", []),
+    ("fourier.xi_max", "0.0", "-5e-324", []),
+    ("dpp.tolerance", "5e-324", "0.0", []),
+    ("dpp.restart_safety", "1.0", "1.0000000000000002", []),
+    ("dpp.restart_safety", "1e-300", "0.0", ["pide.t_horizon=1e-300"]),
+    ("dpp.inner_fraction", "1.0", "1.0000000000000002", []),
+    ("dpp.inner_fraction", "5e-324", "0.0", []),
+    ("transform.n_points", "1", "0", []),
+    ("transform.n_points", "10000", "10001", []),
+    ("transform.tol", "5e-324", "0.0", []),
+    ("transform.tolerance", "5e-324", "0.0", []),
+    ("transform.z_max", "5e-324", "0.0", []),
+    ("transform.y_abs_min", "5e-324", "0.0", []),
+    ("transform.thresholds", "-5e-324", "-0.0", []),
+    ("transform.thresholds", "1.0", "", []),
+    ("audit.sample_budget", "1", "0", []),
+    ("audit.seed", "0", "-1", []),
+]
+
+
+def _ranged_keys():
+    return {f"{section}.{key}": spec[2] for section, keys in cli._KEYS.items()
+            for key, spec in keys.items() if len(spec) == 3}
+
+
+class TestKeyRanges:
+    @pytest.mark.parametrize("key, accepted, rejected, others", RANGE_BOUNDS,
+                             ids=[f"{key}={rejected}" for key, _, rejected, _ in RANGE_BOUNDS])
+    def test_each_bound_of_each_ranged_key(self, capsys, tmp_path, monkeypatch,
+                                           key, accepted, rejected, others):
+        # the runner is stubbed: the verdict alone is under test, through main
+        monkeypatch.setitem(cli._RUNNERS, "validate", lambda cfg, art: (0, None))
+        args = [a for e in others for a in ("--set", e)]
+        code, _, err = _run(capsys, "validate", "--out", str(tmp_path / "art"),
+                            *args, "--set", f"{key}={accepted}")
+        assert (code, err) == (0, "")
+        out = tmp_path / "rejected"
+        code, _, err = _run(capsys, "validate", "--out", str(out), *args, "--set", f"{key}={rejected}")
+        assert code == 2
+        # the message names the key, not only its section
+        assert err.startswith(f"CONFIG_INVALID: {key} must be ")
+        assert not out.exists()
+
+    def test_every_ranged_key_has_its_bounds_tested(self):
+        assert set(_ranged_keys()) == {key for key, *_ in RANGE_BOUNDS}
+
+    def test_every_default_is_in_its_range(self):
+        defaults = parse_config("")
+        for name, (test, wording) in _ranged_keys().items():
+            section, key = name.split(".")
+            assert test(defaults[section][key]), f"{name} = {defaults[section][key]!r} not {wording}"
+
+
 class TestImports:
     def test_cli_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(sublevy.__file__)))

@@ -183,6 +183,13 @@ class TestCoefficientField:
         with pytest.raises(ValueError, match="control_axes"):
             dataclasses.replace(kou_field, control_axes=axes)
 
+    @pytest.mark.parametrize("dimension", [0, 2, 3])
+    def test_dimension_other_than_one_rejected(self, kou_field, dimension):
+        # a dimension-3 field was accepted and solved as the 1-d one, bit for bit
+        assert kou_field.dimension == 1
+        with pytest.raises(ValueError, match="dimension must be 1"):
+            dataclasses.replace(kou_field, dimension=dimension)
+
 
 class TestAudit:
     def test_kou_field_passes(self, kou_field):
