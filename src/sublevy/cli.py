@@ -43,14 +43,15 @@ MC_PATH_STEPS_MAX = 10**9
 MARCH_NODE_STEPS_MAX = 3 * 10**7
 
 # Largest control grid accepted.  Its cost grows with the controls: at 1,000,
-# validate takes about 1 s and simulate (400 paths, dt 0.01) about 5 s on 2
-# cores; at 1e6, the audit alone ran for 4 minutes.
+# validate takes 0.2-0.3 s at the default audit budget and about 1 s at the
+# audit-table cap, and simulate (400 paths, dt 0.01) about 4-5 s on 2 cores;
+# at 1e6, the audit alone ran for 4 minutes.
 CONTROLS_MAX = 1000
 
 # Largest audit table accepted, in audit.sample_budget x pide.nz entries: the
 # audit forms (budget, nodes) arrays, and validate's peak resident size grows
-# with their product, to about 190 MiB at the cap (37 MiB at the default
-# 64 x 401).
+# with their product, to about 100 MiB at the cap, with 1 or 1,000 controls
+# (37 MiB at the default 64 x 401).
 AUDIT_TABLE_MAX = 4 * 10**6
 
 # Largest PIDE envelope accepted, in the entries pide._preflight counts from the

@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -380,6 +380,12 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
     each is paired with a far partner and a near partner for increment
     ratios.  Violations are only recorded against constants the field
     declares (``declared_lipschitz``, ``declared_bound``, ``gamma``).
+
+    Each check runs once per distinct coefficient read (see ``_sources``):
+    the jump checks once per distinct jump table, the drift-dispersion
+    checks once per distinct (drift, dispersion) pair.  The loop over the
+    controls only joins a control's pair with its table for the coefficient
+    bound, and records each control's witnesses in grid order, up to 50.
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
@@ -398,96 +404,84 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
 
     quad = field.reference.quadrature
     nodes, weights = quad.nodes, quad.weights
-    gamma_declared = (
-        np.asarray(field.gamma(nodes), dtype=float) if field.gamma is not None else None
-    )
-
-    sup_bs = 0.0
-    sup_jump = 0.0
-    lip_est = 0.0
-    gamma_nodes = np.zeros_like(nodes)
-    beta_nodes = np.zeros_like(nodes)
-    violations: list = []
     slack = 1e-9
+    cap = None if field.gamma is None else (
+        np.asarray(field.gamma(nodes), dtype=float)[None, :] * (1.0 + slack))
 
-    def record(kind, witness):
-        if len(violations) < 50:
-            violations.append((kind, witness))
+    def over_cap(a):
+        """The (row, node) where a most exceeds the declared gamma, or None."""
+        if cap is None:
+            return None
+        excess = a - cap
+        excess -= 1e-12  # in place, as the arrays are (budget, nodes)
+        return np.unravel_index(int(np.argmax(excess)), excess.shape) if excess.max() > 0 else None
 
-    # every distinct read at the samples and at each partner set, indexed per control below
-    sources = [_sources(field, states) for states in (xs, *partners)]
-    shapes = (sample_budget,), (sample_budget,), (sample_budget, nodes.size)
+    # every distinct read at the samples and at each partner set; ``at`` is the same for all
+    # three, as it depends on the controls only
+    (drifts, dispersions, tables, at), *partner_reads = [_sources(field, s) for s in (xs, *partners)]
+    apart = []  # each partner set with a state apart from its sample: ys, |x - y|, where, reads
+    for ys, reads in zip(partners, partner_reads):
+        dx = np.abs(xs - ys)
+        ok = dx > 1e-12
+        if ok.any():
+            apart.append((ys, dx, ok, reads))
 
-    def read(c, k):
-        """Control c's drift, dispersion and jump table at state set k, broadcast to its states."""
-        *values, at = sources[k]
-        return tuple(np.broadcast_to(v[i], shape) for v, i, shape in zip(values, at[:, c], shapes))
+    # per distinct jump table: its capped moments, and its witnesses (size, then an
+    # increment per partner set), each a (kind, witness without the control) or None
+    sup_jump, gamma_nodes, beta_nodes = 0.0, np.zeros_like(nodes), np.zeros_like(nodes)
+    moments, table_found = [], []
+    for t, kappa in enumerate(tables):
+        moments.append((np.minimum(kappa * kappa, 1.0) * weights).sum(axis=1))
+        sup_jump = max(sup_jump, float(moments[t].max()))
+        size = np.abs(kappa)
+        beta_nodes = np.maximum(beta_nodes, size.max(axis=0))
+        ij = over_cap(size)
+        found = [ij and ("jump-size-majorant",
+                         (float(xs[ij[0]]), float(nodes[ij[1]]), float(size[ij])))]
+        for ys, dx, ok, reads in apart:
+            diff = np.broadcast_to(np.abs(kappa - reads[2][t]), (sample_budget, nodes.size))
+            inc = diff[ok]
+            inc /= dx[ok, None]
+            gamma_nodes = np.maximum(gamma_nodes, inc.max(axis=0))
+            ij = over_cap(inc)
+            i = ij and int(np.flatnonzero(ok)[ij[0]])
+            found.append(ij and ("jump-increment-majorant",
+                                 (float(xs[i]), float(ys[i]), float(nodes[ij[1]]))))
+        table_found.append(found)
 
-    for c, f in enumerate(grid.points):
-        b, s, kappa = read(c, 0)
-        mag = np.abs(b) + np.abs(s)
-        sup_bs = max(sup_bs, float(mag.max()))
-        jm = (np.minimum(kappa * kappa, 1.0) * weights).sum(axis=1)
-        sup_jump = max(sup_jump, float(jm.max()))
-        beta_nodes = np.maximum(beta_nodes, np.abs(kappa).max(axis=0))
-
-        if field.declared_bound is not None:
-            total = mag + jm
-            if total.max() > field.declared_bound * (1.0 + slack) + slack:
-                i = int(np.argmax(total))
-                record("coefficient-bound", (f, float(xs[i]), float(total[i])))
-        if gamma_declared is not None:
-            excess = np.abs(kappa) - gamma_declared[None, :] * (1.0 + slack) - 1e-12
-            if excess.max() > 0:
-                i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-                record(
-                    "jump-size-majorant",
-                    (f, float(xs[i]), float(nodes[j]), float(abs(kappa[i, j]))),
-                )
-
-        for k, ys in enumerate(partners, 1):
-            dx = np.abs(xs - ys)
-            ok = dx > 1e-12
-            if not ok.any():
-                continue
-            b2, s2, kappa2 = read(c, k)
-            ratios = (np.abs(b - b2) + np.abs(s - s2))[ok] / dx[ok]
+    # per distinct (drift, dispersion) pair: its sup, and a Lipschitz witness per partner set
+    sup_bs, lip_est, pair_found = 0.0, 0.0, {}
+    for d, s in dict.fromkeys(zip(at[0], at[1])):
+        b, sd = np.broadcast_to(drifts[d], xs.shape), np.broadcast_to(dispersions[s], xs.shape)
+        sup_bs = max(sup_bs, float((np.abs(b) + np.abs(sd)).max()))
+        found = pair_found[d, s] = []
+        for ys, dx, ok, reads in apart:
+            ratios = (np.abs(b - reads[0][d]) + np.abs(sd - reads[1][s]))[ok] / dx[ok]
             rmax = float(ratios.max())
             lip_est = max(lip_est, rmax)
-            if field.declared_lipschitz is not None and rmax > field.declared_lipschitz * (
-                1.0 + slack
-            ) + slack:
-                i = int(np.flatnonzero(ok)[np.argmax(ratios)])
-                record(
-                    "drift-dispersion-lipschitz",
-                    (f, float(xs[i]), float(ys[i]), rmax),
-                )
-            inc = np.abs(kappa - kappa2)[ok] / dx[ok, None]
-            gamma_nodes = np.maximum(gamma_nodes, inc.max(axis=0))
-            if gamma_declared is not None:
-                excess = inc - gamma_declared[None, :] * (1.0 + slack) - 1e-12
-                if excess.max() > 0:
-                    i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
-                    io = int(np.flatnonzero(ok)[i])
-                    record(
-                        "jump-increment-majorant",
-                        (f, float(xs[io]), float(ys[io]), float(nodes[j])),
-                    )
+            i = int(np.flatnonzero(ok)[np.argmax(ratios)])
+            found.append(("drift-dispersion-lipschitz", (float(xs[i]), float(ys[i]), rmax))
+                         if field.declared_lipschitz is not None
+                         and rmax > field.declared_lipschitz * (1.0 + slack) + slack else None)
+
+    violations: list = []
+    for f, (d, s, t) in zip(grid.points, at.T):
+        if len(violations) >= 50:
+            break
+        found = []
+        if field.declared_bound is not None:
+            total = np.abs(drifts[d]) + np.abs(dispersions[s]) + moments[t]
+            if total.max() > field.declared_bound * (1.0 + slack) + slack:
+                i = int(np.argmax(total))
+                found.append(("coefficient-bound", (float(xs[i]), float(total[i]))))
+        found += [table_found[t][0], *itertools.chain(*zip(pair_found[d, s], table_found[t][1:]))]
+        violations += [(kind, (f, *w)) for kind, w in filter(None, found)][:50 - len(violations)]
 
     gamma_nodes = np.maximum(gamma_nodes, beta_nodes)
-
-    def _majorant(vals):
-        frozen = vals.copy()
-
-        def fn(z):
-            return np.interp(np.asarray(z, dtype=float), nodes, frozen)
-
-        return fn
-
     return ConditionAudit(
         lipschitz_constant_estimate=lip_est,
-        gamma_majorant=_majorant(gamma_nodes),
-        beta_majorant=_majorant(beta_nodes),
+        gamma_majorant=lambda z: np.interp(z, nodes, gamma_nodes),
+        beta_majorant=lambda z: np.interp(z, nodes, beta_nodes),
         violations=tuple(violations),
         sup_drift_dispersion=sup_bs,
         sup_jump_moment=sup_jump,

@@ -1,7 +1,9 @@
 import ast
 import collections
 import dataclasses
+import importlib
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +386,16 @@ class TestSources:
         assert np.array_equal(at, np.tile(np.arange(8), (3, 1)))
         assert calls == {"drift": 8, "dispersion": 8, "jump_density_map": 8}
 
+    def test_the_audit_checks_each_distinct_read_once(self, kou_spec):
+        # 1,000 controls but 10 distinct jump tables and 100 (drift, dispersion)
+        # pairs: checked once per read, the (budget, nodes) work is that of 10
+        # controls; checked once per control it took about 17 s on a 2-core host
+        field = build_field(kou_spec, 10)
+        assert len(field.control_grid.points) == 1000
+        start = time.perf_counter()
+        audit_conditions(field, 1000, 0)
+        assert time.perf_counter() - start < 3.0
+
 
 # (module, enclosing function) -> the model reads it may make; core._coefficients
 # and _jump_table are the reader, and the map is called directly at single marks only
@@ -438,3 +450,22 @@ class TestOneReader:
                     callers.add((module, scope))
         assert stray == []
         assert ("core", "_sources") in callers and callers <= READER_CALLERS
+
+
+class TestImports:
+    def test_every_imported_name_is_used_or_exported(self):
+        unused = []
+        for path in sorted(Path(sublevy.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported += [a.asname or a.name.split(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported += [a.asname or a.name for a in node.names]
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            exported = set(getattr(importlib.import_module(f"sublevy.{path.stem}"), "__all__", ()))
+            unused += [f"{path.stem}.{name}" for name in imported if name not in used | exported]
+        assert unused == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sublevy.core import TruncationFunction, _jump_table, audit_conditions
+from sublevy.core import TruncationFunction, _coefficients, _jump_table, audit_conditions
 from sublevy.generator import gaussian_bump, hamiltonian_G, small_symbol_sup
 from sublevy.generator import TestFunction as GenTestFunction
 from sublevy.kou import KouSpec, build_field, clamp_jump, double_exponential_measure
@@ -264,13 +264,72 @@ def _bits(*values):
     return [np.asarray(v, dtype=float).view(np.int64).tolist() for v in values]
 
 
-def _audit_bits(field):
+def _audit_bits(field, sample_budget=8):
     """Every field of the audit, the majorants at the quadrature nodes, as bits."""
-    audit = audit_conditions(field, 8, 3)
+    audit = audit_conditions(field, sample_budget, 3)
     nodes = field.reference.quadrature.nodes
     return audit.violations, _bits(audit.lipschitz_constant_estimate, audit.sup_drift_dispersion,
                                    audit.sup_jump_moment, audit.gamma_majorant(nodes),
                                    audit.beta_majorant(nodes))
+
+
+def _per_control_audit_bits(field, sample_budget, rng_seed):
+    """``_audit_bits`` of the audit as a loop over the controls, each read on its own:
+    the reference the audit's checks, run once per distinct read, must match."""
+    rng = np.random.default_rng(rng_seed)
+    lo, hi = field.state_box
+    xs = rng.uniform(lo, hi, size=sample_budget)
+    partners = (rng.uniform(lo, hi, size=sample_budget),
+                np.clip(xs + rng.normal(0.0, 1e-3 * (hi - lo), size=sample_budget), lo, hi))
+    nodes, weights = field.reference.quadrature.nodes, field.reference.quadrature.weights
+    gamma_declared = None if field.gamma is None else np.asarray(field.gamma(nodes), dtype=float)
+    shapes = (sample_budget,), (sample_budget,), (sample_budget, nodes.size)
+    sup_bs = sup_jump = lip_est = 0.0
+    gamma_nodes, beta_nodes = np.zeros_like(nodes), np.zeros_like(nodes)
+    violations, slack = [], 1e-9
+    for f in field.control_grid.points:
+        (b, s, kappa), *partner_reads = [
+            [np.broadcast_to(v, shape) for v, shape in zip(_coefficients(field, f, states), shapes)]
+            for states in (xs, *partners)]
+        mag = np.abs(b) + np.abs(s)
+        sup_bs = max(sup_bs, float(mag.max()))
+        jm = (np.minimum(kappa * kappa, 1.0) * weights).sum(axis=1)
+        sup_jump = max(sup_jump, float(jm.max()))
+        beta_nodes = np.maximum(beta_nodes, np.abs(kappa).max(axis=0))
+        if field.declared_bound is not None:
+            total = mag + jm
+            if total.max() > field.declared_bound * (1.0 + slack) + slack:
+                i = int(np.argmax(total))
+                violations.append(("coefficient-bound", (f, float(xs[i]), float(total[i]))))
+        if gamma_declared is not None:
+            excess = np.abs(kappa) - gamma_declared[None, :] * (1.0 + slack) - 1e-12
+            if excess.max() > 0:
+                i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+                violations.append(("jump-size-majorant",
+                                   (f, float(xs[i]), float(nodes[j]), float(abs(kappa[i, j])))))
+        for ys, (b2, s2, kappa2) in zip(partners, partner_reads):
+            dx = np.abs(xs - ys)
+            ok = dx > 1e-12
+            if not ok.any():
+                continue
+            ratios = (np.abs(b - b2) + np.abs(s - s2))[ok] / dx[ok]
+            rmax = float(ratios.max())
+            lip_est = max(lip_est, rmax)
+            if field.declared_lipschitz is not None and rmax > field.declared_lipschitz * (
+                    1.0 + slack) + slack:
+                i = int(np.flatnonzero(ok)[np.argmax(ratios)])
+                violations.append(("drift-dispersion-lipschitz", (f, float(xs[i]), float(ys[i]), rmax)))
+            inc = np.abs(kappa - kappa2)[ok] / dx[ok, None]
+            gamma_nodes = np.maximum(gamma_nodes, inc.max(axis=0))
+            if gamma_declared is not None:
+                excess = inc - gamma_declared[None, :] * (1.0 + slack) - 1e-12
+                if excess.max() > 0:
+                    i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+                    io = int(np.flatnonzero(ok)[i])
+                    violations.append(("jump-increment-majorant",
+                                       (f, float(xs[io]), float(ys[io]), float(nodes[j]))))
+    gamma_nodes = np.maximum(gamma_nodes, beta_nodes)
+    return tuple(violations[:50]), _bits(lip_est, sup_bs, sup_jump, gamma_nodes, beta_nodes)
 
 
 class TestEnvelopeOracle:
@@ -342,3 +401,14 @@ class TestEnvelopeOracle:
         plain = dataclasses.replace(field, control_axes=None)
         sups = [small_symbol_sup(f, 0.4, sample_budget=4) for f in (field, plain)]
         assert _bits(sups[0]) == _bits(sups[1])
+
+    @pytest.mark.parametrize("route", ["as-built", "mixed", "gather"])
+    @_ORACLE
+    @given(data=st.data(), budget=st.sampled_from([1, 8, 64]))
+    def test_audit_is_the_per_control_loop(self, route, data, budget):
+        field, _, _ = data.draw(_kou_cases(route))
+        tight = dataclasses.replace(field, declared_lipschitz=0.0, declared_bound=0.0,
+                                    gamma=lambda z: 0.0 * z)
+        for f in (field, tight):
+            for g in (f, dataclasses.replace(f, control_axes=None)):
+                assert _audit_bits(g, budget) == _per_control_audit_bits(g, budget, 3)
