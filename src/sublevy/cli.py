@@ -30,8 +30,6 @@ from .transform import exponential_tails, power_tails, quantile_k, verify_transp
 
 __all__ = ["RunConfig", "entry", "main", "parse_config"]
 
-SUBCOMMANDS = ("solve", "simulate", "validate", "fourier-check", "transform", "dpp-check")
-
 # Largest Monte Carlo run accepted, in paths x Euler steps: 100x the default
 # run, so a mistyped mc.dt or mc.paths fails at once instead of after days.
 MC_PATH_STEPS_MAX = 10**9
@@ -48,10 +46,11 @@ MARCH_NODE_STEPS_MAX = 3 * 10**7
 # at 1e6, the audit alone ran for 4 minutes.
 CONTROLS_MAX = 1000
 
-# Largest audit table accepted, in audit.sample_budget x pide.nz entries: the
-# audit forms (budget, nodes) arrays, and validate's peak resident size grows
-# with their product, to about 100 MiB at the cap, with 1 or 1,000 controls
-# (37 MiB at the default 64 x 401).
+# Largest audit table accepted, in audit.sample_budget x pide.nz entries.  The
+# config's constant bounds give state-free jump tables, which the audit checks
+# on one row each: validate peaks at 37-43 MiB at the cap, with 1 or 1,000
+# controls (36 MiB at the default 64 x 401).  A state-dependent table, which the
+# API accepts, forms (budget, nodes) arrays: about 250 MiB at the cap.
 AUDIT_TABLE_MAX = 4 * 10**6
 
 # Largest PIDE envelope accepted, in the entries pide._preflight counts from the
@@ -461,7 +460,7 @@ def main(argv=None) -> int:
         prog="sublevy",
         description="Robust jump-diffusion semigroup pipelines (solve, simulate, checks).",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_RUNNERS)
     parser.add_argument("--config", default=None, help="path to a section.key = value config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override section.key=value (repeatable)")

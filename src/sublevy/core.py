@@ -60,18 +60,17 @@ class TruncationFunction:
 
     ``evaluate`` acts componentwise, equals the identity on
     ``[-identity_radius, identity_radius]``, is Lipschitz with the declared
-    constant, and satisfies ``|evaluate(y)| <= bound`` everywhere.
+    constant, and satisfies ``|evaluate(y)| <= bound`` everywhere.  The
+    solver and the generator compensate with any such function;
+    ``kou.characteristic_exponent`` assumes an odd one, as ``clip`` is.
     """
 
-    kind: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     lipschitz_bound: float
     identity_radius: float
     bound: float
 
     def __post_init__(self):
-        if self.kind not in ("clip", "custom"):
-            raise ValueError(f"unknown truncation kind {self.kind!r}")
         if self.lipschitz_bound < 0 or self.identity_radius <= 0 or self.bound <= 0:
             raise ValueError("truncation constants out of range")
 
@@ -79,7 +78,6 @@ class TruncationFunction:
     def clip(cls) -> "TruncationFunction":
         """Default cutoff: clip to [-1, 1] componentwise."""
         return cls(
-            kind="clip",
             evaluate=lambda y: np.clip(y, -1.0, 1.0),
             lipschitz_bound=1.0,
             identity_radius=1.0,
@@ -439,9 +437,12 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
         found = [ij and ("jump-size-majorant",
                          (float(xs[ij[0]]), float(nodes[ij[1]]), float(size[ij])))]
         for ys, dx, ok, reads in apart:
-            diff = np.broadcast_to(np.abs(kappa - reads[2][t]), (sample_budget, nodes.size))
-            inc = diff[ok]
-            inc /= dx[ok, None]
+            diff = np.abs(kappa - reads[2][t])
+            if len(diff) == 1:  # a state-free table's row, zero by the reader's contract
+                inc = diff / dx[ok][:1, None]
+            else:
+                inc = diff[ok]
+                inc /= dx[ok, None]
             gamma_nodes = np.maximum(gamma_nodes, inc.max(axis=0))
             ij = over_cap(inc)
             i = ij and int(np.flatnonzero(ok)[ij[0]])

@@ -93,14 +93,7 @@ class KouSpec:
     @property
     def degenerate(self) -> bool:
         """All intervals collapsed to constants (single effective model)."""
-        vals = (self.b_lo, self.b_hi, self.a_lo, self.a_hi, self.lam_lo, self.lam_hi)
-        if any(callable(v) for v in vals):
-            return False
-        return (
-            float(self.b_lo) == float(self.b_hi)
-            and float(self.a_lo) == float(self.a_hi)
-            and float(self.lam_lo) == float(self.lam_hi)
-        )
+        return _axis_resolution(self, 2) == [1, 1, 1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -269,46 +262,20 @@ def verify_pushforward(spec: KouSpec, f, x, thresholds, *, z_cut: float = 10.0, 
     return worst
 
 
-def characteristic_exponent(
-    triplet: LinearKouTriplet,
-    truncation: TruncationFunction,
-    xi,
-    *,
-    mode: str = "auto",
-    z_cut: float = 10.0,
-    nz: int = 401,
-):
+def characteristic_exponent(triplet: LinearKouTriplet, xi):
     """Exponent of E[exp(i xi X_t)] = exp(t * exponent) for the single model.
 
-    ``mode="closed"`` uses the analytic cosine transform of the
-    double-exponential density (odd truncations only, which the default clip
-    is); ``mode="quadrature"`` assembles the jump integral on a Simpson rule
-    with the same window defaults as the model measure.  ``"auto"`` picks
-    closed for the clip truncation.
+    The closed form for the clip truncation, or any odd one, under which
+    the compensator of the symmetric marks vanishes:
+    ``i b xi - a xi^2 / 2 + lam (2 / (1 + xi^2) - 2)``, the cosine transform
+    of the double-exponential density (Kou 2002).
     """
-    if mode == "auto":
-        mode = "closed" if truncation.kind == "clip" else "quadrature"
     xi_arr = np.asarray(xi, dtype=float)
     scalar = xi_arr.ndim == 0
     xv = np.atleast_1d(xi_arr)
-    base = 1j * triplet.b * xv - 0.5 * triplet.a * xv * xv
-    if triplet.lam == 0:
-        out = base
-    elif mode == "closed":
-        out = base + triplet.lam * (2.0 / (1.0 + xv * xv) - 2.0)
-    elif mode == "quadrature":
-        quad = simpson_quadrature(
-            lambda z: triplet.lam * np.exp(-np.abs(z)), z_cut, nz
-        )
-        h = np.asarray(truncation.evaluate(quad.nodes), dtype=float)
-        term = (
-            np.exp(1j * xv[:, None] * quad.nodes[None, :])
-            - 1.0
-            - 1j * xv[:, None] * h[None, :]
-        )
-        out = base + term @ quad.weights
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    out = 1j * triplet.b * xv - 0.5 * triplet.a * xv * xv
+    if triplet.lam != 0:
+        out = out + triplet.lam * (2.0 / (1.0 + xv * xv) - 2.0)
     return complex(out[0]) if scalar else out
 
 
@@ -361,12 +328,13 @@ def fourier_reference(
     *,
     xi_max: float | None = None,
     n_xi: int = 4097,
-    truncation: TruncationFunction | None = None,
     return_error: bool = False,
 ):
     """E[psi(x0 + X_T)] by Fourier inversion of the characteristic function.
 
-    The integration window is chosen from the payoff width and diffusive
+    The exponent is ``characteristic_exponent``'s closed form, which holds
+    for the clip truncation that ``build_field`` gives the model.  The
+    integration window is chosen from the payoff width and diffusive
     variance so the integrand has decayed below 1e-17 at the edges; the
     error estimate is a Richardson half-grid comparison plus the edge
     integrand size.
@@ -375,12 +343,11 @@ def fourier_reference(
         raise ValueError("psi outside the supported analytic family")
     if not (0.0 <= T < math.inf and math.isfinite(x0)):
         raise ValueError(f"T must be nonnegative and finite and x0 finite, got T={T!r}, x0={x0!r}")
-    trunc = truncation if truncation is not None else TruncationFunction.clip()
     s = psi.width
     if xi_max is None:
         xi_max = math.sqrt(80.0 / (s * s + triplet.a * T))
     xi = np.linspace(-xi_max, xi_max, n_xi)
-    eta = characteristic_exponent(triplet, trunc, xi)
+    eta = characteristic_exponent(triplet, xi)
     integrand = psi.fourier_transform(xi) * np.exp(1j * xi * x0 + T * eta)
     value = float(np.real(np.trapezoid(integrand, xi))) / (2.0 * math.pi)
     if not return_error:

@@ -337,7 +337,7 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
     distinct = dict(zip(names, tables))
     row_of_table = {k: i for i, k in enumerate(sorted(distinct, key=lambda k: len(distinct[k]) > 1))}
     kappas = [distinct[k] for k in row_of_table]
-    # with no jump term, one jump row of zeros: apply still adds 0.0, as it always has
+    # with no jump term, one jump row of zeros: apply adds 0.0
     comps = [_compensator(field, t, quad.weights) for t in kappas] or [0.0]
     jump_rows = [row_of_table[names[j]] for j in jump_at] if kappas else [0] * n
     # the one CFL denominator, checked before the upwind weights divide by dx
@@ -361,7 +361,11 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
 
 
 def _step(denom: float, safety: float, dt_max: float) -> float:
-    """The one step rule: safety / denom, capped at ``dt_max``; no cap on a zero denominator."""
+    """The one step rule: safety / denom, capped at ``dt_max``; no cap on a zero denominator.
+
+    ``solve`` (on its envelope's ``denom``), ``cfl_timestep`` and the CLI's
+    config check (on ``_preflight``'s) all take their step here.
+    """
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must be in (0, 1]")
     if not dt_max > 0:
@@ -452,10 +456,6 @@ class _Envelope:
         self._best = np.empty_like(self._jumps)
         self._stacks = None  # the (n_controls, nx) buffers, from the first apply
 
-    def timestep(self, safety: float, dt_max: float) -> float:
-        """Stable explicit step safety / denom, capped at ``dt_max`` (``_step``)."""
-        return _step(self.denom, safety, dt_max)
-
     def _fill_rows(self, u):
         """Fill the jump and drift rows; return w = u - u[mid] and s = dp + dm."""
         dp, dm, s, w, _, tmp = self._rows  # dp[-1] and dm[0] stay 0
@@ -522,8 +522,8 @@ def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, d
     ``dt_max``.  A denominator that overflows a float, or a step that
     underflows to 0, raises ``ValueError``: no explicit step is stable.
     The denominator comes from ``_preflight``, which reads the coefficients
-    and builds no envelope, and the step from ``_step``, the rule the
-    envelope's ``timestep`` applies.
+    and builds no envelope, and the step from ``_step``, the rule ``solve``
+    applies to its envelope's denominator.
     """
     return _step(_preflight(field, grid)[0], safety, dt_max)
 
@@ -572,7 +572,7 @@ def solve(
         raise ValueError("psi must be finite on the grid")
     field.reference.validate_mass()
     env = _Envelope(field, grid)
-    dt = env.timestep(safety, dt_max)
+    dt = _step(env.denom, safety, dt_max)
     psi_sup = float(np.max(np.abs(u)))
 
     times = [0.0]

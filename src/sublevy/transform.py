@@ -16,7 +16,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .core import _pushed_mass
+from .core import _bisect_edge, _pushed_mass
 
 __all__ = [
     "NonMonotoneTailError",
@@ -54,6 +54,9 @@ def _sup_level(tail, level, tol, z_max):
 
     Returns (value, truncated).  Empty set gives (0, False); brackets grow
     geometrically from [0, 1] and cap at z_max with the truncation flag set.
+    The last bracket, at least 1 wide, is halved by ``core._bisect_edge``
+    until it is ``tol`` wide, at least once and at most 200 times, and its
+    midpoint returned.
     """
     probe = min(tol, 1e-9)
     prev = tail(probe)
@@ -75,15 +78,7 @@ def _sup_level(tail, level, tol, z_max):
         z_hi *= 2.0
         if z_hi > z_max:
             return float(z_max), True
-    for _ in range(200):
-        if z_hi - z_lo <= tol:
-            break
-        mid = 0.5 * (z_lo + z_hi)
-        if tail(mid) >= level:
-            z_lo = mid
-        else:
-            z_hi = mid
-    return 0.5 * (z_lo + z_hi), False
+    return _bisect_edge(z_hi, z_lo, lambda z: tail(z) >= level, tol, 200), False
 
 
 def quantile_k(tails: TailPair, y: float, tol: float, *, z_max: float = 1e6, return_flag: bool = False):

@@ -14,6 +14,7 @@ import pytest
 import sublevy
 from sublevy import cli, pide
 from sublevy.cli import MC_PATH_STEPS_MAX, ConfigError, main, parse_config
+from sublevy.core import ConditionAudit
 from sublevy.pide import ValueField, solve
 
 FAST_SOLVE = ["--set", "pide.nx=201", "--set", "pide.t_horizon=0.2"]
@@ -158,6 +159,22 @@ class TestValidateCommand:
         report = (out / "audit.txt").read_text()
         assert "passed = True" in report
         assert "n_violations = 0" in report
+
+    def test_a_failed_audit_exits_with_its_violations(self, capsys, tmp_path, monkeypatch):
+        # no config reaches a violation, so the audit is stubbed with one
+        failed = ConditionAudit(
+            lipschitz_constant_estimate=0.0, gamma_majorant=abs, beta_majorant=abs,
+            violations=(("coefficient-bound", ((0.0, 0.0, 0.0), 0.5, 9.0)),),
+            sup_drift_dispersion=9.0, sup_jump_moment=0.0)
+        monkeypatch.setattr(cli, "audit_conditions", lambda field, budget, seed: failed)
+        out = tmp_path / "art"
+        code, _, err = _run(capsys, "validate", "--out", str(out))
+        assert (code, err) == (1, "AUDIT_VIOLATIONS: n=1\n")
+        # the report is kept: it names what failed
+        report = (out / "audit.txt").read_text().splitlines()
+        assert report[0] == "passed = False"
+        assert "n_violations = 1" in report
+        assert report[-1] == "violation = coefficient-bound ((0.0, 0.0, 0.0), 0.5, 9.0)"
 
 
 class TestFourierCheckCommand:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,18 +48,12 @@ class TestTruncation:
 
     def test_constants(self):
         h = TruncationFunction.clip()
-        assert h.kind == "clip"
         assert h.lipschitz_bound == 1.0
         assert h.identity_radius == 1.0
 
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TruncationFunction(kind="spline", evaluate=lambda y: y,
-                               lipschitz_bound=1.0, identity_radius=1.0, bound=1.0)
-
     def test_bad_constants_rejected(self):
         with pytest.raises(ValueError):
-            TruncationFunction(kind="custom", evaluate=lambda y: y,
+            TruncationFunction(evaluate=lambda y: y,
                                lipschitz_bound=-1.0, identity_radius=1.0, bound=1.0)
 
 
@@ -396,6 +391,19 @@ class TestSources:
         audit_conditions(field, 1000, 0)
         assert time.perf_counter() - start < 3.0
 
+    def test_a_state_free_table_is_audited_on_one_row(self, degenerate_spec):
+        # the cli spec's one table is state-free: its increments are one row, not
+        # (budget, nodes); two such arrays took 61 MiB at 10,000 x 400
+        field = build_field(degenerate_spec, 2, nz=400)
+        tracemalloc.start()
+        try:
+            audit = audit_conditions(field, 10000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert audit.passed
+        assert peak < 10 * 2**20
+
 
 # (module, enclosing function) -> the model reads it may make; core._coefficients
 # and _jump_table are the reader, and the map is called directly at single marks only
@@ -469,3 +477,28 @@ class TestImports:
             exported = set(getattr(importlib.import_module(f"sublevy.{path.stem}"), "__all__", ()))
             unused += [f"{path.stem}.{name}" for name in imported if name not in used | exported]
         assert unused == []
+
+    def test_every_private_helper_is_used(self):
+        # a function, class or method named with one leading underscore is referenced
+        # somewhere in the package other than its own body; tests do not count
+        trees = [ast.parse(p.read_text()) for p in sorted(Path(sublevy.__file__).parent.glob("*.py"))]
+        refs = collections.Counter()
+        defs = []
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    refs[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    refs[node.attr] += 1
+                elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and node.name.startswith("_") and not node.name.startswith("__")):
+                    defs.append(node)
+        dead = []
+        for node in defs:
+            own = sum(isinstance(n, ast.Name) and n.id == node.name
+                      or isinstance(n, ast.Attribute) and n.attr == node.name
+                      for n in ast.walk(node))
+            if refs[node.name] == own:
+                dead.append(node.name)
+        assert defs
+        assert dead == []

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from sublevy.core import TruncationFunction
 from sublevy.generator import symbol
 from sublevy.kou import (
     GaussianBump,
@@ -207,24 +206,11 @@ class TestVerifyPushforward:
 class TestCharacteristicExponent:
     def test_zero_frequency(self):
         trip = LinearKouTriplet(b=0.3, a=0.2, lam=1.5)
-        assert characteristic_exponent(trip, TruncationFunction.clip(), 0.0) == 0
+        assert characteristic_exponent(trip, 0.0) == 0
 
     def test_no_jumps_pure_drift(self):
         trip = LinearKouTriplet(b=1.0, a=0.0, lam=0.0)
-        assert characteristic_exponent(trip, TruncationFunction.clip(), 1.0) == 1j
-
-    def test_closed_matches_quadrature_mode(self):
-        trip = LinearKouTriplet(b=0.1, a=0.2, lam=1.5)
-        h = TruncationFunction.clip()
-        for xi in (0.5, 1.0, 3.0):
-            c = characteristic_exponent(trip, h, xi, mode="closed")
-            q = characteristic_exponent(trip, h, xi, mode="quadrature", z_cut=30.0, nz=4001)
-            assert abs(c - q) <= 1e-6
-
-    def test_unknown_mode_rejected(self):
-        trip = LinearKouTriplet(b=0.0, a=0.0, lam=1.0)
-        with pytest.raises(ValueError):
-            characteristic_exponent(trip, TruncationFunction.clip(), 1.0, mode="magic")
+        assert characteristic_exponent(trip, 1.0) == 1j
 
     @pytest.mark.parametrize("lam,lam_star", [(2.0, 2.0), (1.0, 2.0)])
     def test_agrees_with_negated_symbol(self, lam, lam_star):
@@ -235,7 +221,7 @@ class TestCharacteristicExponent:
         trip = LinearKouTriplet(b=0.05, a=0.2, lam=lam)
         f = field.control_grid.points[0]
         for xi in (0.3, 1.0, 2.0, 5.0):
-            eta = characteristic_exponent(trip, field.truncation, xi)
+            eta = characteristic_exponent(trip, xi)
             q = symbol(field, f, 0.0, xi)
             assert abs(eta - (-q)) <= 1e-8
 

@@ -11,7 +11,7 @@ from sublevy.core import TruncationFunction, _coefficients, _jump_table, audit_c
 from sublevy.generator import gaussian_bump, hamiltonian_G, small_symbol_sup
 from sublevy.generator import TestFunction as GenTestFunction
 from sublevy.kou import KouSpec, build_field, clamp_jump, double_exponential_measure
-from sublevy.pide import SpatialGrid, _Envelope, cfl_timestep, solve
+from sublevy.pide import SpatialGrid, _Envelope, _step, cfl_timestep, solve
 from sublevy.transform import exponential_tails, quantile_k
 from tests.test_pide import _reference_stack
 
@@ -357,7 +357,7 @@ class TestEnvelopeOracle:
         assert not plain.per_axis and plain.denom == env.denom and plain.routes == env.routes
         assert float(np.max(np.abs(plain.apply(w) - stack))) <= tol
         assert float(np.max(np.abs(plain.sup(w, np.empty(grid.nx)) - got))) <= tol
-        dt = env.timestep(0.9, 1.0)
+        dt = _step(env.denom, 0.9, 1.0)
 
         def step(u):
             """One step of the march from u, as ``solve`` takes it."""
