@@ -42,8 +42,9 @@ MARCH_NODE_STEPS_MAX = 3 * 10**7
 
 # Largest control grid accepted.  Its cost grows with the controls: at 1,000,
 # validate takes 0.2-0.3 s at the default audit budget and about 1 s at the
-# audit-table cap, and simulate (400 paths, dt 0.01) about 4-5 s on 2 cores;
-# at 1e6, the audit alone ran for 4 minutes.
+# audit-table cap, and simulate (400 paths, dt 0.01) 4.2-4.6 s on 2 cores, all
+# but about 0.03 s of it the policy march; at 1e6, the audit alone ran for 4
+# minutes.
 CONTROLS_MAX = 1000
 
 # Largest audit table accepted, in audit.sample_budget x pide.nz entries.  The

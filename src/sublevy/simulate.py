@@ -19,7 +19,12 @@ does not grow with the grid.
 One step loop advances a batch of paths and yields their states and jumps
 after each step; ``sample_path`` logs a one-path batch from it, and the
 estimators keep each chunk's terminal states.  A step whose policy row
-names one state-free control skips the per-path cell lookup.
+names one state-free control skips the per-path cell lookup.  Jumps are
+drawn a block of steps at a time, from each path's count over the block
+and a uniform step for each of its events (the compound-Poisson process
+from its jump times, not a count in every Euler step); a block holds
+about one event per path, so a step with no jumps draws only its
+normals.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so a chunk's paths depend on the seed
@@ -87,7 +92,10 @@ class _Plan:
     ``btab``/``stab`` hold each state-free control's (drift - compensator,
     dispersion); ``per_state`` marks the controls evaluated at their paths'
     states.  ``single[m]`` is the one state-free control that knot row m of
-    the policy names, or -1.
+    the policy names, or -1.  ``rows[k]`` is the knot row in force at step
+    k, ``policy.knot(k * dt_eff)``.  ``block`` is the number of steps whose
+    jumps are drawn at once: about one event per path, so a chunk's schedule
+    holds O(paths) events at any jump rate.
     """
 
     def __init__(self, field, policy, x0, T, dt):
@@ -107,6 +115,9 @@ class _Plan:
         self.field, self.policy, self.x0 = field, policy, float(x0)
         self.n_steps = max(1, int(round(T / dt)))
         self.dt_eff = T / self.n_steps
+        self.rate = mass * self.dt_eff
+        # floor(1 / rate), capped at the horizon; the cap also keeps 1 / rate finite
+        self.block = self.n_steps if self.rate * self.n_steps <= 1 else max(1, int(1 / self.rate))
 
         # each distinct read once, at two states: they tell a state-free one-row jump table
         # from a single state's row
@@ -125,6 +136,37 @@ class _Plan:
         lo = policy.indices.min(axis=1).astype(np.intp)
         one = (lo == policy.indices.max(axis=1)) & ~self.per_state[lo]
         self.single = np.where(one, lo, -1)
+        # PolicySchedule.knot at every step time, in one search
+        ts = np.arange(self.n_steps) * self.dt_eff
+        self.rows = np.maximum(np.searchsorted(policy.time_knots, ts + 1e-12, side="right") - 1, 0)
+
+
+def _schedule(rng, n, rate, nb, sampler):
+    """The jumps of n paths over a block of nb steps, as rounds in step order.
+
+    Each path's count is Poisson(rate nb), and each event falls on a step
+    drawn uniformly from the block: split so, the counts per (path, step)
+    are independent Poisson(rate), as one draw per step would give.  A path
+    with m events in a step has one in each of that step's rounds 0..m-1.
+    Returns ``(bounds, width, paths, marks)``: round r of step j is events
+    ``bounds[j * width + r]`` to ``bounds[j * width + r + 1]``, its paths in
+    increasing order, and a step has at most ``width`` rounds.
+    """
+    counts = rng.poisson(rate * nb, n)
+    # one int64 key per event, step-major then path; sorting it orders the events
+    key = rng.integers(0, nb, int(counts.sum())) * n + np.repeat(np.arange(n), counts)
+    key.sort()
+    # an event's round is its rank among the events of its (step, path)
+    idx = np.arange(key.size)
+    rank = idx - np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, idx, 0))
+    width = int(rank.max(initial=0)) + 1
+    if width > 1:  # rekey by (step, round, path): step n + path -> (step width + rank) n + path
+        key += (key // n * (width - 1) + rank) * n
+        key.sort()
+    slots, paths = np.divmod(key, n)
+    bounds = np.searchsorted(slots, np.arange(nb * width + 1)).tolist()
+    # marks are i.i.d., drawn in event order
+    return bounds, width, paths, sampler(rng.random(key.size))
 
 
 def _steps(plan, rng, n):
@@ -136,18 +178,30 @@ def _steps(plan, rng, n):
     A step whose knot row names one state-free control looks up no cell:
     its coefficients are that control's scalars, which round as arrays of
     equal entries do, and each round of jumps is one jump-map call.
+
+    The stream draws, at the first step of each block of ``plan.block``
+    steps and before that step's normals, the block's jump schedule
+    (``_schedule``: per-path counts, each event's step, then the marks), and
+    at every step n normals.  A round holds the paths with a further jump in
+    the step, in path order, and its jump map reads the states the round
+    before left.
     """
     field, policy, dt_eff = plan.field, plan.policy, plan.dt_eff
     measure = field.reference
-    mass = float(measure.total_mass)
     controls = field.control_grid.points
     sq = math.sqrt(dt_eff)
     any_per_state = bool(plan.per_state.any())
+    single = plan.single[plan.rows].tolist()
 
     x = np.full(n, plan.x0)
+    width = 0  # rounds a step may hold; none without jumps
     for step in range(plan.n_steps):
         t = step * dt_eff
-        ci = int(plan.single[policy.knot(t)])
+        j = step % plan.block
+        if plan.rate > 0 and j == 0:
+            nb = min(plan.block, plan.n_steps - step)
+            bounds, width, paths, marks = _schedule(rng, n, plan.rate, nb, measure.sampler)
+        ci = single[step]
         if ci >= 0:
             beff, sig = plan.btab[ci], plan.stab[ci]
         else:
@@ -159,15 +213,15 @@ def _steps(plan, rng, n):
                     m = fidx == c
                     beff[m], sig[m] = _coefficients(field, controls[c], x[m])
         dw = rng.standard_normal(n)
-        counts = rng.poisson(mass * dt_eff, n) if mass > 0 else np.zeros(n, dtype=int)
         x = x + beff * dt_eff + sig * sq * dw
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite state after diffusion step {step}")
-        rounds = int(counts.max()) if counts.size else 0
         jumps = []
-        for r in range(rounds):
-            act = np.flatnonzero(counts > r)
-            z = measure.sampler(rng.random(act.size))
+        for r in range(j * width, (j + 1) * width):
+            lo, hi = bounds[r], bounds[r + 1]
+            if lo == hi:
+                break
+            act, z = paths[lo:hi], marks[lo:hi]
             applied = np.empty(act.size)
             if ci >= 0:
                 groups = [(ci, slice(None))]
@@ -181,10 +235,12 @@ def _steps(plan, rng, n):
                     field.jump_density_map(controls[c], x[sel], z[mm]), dtype=float
                 )
                 applied[mm] = np.broadcast_to(k, sel.shape)
-            x[act] = x[act] + applied
+            # the other paths kept the finite states the diffusion check saw
+            xa = x[act] + applied
+            if not np.all(np.isfinite(xa)):
+                raise RuntimeError(f"non-finite state after jumps at step {step}")
+            x[act] = xa
             jumps.append((z, applied))
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"non-finite state after jumps at step {step}")
         yield (step + 1) * dt_eff, x, jumps
 
 

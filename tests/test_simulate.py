@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sublevy.core import (
     TruncationFunction,
     zero_jump_measure,
 )
-from sublevy.kou import GaussianBump, build_field, double_exponential_measure
+from sublevy.kou import GaussianBump, KouSpec, build_field, double_exponential_measure
 from sublevy.pide import SpatialGrid, solve
 from sublevy import _pool, simulate
 from sublevy.simulate import (
@@ -571,3 +572,99 @@ class TestOneControlRows:
         assert want_sizes.size > 0
         assert np.array_equal(terms, want_terms)
         assert np.array_equal(sizes, want_sizes)
+
+
+class TestKnotRows:
+    @pytest.mark.parametrize("per_knot", [1, 2])
+    def test_rows_are_the_knots_in_force_at_each_step(self, kou_field, per_knot):
+        # the march's uniform steps put its knots on the Monte Carlo's step
+        # times (every step, or every other one), where the 1e-12 decides
+        policy = solve(kou_field, np.tanh, 0.3, SpatialGrid(-10.0, 10.0, 201),
+                       policy=True).policy
+        marches = policy.time_knots.size - 1
+        plan = _Plan(kou_field, policy, 0.0, 0.3, 0.3 / (marches * per_knot))
+        assert plan.n_steps == marches * per_knot
+        on_steps = policy.time_knots / plan.dt_eff
+        assert np.allclose(on_steps, np.rint(on_steps), rtol=0, atol=1e-9)
+        want = [policy.knot(k * plan.dt_eff) for k in range(plan.n_steps)]
+        assert plan.rows.tolist() == want
+        assert want == [k // per_knot for k in range(plan.n_steps)]
+
+
+def _jump_counting_field(field):
+    """``field`` with zero drift and dispersion and every jump of size 1.
+
+    A step's state change is then the drift table's compensator term plus
+    the number of jumps the path took in the step.
+    """
+    return dataclasses.replace(field, drift=lambda f, x: 0.0, dispersion=lambda f, x: 0.0,
+                               jump_density_map=lambda f, x, z: 1.0 + 0.0 * z)
+
+
+class _CountingRng:
+    """A Generator that counts its ``poisson`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.poisson_calls = rng, 0
+
+    def poisson(self, *args, **kwargs):
+        self.poisson_calls += 1
+        return self.rng.poisson(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestJumpSchedule:
+    @pytest.mark.parametrize("T, dt, block", [(2.0, 0.1, 3), (5.0, 0.5, 1)],
+                             ids=["rate-0.3", "rate-1.5"])
+    def test_counts_per_path_and_step_are_poisson(self, degenerate_field, T, dt, block):
+        # a block of steps shares one count per path; the counts per (path,
+        # step) it gives must still be Poisson(mass dt), as one draw per step
+        field = _jump_counting_field(degenerate_field)
+        policy = PolicySchedule.constant(field.control_grid.points)
+        plan = _Plan(field, policy, 0.0, T, dt)
+        assert plan.block == block and plan.n_steps > 2 * block
+        states = [np.full(CHUNK, 0.0)] + [x for _, x, _ in _steps(plan, _chunk_rng(3, 0), CHUNK)]
+        drift = plan.btab[0] * plan.dt_eff
+        counts = np.diff(np.array(states), axis=0) - drift
+        assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
+        counts = np.rint(counts)
+        lam = degenerate_field.reference.total_mass * plan.dt_eff
+        p2 = 1.0 - math.exp(-lam) * (1.0 + lam)
+        size = counts.size
+        for got, want, se in (
+                (counts.mean(), lam, math.sqrt(lam / size)),
+                (counts.var(ddof=1), lam, math.sqrt((lam + 2.0 * lam * lam) / size)),
+                (np.mean(counts >= 2), p2, math.sqrt(p2 * (1.0 - p2) / size))):
+            assert abs(got - want) <= 4.0 * se
+
+    def test_memory_does_not_grow_with_the_jump_rate(self):
+        # one block holds about one event per path: at lam_star = 150 a
+        # schedule for the whole horizon would hold about 1.2e6 events
+        peaks = []
+        for lam in (1.5, 150.0):
+            spec = KouSpec(b_lo=0.05, b_hi=0.05, a_lo=0.2, a_hi=0.2,
+                           lam_lo=lam, lam_hi=lam, lam_star=lam, lam_floor=0.5)
+            field = build_field(spec, 2)
+            plan = _Plan(field, PolicySchedule.constant(field.control_grid.points),
+                         0.0, 1.0, 1e-3)
+            tracemalloc.start()
+            try:
+                for _ in _steps(plan, _chunk_rng(2, 0), CHUNK):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.0 * peaks[0]
+
+    def test_one_poisson_draw_per_block(self, degenerate_field):
+        # the cli spec: mass 3, dt 1e-3, 1,000 steps
+        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
+        plan = _Plan(degenerate_field, policy, 0.0, 1.0, 1e-3)
+        assert plan.n_steps == 1000
+        block = max(1, math.floor(1.0 / (degenerate_field.reference.total_mass * plan.dt_eff)))
+        rng = _CountingRng(_chunk_rng(1, 0))
+        for _ in _steps(plan, rng, 64):
+            pass
+        assert 1 <= rng.poisson_calls <= math.ceil(plan.n_steps / block) == 4
