@@ -26,7 +26,6 @@ from .core import (
 from .generator import (
     TestFunction,
     apply_generator,
-    drift_correction,
     gaussian_bump,
     hamiltonian_G,
     small_symbol_sup,
@@ -49,9 +48,8 @@ from .pide import (
     cfl_timestep,
     restart,
     solve,
-    viscosity_residual,
 )
-from .simulate import SamplePath, estimate_value, mc_lower_bound, sample_path
+from .simulate import estimate_value, mc_lower_bound
 from .transform import TailPair, exponential_tails, power_tails, quantile_k, verify_transport
 
 __version__ = "0.1.0"

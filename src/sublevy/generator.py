@@ -23,7 +23,6 @@ __all__ = [
     "TestFunction",
     "apply_generator",
     "constant_function",
-    "drift_correction",
     "gaussian_bump",
     "hamiltonian_G",
     "small_symbol_sup",
@@ -200,25 +199,3 @@ def small_symbol_sup(
         for point in zip(b, sig, kappa):
             worst = max(worst, float(np.max(np.abs(_symbol(field, *point, xis)))))
     return worst
-
-
-def drift_correction(field: CoefficientField, f, x: float, gamma=None) -> float:
-    """Drift shift from the jump compensation, split by the gamma level set.
-
-    Marks with gamma(z) <= 1 contribute kappa - h(kappa), the rest
-    contribute -h(kappa).  ``gamma`` defaults to the field's majorant, then
-    to |z|.
-    """
-    quad = field.reference.quadrature
-    kappa = _point(field, f, x)[2]
-    h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
-    if gamma is None:
-        gamma = field.gamma
-    if gamma is None:
-        small = np.abs(quad.nodes) <= 1.0
-    else:
-        small = np.asarray(gamma(quad.nodes), dtype=float) <= 1.0
-    w = quad.weights
-    small_part = float(((kappa - h) * w)[small].sum())
-    large_part = float((-(h * w))[~small].sum())
-    return small_part + large_part

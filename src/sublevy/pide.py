@@ -82,7 +82,6 @@ __all__ = [
     "cfl_timestep",
     "restart",
     "solve",
-    "viscosity_residual",
 ]
 
 
@@ -166,9 +165,9 @@ class PolicySchedule:
         # row by row: one bincount of the whole table would copy it as intp, 8x its bytes
         return sum(np.bincount(row, minlength=n) for row in self.indices) / self.indices.size
 
-    def knot(self, t: float) -> int:
-        """Index of the knot row in force at elapsed time t."""
-        return max(int(np.searchsorted(self.time_knots, t + 1e-12, side="right")) - 1, 0)
+    def knot(self, t):
+        """Index of the knot row in force at elapsed time t; elementwise for an array t."""
+        return np.maximum(np.searchsorted(self.time_knots, t + 1e-12, side="right") - 1, 0)
 
     def control_indices(self, t: float, x) -> np.ndarray:
         """Control-grid indices for states x at elapsed time t.
@@ -641,27 +640,6 @@ def solve(
     }
     return ValueField(grid=grid, times=[times[k] for k in kept], values=values,
                       metadata=metadata, policy=recorded)
-
-
-def viscosity_residual(fieldU: ValueField, field: CoefficientField, t_index: int) -> np.ndarray:
-    """Centered-in-time defect d_t u - sup_f L_f u at an interior stored time.
-
-    The field must hold every step (``solve(..., every_step=True)``); a
-    field whose metadata records no step count is taken as it is.
-    """
-    if fieldU.metadata.get("n_steps", fieldU.times.size - 1) != fieldU.times.size - 1:
-        raise ValueError(
-            "viscosity_residual reads every step, but this field keeps only its "
-            "landed rows; solve with every_step=True"
-        )
-    nt = fieldU.times.size
-    if not 0 < t_index < nt - 1:
-        raise ValueError(f"t_index must be interior to 0..{nt - 1}")
-    u = fieldU.values[t_index]
-    du = (fieldU.values[t_index + 1] - fieldU.values[t_index - 1]) / (
-        fieldU.times[t_index + 1] - fieldU.times[t_index - 1]
-    )
-    return du - _Envelope(field, fieldU.grid).sup(u, np.empty_like(u))
 
 
 def restart(

@@ -17,14 +17,13 @@ uniform grid, so each path finds its cell by arithmetic, at a cost that
 does not grow with the grid.
 
 One step loop advances a batch of paths and yields their states and jumps
-after each step; ``sample_path`` logs a one-path batch from it, and the
-estimators keep each chunk's terminal states.  A step whose policy row
-names one state-free control skips the per-path cell lookup.  Jumps are
-drawn a block of steps at a time, from each path's count over the block
-and a uniform step for each of its events (the compound-Poisson process
-from its jump times, not a count in every Euler step); a block holds
-about one event per path, so a step with no jumps draws only its
-normals.
+after each step; the estimators keep each chunk's terminal states.  A step
+whose policy row names one state-free control skips the per-path cell
+lookup.  Jumps are drawn a block of steps at a time, from each path's
+count over the block and a uniform step for each of its events (the
+compound-Poisson process from its jump times, not a count in every Euler
+step); a block holds about one event per path, so a step with no jumps
+draws only its normals.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so a chunk's paths depend on the seed
@@ -37,7 +36,6 @@ so estimates are bit-identical for a given seed whatever k is.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -49,10 +47,8 @@ from .pide import PolicySchedule, ValueField, _compensator
 __all__ = [
     "CHUNK",
     "PolicySchedule",
-    "SamplePath",
     "estimate_value",
     "mc_lower_bound",
-    "sample_path",
 ]
 
 CHUNK = 4096
@@ -60,15 +56,6 @@ CHUNK = 4096
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk,)))
-
-
-@dataclasses.dataclass(frozen=True)
-class SamplePath:
-    """One realized trajectory with its jump log (time, mark, applied size)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    jump_log: tuple
 
 
 def _coefficients(field, f, x):
@@ -136,9 +123,7 @@ class _Plan:
         lo = policy.indices.min(axis=1).astype(np.intp)
         one = (lo == policy.indices.max(axis=1)) & ~self.per_state[lo]
         self.single = np.where(one, lo, -1)
-        # PolicySchedule.knot at every step time, in one search
-        ts = np.arange(self.n_steps) * self.dt_eff
-        self.rows = np.maximum(np.searchsorted(policy.time_knots, ts + 1e-12, side="right") - 1, 0)
+        self.rows = policy.knot(np.arange(self.n_steps) * self.dt_eff)
 
 
 def _schedule(rng, n, rate, nb, sampler):
@@ -242,25 +227,6 @@ def _steps(plan, rng, n):
             x[act] = xa
             jumps.append((z, applied))
         yield (step + 1) * dt_eff, x, jumps
-
-
-def sample_path(
-    field: CoefficientField,
-    policy: PolicySchedule,
-    x0: float,
-    T: float,
-    dt: float,
-    seed: int,
-) -> SamplePath:
-    """One path, deterministic in the seed; each jump is stamped with its step's time."""
-    plan = _Plan(field, policy, x0, T, dt)
-    times, states, jump_log = [0.0], [float(x0)], []
-    for t, x, jumps in _steps(plan, _chunk_rng(seed, 0), 1):
-        times.append(t)
-        states.append(float(x[0]))
-        for marks, applied in jumps:
-            jump_log.extend((t, float(z), float(k)) for z, k in zip(marks, applied))
-    return SamplePath(np.asarray(times), np.asarray(states), tuple(jump_log))
 
 
 def _terminals(field, policy, x0, T, dt, n_paths, seed, collect_jumps=False):

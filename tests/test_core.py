@@ -502,3 +502,39 @@ class TestImports:
                 dead.append(node.name)
         assert defs
         assert dead == []
+
+    def test_every_public_name_has_a_caller(self):
+        # a module-level function or class named without a leading underscore is referenced
+        # outside its own body: elsewhere in the package (the re-exports of __init__ do not
+        # count), in the acceptance criteria or in perfbench; a reference from a name that
+        # has no caller does not count either.  Exempt: two test fixtures, and the
+        # one-control symbol, the pointwise oracle of small_symbol_sup and the Fourier
+        # exponent
+        exempt = {"core.zero_jump_measure", "generator.constant_function", "generator.symbol"}
+        tests = Path(__file__).parent
+        package = [p for p in sorted(Path(sublevy.__file__).parent.glob("*.py"))
+                   if p.name != "__init__.py"]
+        callers = [tests / "test_acceptance.py", *sorted((tests.parent / "perfbench").glob("*.py"))]
+
+        def names(tree):
+            return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr
+                                       for n in ast.walk(tree)
+                                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+        refs = collections.Counter()
+        public = {}
+        for path in package + callers:
+            tree = ast.parse(path.read_text())
+            refs += names(tree)
+            if path in package:
+                public.update({f"{path.stem}.{n.name}": n for n in tree.body
+                               if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                               and not n.name.startswith("_")})
+        assert exempt <= public.keys()
+        dead = []
+        while new := [k for k, n in public.items() if k not in exempt and k not in dead
+                      and refs[n.name] == names(n)[n.name]]:
+            dead += new
+            for k in new:
+                refs -= names(public[k])
+        assert dead == []

@@ -14,7 +14,6 @@ from sublevy.generator import (
     TestFunction as GenTestFunction,
     apply_generator,
     constant_function,
-    drift_correction,
     gaussian_bump,
     hamiltonian_G,
     small_symbol_sup,
@@ -230,25 +229,3 @@ class TestSmallSymbolSup:
         sups = [small_symbol_sup(kou_field, r) for r in (0.4, 0.1, 0.025)]
         assert sups[0] > sups[1] > sups[2]
 
-
-class TestDriftCorrection:
-    def test_zero_jump_map_gives_zero(self):
-        field = constant_drift_field(1.0)
-        assert drift_correction(field, field.control_grid.points[0], 0.0) == 0.0
-
-    def test_symmetric_map_cancels(self, degenerate_field):
-        # odd jump map against a symmetric measure: correction integrates to ~0
-        f = degenerate_field.control_grid.points[0]
-        got = drift_correction(degenerate_field, f, 0.0)
-        assert abs(got) <= 1e-10
-
-    def test_bounded_across_controls(self, kou_field):
-        vals = [abs(drift_correction(kou_field, f, 0.0))
-                for f in kou_field.control_grid.points]
-        assert max(vals) < kou_field.declared_bound
-
-    def test_explicit_gamma_overrides_field(self, kou_field):
-        f = kou_field.control_grid.points[0]
-        base = drift_correction(kou_field, f, 0.0)
-        wide = drift_correction(kou_field, f, 0.0, gamma=lambda z: np.abs(z))
-        assert np.isfinite(base) and np.isfinite(wide)

@@ -16,7 +16,6 @@ from sublevy.pide import (
     cfl_timestep,
     restart,
     solve,
-    viscosity_residual,
 )
 from tests.conftest import constant_drift_field, every_step_argmax
 
@@ -320,46 +319,6 @@ class TestSolve:
         assert np.array_equal(full.values[rows], kept.values)
         assert kept.metadata == full.metadata
         assert full.values.shape == (full.metadata["n_steps"] + 1, 1601)
-
-
-class TestViscosityResidual:
-    def test_boundary_time_index_rejected(self, coarse_grid):
-        field = constant_drift_field(1.0)
-        fieldU = solve(field, np.sin, 0.5, coarse_grid, every_step=True)
-        with pytest.raises(ValueError):
-            viscosity_residual(fieldU, field, 0)
-        with pytest.raises(ValueError):
-            viscosity_residual(fieldU, field, fieldU.times.size - 1)
-
-    def test_constant_solution_has_zero_residual(self, coarse_grid):
-        field = constant_drift_field(1.0, sigma=0.5)
-        fieldU = solve(field, lambda x: 2.0 + 0.0 * x, 0.5, coarse_grid, every_step=True)
-        res = viscosity_residual(fieldU, field, fieldU.times.size // 2)
-        assert np.max(np.abs(res)) == 0.0
-
-    def test_residual_small_on_smooth_solution(self):
-        field = constant_drift_field(1.0, sigma=0.4)
-        grid = SpatialGrid(-10.0, 10.0, 401)
-        fieldU = solve(field, lambda x: np.exp(-0.5 * x * x), 1.0, grid, every_step=True)
-        res = viscosity_residual(fieldU, field, fieldU.times.size // 2)
-        assert np.max(np.abs(res[grid.inner_mask()])) <= 5e-3
-
-    def test_residual_shrinks_under_refinement(self):
-        field = constant_drift_field(1.0, sigma=0.4)
-        norms = []
-        for nx in (201, 401):
-            grid = SpatialGrid(-10.0, 10.0, nx)
-            fieldU = solve(field, lambda x: np.exp(-0.5 * x * x), 0.5, grid, every_step=True)
-            res = viscosity_residual(fieldU, field, fieldU.times.size // 2)
-            norms.append(float(np.max(np.abs(res[grid.inner_mask()]))))
-        assert norms[1] < norms[0] * 0.85
-
-    def test_field_with_landed_rows_only_rejected(self, coarse_grid):
-        field = constant_drift_field(1.0, sigma=0.5)
-        fieldU = solve(field, np.sin, 0.5, coarse_grid, checkpoints=(0.25,))
-        assert fieldU.times.tolist() == [0.0, 0.25, 0.5]
-        with pytest.raises(ValueError, match="every_step=True"):
-            viscosity_residual(fieldU, field, 1)
 
 
 class TestRestart:

@@ -26,7 +26,6 @@ from sublevy.simulate import (
     _terminals,
     estimate_value,
     mc_lower_bound,
-    sample_path,
 )
 from tests.conftest import constant_drift_field, every_step_argmax
 
@@ -133,56 +132,32 @@ class TestPolicySchedule:
 
 
 class TestSamplePath:
+    """One-step runs of the step loop: the state a path reaches in a step."""
+
     def test_zero_coefficients_freeze_the_state(self):
         field = constant_drift_field(0.0)
         policy = PolicySchedule.constant(field.control_grid.points)
-        p = sample_path(field, policy, 1.3, 1.0, 0.25, seed=7)
-        assert p.times[0] == 0.0
-        assert p.times[-1] == pytest.approx(1.0)
-        assert np.all(p.states == 1.3)
-        assert p.jump_log == ()
+        x, jumps = _terminals(field, policy, 1.3, 0.25, 0.25, 1, seed=7, collect_jumps=True)
+        assert x.tolist() == [1.3]
+        assert jumps.size == 0
 
     def test_pure_drift_is_exact(self):
         field = constant_drift_field(1.0)
         policy = PolicySchedule.constant(field.control_grid.points)
-        p = sample_path(field, policy, 0.0, 1.0, 0.25, seed=0)
-        assert p.states[-1] == 1.0
+        assert _terminals(field, policy, 0.0, 1.0, 1.0, 1, seed=0).tolist() == [1.0]
 
     def test_same_seed_same_path(self, degenerate_field):
         policy = PolicySchedule.constant(degenerate_field.control_grid.points)
-        p1 = sample_path(degenerate_field, policy, 0.0, 0.5, 0.05, seed=11)
-        p2 = sample_path(degenerate_field, policy, 0.0, 0.5, 0.05, seed=11)
-        assert np.array_equal(p1.states, p2.states)
-        assert p1.jump_log == p2.jump_log
+        args = (degenerate_field, policy, 0.0, 0.05, 0.05, 1)
+        x1, j1 = _terminals(*args, seed=11, collect_jumps=True)
+        x2, j2 = _terminals(*args, seed=11, collect_jumps=True)
+        assert np.array_equal(x1, x2)
+        assert np.array_equal(j1, j2)
 
     def test_different_seed_different_path(self, degenerate_field):
         policy = PolicySchedule.constant(degenerate_field.control_grid.points)
-        p1 = sample_path(degenerate_field, policy, 0.0, 0.5, 0.05, seed=11)
-        p2 = sample_path(degenerate_field, policy, 0.0, 0.5, 0.05, seed=12)
-        assert not np.array_equal(p1.states, p2.states)
-
-    def test_jump_log_records_applied_sizes(self, degenerate_field):
-        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
-        p = sample_path(degenerate_field, policy, 0.0, 2.0, 0.05, seed=3)
-        assert len(p.jump_log) > 0
-        for t, mark, applied in p.jump_log:
-            assert 0.0 < t <= 2.0
-            # degenerate spec: lam = lam_star, the clamp is the identity
-            assert applied == pytest.approx(mark, abs=1e-12)
-
-    def test_jump_stamps_are_path_times(self, degenerate_field):
-        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
-        for seed in range(4):
-            p = sample_path(degenerate_field, policy, 0.0, 2.0, 0.03, seed=seed)
-            assert len(p.jump_log) > 0
-            assert {t for t, _, _ in p.jump_log} <= set(p.times.tolist())
-
-    def test_bad_steps_rejected(self, degenerate_field):
-        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
-        with pytest.raises(ValueError):
-            sample_path(degenerate_field, policy, 0.0, 1.0, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            sample_path(degenerate_field, policy, 0.0, 0.0, 0.1, seed=0)
+        args = (degenerate_field, policy, 0.0, 0.05, 0.05, 1)
+        assert not np.array_equal(_terminals(*args, seed=11), _terminals(*args, seed=12))
 
 
 def _tent(x):
@@ -213,8 +188,8 @@ class TestStateDependence:
             zero_jump_measure(),
         )
         policy = PolicySchedule.constant(field.control_grid.points)
-        p = sample_path(field, policy, 5.0, 0.1, 0.01, seed=0)
-        assert p.states[1] == pytest.approx(5.0 - 3.75 * 0.01, abs=1e-14)
+        x = _terminals(field, policy, 5.0, 0.01, 0.01, 1, seed=0)
+        assert x[0] == pytest.approx(5.0 - 3.75 * 0.01, abs=1e-14)
 
     @pytest.mark.parametrize("zero", [lambda f, x: 0.0 * x, lambda f, x: 0.0],
                              ids=["array", "scalar"])
@@ -225,12 +200,12 @@ class TestStateDependence:
         field = _one_control_field(zero, zero,
                                    lambda f, x, z: _tent(x) * np.abs(z), measure)
         policy = PolicySchedule.constant(field.control_grid.points)
-        p = sample_path(field, policy, 5.0, 0.02, 0.001, seed=3)
-        assert p.jump_log == ()
+        x, jumps = _terminals(field, policy, 5.0, 0.001, 0.001, 1, seed=3, collect_jumps=True)
+        assert jumps.size == 0
         quad = measure.quadrature
         comp = float(np.clip(np.abs(quad.nodes), -1.0, 1.0) @ quad.weights)
-        assert p.states[1] == pytest.approx(5.0 - 0.001 * comp, abs=1e-14)
-        assert p.states[1] == pytest.approx(4.998735849813832, abs=1e-14)
+        assert x[0] == pytest.approx(5.0 - 0.001 * comp, abs=1e-14)
+        assert x[0] == pytest.approx(4.998735849813832, abs=1e-14)
 
     def test_full_shape_coefficients_agree_with_state_free_ones(self, kou_field):
         def full(fn):
@@ -264,8 +239,6 @@ class TestEstimateValue:
         policy = PolicySchedule.constant(fine, index=5)
         with pytest.raises(ValueError, match="control grid"):
             estimate_value(kou_field, policy, np.tanh, 0.0, 0.5, 0.01, 100, seed=3)
-        with pytest.raises(ValueError, match="control grid"):
-            sample_path(kou_field, policy, 0.0, 0.5, 0.01, seed=3)
 
     @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
     def test_non_finite_x0_rejected(self, kou_field, x0):
@@ -276,13 +249,12 @@ class TestEstimateValue:
         with pytest.raises(ValueError, match="x0"):
             estimate_value(kou_field, policy, np.tanh, x0, 0.2, 0.01, 100, seed=3)
         with pytest.raises(ValueError, match="x0"):
-            sample_path(kou_field, policy, x0, 0.2, 0.01, seed=3)
-        with pytest.raises(ValueError, match="x0"):
             mc_lower_bound(kou_field, fieldU, np.tanh, x0, 0.2, 0.01, 100, seed=3)
 
-    @pytest.mark.parametrize("T, dt", [(math.nan, 0.01), (0.2, math.nan), (0.2, math.inf)])
+    @pytest.mark.parametrize("T, dt", [(math.nan, 0.01), (0.2, math.nan), (0.2, math.inf),
+                                       (0.2, 0.0), (0.0, 0.01)])
     def test_non_finite_horizon_or_step_rejected(self, kou_field, T, dt):
-        # a NaN failed later in int(round(nan)); dt = inf ran one step
+        # a NaN failed later in int(round(nan)); dt = inf ran one step; zero is no step
         policy = PolicySchedule.constant(kou_field.control_grid.points)
         with pytest.raises(ValueError, match="T and dt"):
             estimate_value(kou_field, policy, np.tanh, 0.0, T, dt, 100, seed=3)
@@ -372,7 +344,7 @@ class TestMeasureRequirements:
         )
         policy = PolicySchedule.constant(field.control_grid.points)
         with pytest.raises(ValueError, match="finite-mass"):
-            sample_path(field, policy, 0.0, 1.0, 0.1, seed=0)
+            estimate_value(field, policy, np.tanh, 0.0, 1.0, 0.1, 2, seed=0)
 
     def test_missing_sampler_rejected(self):
         quad = Quadrature(nodes=np.array([-1.0, 1.0]),
@@ -396,7 +368,7 @@ class TestMeasureRequirements:
         )
         policy = PolicySchedule.constant(field.control_grid.points)
         with pytest.raises(ValueError, match="sampler"):
-            sample_path(field, policy, 0.0, 1.0, 0.1, seed=0)
+            estimate_value(field, policy, np.tanh, 0.0, 1.0, 0.1, 2, seed=0)
 
 
 class TestPolicyFromPide:
