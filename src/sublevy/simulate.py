@@ -5,7 +5,11 @@ jumps: the reference measure (finite mass only) drives jump times, marks
 are drawn from its normalized law, and each jump applies the control's jump
 map to the pre-jump state.  The continuous drift is the raw drift minus the
 truncated-jump compensator, so path laws match the generator the PIDE
-solver discretizes.  A control whose coefficients come back without a
+solver discretizes.  Under one state-free control that law is a Levy jump
+diffusion, whose increments over any interval can be drawn exactly; so a
+run of steps under such a control is one Gaussian increment plus the run's
+jumps, and ``dt`` sets the step only where the control changes with the
+state or the time.  A control whose coefficients come back without a
 state axis is read from a table; every other control is evaluated at its
 own paths' states each step; a chunk with no such control does no
 per-state work at all.  Paths follow a ``PolicySchedule`` (defined in
@@ -17,13 +21,15 @@ uniform grid, so each path finds its cell by arithmetic, at a cost that
 does not grow with the grid.
 
 One step loop advances a batch of paths and yields their states and jumps
-after each step; the estimators keep each chunk's terminal states.  A step
-whose policy row names one state-free control skips the per-path cell
-lookup.  Jumps are drawn a block of steps at a time, from each path's
-count over the block and a uniform step for each of its events (the
-compound-Poisson process from its jump times, not a count in every Euler
-step); a block holds about one event per path, so a step with no jumps
-draws only its normals.
+after each run of steps; the estimators keep each chunk's terminal states.
+Jumps are drawn a block of steps at a time, from each path's count over
+the block and a uniform step for each of its events (the compound-Poisson
+process from its jump times, not a count in every Euler step); a block
+holds about one event per path.  A run is a stretch of steps inside one
+block whose policy rows all name the same state-free control: it skips
+the per-path cell lookup, draws one normal per path, and applies all its
+jumps in one jump-map call.  Every other step is a run of its own, looks
+up its paths' cells, and draws its normals.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so a chunk's paths depend on the seed
@@ -155,42 +161,51 @@ def _schedule(rng, n, rate, nb, sampler):
 
 
 def _steps(plan, rng, n):
-    """Advance n paths to T, yielding (t, x, jumps) after each step.
+    """Advance n paths to T, yielding (t, x, jumps) after each run of steps.
 
-    t is the step's end time and x the paths' states there; the next step
-    rebinds x to a new array, so a reader may keep the one it got.  jumps
-    holds one (marks, applied sizes) pair per round of jumps in the step.
-    A step whose knot row names one state-free control looks up no cell:
-    its coefficients are that control's scalars, which round as arrays of
-    equal entries do, and each round of jumps is one jump-map call.
+    A run is a stretch of steps inside one block of ``plan.block`` whose
+    knot rows all name the same state-free control (``plan.single``); a
+    step that looks up cells is a run of its own.  t is the run's end time
+    and x the paths' states there; the next run rebinds x to a new array,
+    so a reader may keep the one it got.  jumps holds one (marks, applied
+    sizes) pair per jump-map call in the run, in event order.
 
-    The stream draws, at the first step of each block of ``plan.block``
-    steps and before that step's normals, the block's jump schedule
-    (``_schedule``: per-path counts, each event's step, then the marks), and
-    at every step n normals.  A round holds the paths with a further jump in
-    the step, in path order, and its jump map reads the states the round
-    before left.
+    A run of r steps under one state-free control is one exact increment of
+    the Levy process that control gives: one Gaussian of mean beff r dt and
+    variance sig^2 r dt, then all the run's scheduled jumps from one
+    jump-map call, added by ``np.add.at`` one after another.  A run of one
+    step is the Euler step bit for bit.  A step that looks up cells takes
+    its jumps in rounds: a round holds the paths with a further jump in the
+    step, in path order, and its jump map reads the states the round before
+    left.
+
+    The stream draws, at the first step of each block and before that
+    step's normals, the block's jump schedule (``_schedule``: per-path
+    counts, each event's step, then the marks), and at every run n normals.
     """
     field, policy, dt_eff = plan.field, plan.policy, plan.dt_eff
     measure = field.reference
     controls = field.control_grid.points
-    sq = math.sqrt(dt_eff)
     any_per_state = bool(plan.per_state.any())
-    single = plan.single[plan.rows].tolist()
+    single = plan.single[plan.rows]
+    # a run ends where the control changes, at a block's end, and around each lookup step
+    cuts = (np.diff(single) != 0) | (single[1:] < 0)
+    cuts[plan.block - 1::plan.block] = True
+    starts = np.flatnonzero(np.concatenate(([True], cuts)))
+    runs = zip(starts.tolist(), starts[1:].tolist() + [plan.n_steps], single[starts].tolist())
 
     x = np.full(n, plan.x0)
-    width = 0  # rounds a step may hold; none without jumps
-    for step in range(plan.n_steps):
-        t = step * dt_eff
+    bounds, width = [0], 0  # a step's rounds; none without jumps
+    for step, end, ci in runs:
         j = step % plan.block
         if plan.rate > 0 and j == 0:
             nb = min(plan.block, plan.n_steps - step)
             bounds, width, paths, marks = _schedule(rng, n, plan.rate, nb, measure.sampler)
-        ci = single[step]
+        h = (end - step) * dt_eff
         if ci >= 0:
             beff, sig = plan.btab[ci], plan.stab[ci]
         else:
-            fidx = np.asarray(policy.control_indices(t, x), dtype=int)
+            fidx = np.asarray(policy.control_indices(step * dt_eff, x), dtype=int)
             beff = plan.btab[fidx]
             sig = plan.stab[fidx]
             if any_per_state:
@@ -198,35 +213,44 @@ def _steps(plan, rng, n):
                     m = fidx == c
                     beff[m], sig[m] = _coefficients(field, controls[c], x[m])
         dw = rng.standard_normal(n)
-        x = x + beff * dt_eff + sig * sq * dw
+        x = x + beff * h + sig * math.sqrt(h) * dw
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite state after diffusion step {step}")
         jumps = []
-        for r in range(j * width, (j + 1) * width):
-            lo, hi = bounds[r], bounds[r + 1]
-            if lo == hi:
-                break
-            act, z = paths[lo:hi], marks[lo:hi]
-            applied = np.empty(act.size)
-            if ci >= 0:
-                groups = [(ci, slice(None))]
-            else:
+        if ci >= 0:
+            lo, hi = bounds[j * width], bounds[(j + end - step) * width]
+            if lo < hi:
+                act, z = paths[lo:hi], marks[lo:hi]
+                applied = np.broadcast_to(
+                    np.asarray(field.jump_density_map(controls[ci], x[act], z), dtype=float),
+                    act.shape)
+                # unbuffered: a path's jumps are added one after another, in event order
+                np.add.at(x, act, applied)
+                if not np.all(np.isfinite(x[act])):
+                    raise RuntimeError(f"non-finite state after jumps in steps {step} to {end - 1}")
+                jumps.append((z, applied))
+        else:
+            for r in range(j * width, (j + 1) * width):
+                lo, hi = bounds[r], bounds[r + 1]
+                if lo == hi:
+                    break
+                act, z = paths[lo:hi], marks[lo:hi]
                 fa = fidx[act]
-                groups = [(c, fa == c)
-                          for c in np.flatnonzero(np.bincount(fa, minlength=len(controls)))]
-            for c, mm in groups:
-                sel = act[mm]
-                k = np.asarray(
-                    field.jump_density_map(controls[c], x[sel], z[mm]), dtype=float
-                )
-                applied[mm] = np.broadcast_to(k, sel.shape)
-            # the other paths kept the finite states the diffusion check saw
-            xa = x[act] + applied
-            if not np.all(np.isfinite(xa)):
-                raise RuntimeError(f"non-finite state after jumps at step {step}")
-            x[act] = xa
-            jumps.append((z, applied))
-        yield (step + 1) * dt_eff, x, jumps
+                applied = np.empty(act.size)
+                for c in np.flatnonzero(np.bincount(fa, minlength=len(controls))):
+                    mm = fa == c
+                    sel = act[mm]
+                    k = np.asarray(
+                        field.jump_density_map(controls[c], x[sel], z[mm]), dtype=float
+                    )
+                    applied[mm] = np.broadcast_to(k, sel.shape)
+                # the other paths kept the finite states the diffusion check saw
+                xa = x[act] + applied
+                if not np.all(np.isfinite(xa)):
+                    raise RuntimeError(f"non-finite state after jumps at step {step}")
+                x[act] = xa
+                jumps.append((z, applied))
+        yield end * dt_eff, x, jumps
 
 
 def _terminals(field, policy, x0, T, dt, n_paths, seed, collect_jumps=False):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from sublevy.core import (
     CoefficientField,
@@ -15,7 +16,7 @@ from sublevy.core import (
     zero_jump_measure,
 )
 from sublevy.kou import GaussianBump, KouSpec, build_field, double_exponential_measure
-from sublevy.pide import SpatialGrid, solve
+from sublevy.pide import SpatialGrid, _compensator, solve
 from sublevy import _pool, simulate
 from sublevy.simulate import (
     CHUNK,
@@ -525,25 +526,70 @@ class TestChunkWorkers:
             _terminals(kou_field, policy, 0.0, 0.2, math.nan, 3 * CHUNK, seed=1)
 
 
+def _edge_policies(controls, knots, rows):
+    """One control per knot row, as a state-free policy and as one that looks up cells.
+
+    The second also names control 0 on the cell at x = 20, which no path
+    from 0 reaches by T = 1, so each of its rows names two controls.
+    """
+    grid = SpatialGrid(-20.0, 20.0, 401)
+    indices = np.repeat(np.asarray(rows, dtype=np.uint8)[:, None], grid.nx, axis=1)
+    edge = indices.copy()
+    edge[:, -1] = 0
+    return (PolicySchedule(time_knots=knots, indices=idx, grid=grid, controls=controls)
+            for idx in (indices, edge))
+
+
 class TestOneControlRows:
     def test_shortcut_agrees_with_the_per_cell_lookup(self, kou_field):
-        # every row names control 1; the second policy also names control 0 at
-        # x = 20, which no path from 0 reaches by T = 1, so it takes the lookup
-        grid = SpatialGrid(-20.0, 20.0, 401)
-        indices = np.ones((2, grid.nx), dtype=np.uint8)
-        edge = indices.copy()
-        edge[:, -1] = 0
-        controls = kou_field.control_grid.points
-        one, mixed = (PolicySchedule(time_knots=np.array([0.0, 0.5]), indices=idx,
-                                     grid=grid, controls=controls) for idx in (indices, edge))
-        args = (0.0, 1.0, 0.01, 1000)
-        assert _Plan(kou_field, one, *args[:3]).single.tolist() == [1, 1]
-        assert _Plan(kou_field, mixed, *args[:3]).single.tolist() == [-1, -1]
+        # knots on every step alternate controls 1 and 2, so each run is one
+        # step long, and one step is the per-cell lookup's step bit for bit
+        args = (0.0, 1.0, 0.01, 3000)
+        one, mixed = _edge_policies(kou_field.control_grid.points, np.arange(100) * 0.01,
+                                    1 + np.arange(100) % 2)
+        plan = _Plan(kou_field, one, *args[:3])
+        assert plan.rows.tolist() == list(range(100))
+        assert plan.single.tolist() == [1, 2] * 50
+        assert _Plan(kou_field, mixed, *args[:3]).single.tolist() == [-1] * 100
+        assert len(list(_steps(plan, _chunk_rng(8, 0), 16))) == 100
         want_terms, want_sizes = _terminals(kou_field, mixed, *args, seed=8, collect_jumps=True)
         terms, sizes = _terminals(kou_field, one, *args, seed=8, collect_jumps=True)
-        assert want_sizes.size > 0
+        assert want_sizes.size > 10_000
         assert np.array_equal(terms, want_terms)
         assert np.array_equal(sizes, want_sizes)
+
+    @pytest.mark.parametrize("case", ["kou", "diffusion"])
+    def test_runs_have_the_law_of_the_per_step_path(self, kou_field, case):
+        # one control over T = 1 in runs (4 of 25 steps under Kou control 7;
+        # one of 100 without jumps, where the Gaussian carries all the spread),
+        # against 100 steps that look up cells; distinct seeds keep the two
+        # samples independent
+        if case == "kou":
+            field, ends = kou_field, [0.25, 0.5, 0.75, 1.0]
+        else:
+            field = dataclasses.replace(
+                _one_control_field(lambda f, x: f[0], lambda f, x: 0.3, lambda f, x, z: 0.0 * z,
+                                   zero_jump_measure()),
+                control_grid=ControlGrid.uniform((-0.5,), (0.5,), 8))
+            ends = [1.0]
+        args = (0.0, 1.0, 0.01, 20_000)
+        one, mixed = _edge_policies(field.control_grid.points, np.array([0.0]), [7])
+        plan = _Plan(field, one, *args[:3])
+        assert plan.single.tolist() == [7]
+        assert [t for t, _, _ in _steps(plan, _chunk_rng(8, 0), 16)] == ends
+        runs = _terminals(field, one, *args, seed=8)
+        steps = _terminals(field, mixed, *args, seed=9)
+        n = args[-1]
+
+        def var_of_var(x):
+            d = x - x.mean()
+            return (np.mean(d ** 4) - np.mean(d ** 2) ** 2) / n
+
+        mean_se = math.sqrt((runs.var(ddof=1) + steps.var(ddof=1)) / n)
+        assert abs(runs.mean() - steps.mean()) <= 4.0 * mean_se
+        var_se = math.sqrt(var_of_var(runs) + var_of_var(steps))
+        assert abs(runs.var(ddof=1) - steps.var(ddof=1)) <= 4.0 * var_se
+        assert ks_2samp(runs, steps).pvalue > 0.01
 
 
 class TestKnotRows:
@@ -564,24 +610,53 @@ class TestKnotRows:
 
 
 def _jump_counting_field(field):
-    """``field`` with zero drift and dispersion and every jump of size 1.
+    """``field`` with zero drift and dispersion, every jump of size 1, and two controls.
 
-    A step's state change is then the drift table's compensator term plus
-    the number of jumps the path took in the step.
+    A run's state change is then the drift table's compensator term times
+    the run's length plus the number of jumps the path took in the run.
+    The two controls differ in name only, so a policy that names both looks
+    up cells at every step and moves the paths as either one alone would.
     """
     return dataclasses.replace(field, drift=lambda f, x: 0.0, dispersion=lambda f, x: 0.0,
-                               jump_density_map=lambda f, x, z: 1.0 + 0.0 * z)
+                               jump_density_map=lambda f, x, z: 1.0 + 0.0 * z,
+                               control_grid=ControlGrid.uniform((0.0,) * 3, (0.0, 0.0, 1.0), 2))
+
+
+def _counts(plan, seed):
+    """(run lengths in steps, per-path jump counts per run) of one chunk on a jump-counting field."""
+    runs = list(_steps(plan, _chunk_rng(seed, 0), CHUNK))
+    ends = np.rint(np.array([t for t, _, _ in runs]) / plan.dt_eff).astype(int)
+    lengths = np.diff(ends, prepend=0)
+    states = np.array([np.full(CHUNK, 0.0)] + [x for _, x, _ in runs])
+    counts = np.diff(states, axis=0) - plan.btab[0] * plan.dt_eff * lengths[:, None]
+    assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
+    return lengths, np.rint(counts)
+
+
+def _assert_poisson(counts, lam):
+    """Mean, variance and P(count >= 2) of the counts within 4 standard errors of Poisson(lam)'s."""
+    p2 = 1.0 - math.exp(-lam) * (1.0 + lam)
+    size = counts.size
+    for got, want, se in (
+            (counts.mean(), lam, math.sqrt(lam / size)),
+            (counts.var(ddof=1), lam, math.sqrt((lam + 2.0 * lam * lam) / size)),
+            (np.mean(counts >= 2), p2, math.sqrt(p2 * (1.0 - p2) / size))):
+        assert abs(got - want) <= 4.0 * se
 
 
 class _CountingRng:
-    """A Generator that counts its ``poisson`` calls."""
+    """A Generator that counts its ``poisson`` and ``standard_normal`` calls."""
 
     def __init__(self, rng):
-        self.rng, self.poisson_calls = rng, 0
+        self.rng, self.poisson_calls, self.normal_calls = rng, 0, 0
 
     def poisson(self, *args, **kwargs):
         self.poisson_calls += 1
         return self.rng.poisson(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -592,24 +667,30 @@ class TestJumpSchedule:
                              ids=["rate-0.3", "rate-1.5"])
     def test_counts_per_path_and_step_are_poisson(self, degenerate_field, T, dt, block):
         # a block of steps shares one count per path; the counts per (path,
-        # step) it gives must still be Poisson(mass dt), as one draw per step
+        # step) it gives must still be Poisson(mass dt), as one draw per step.
+        # A policy that names both controls takes one step per run.
+        field = _jump_counting_field(degenerate_field)
+        _, policy = _edge_policies(field.control_grid.points, np.array([0.0]), [1])
+        plan = _Plan(field, policy, 0.0, T, dt)
+        assert plan.block == block and plan.n_steps > 2 * block
+        assert plan.single.tolist() == [-1]
+        lengths, counts = _counts(plan, 3)
+        assert lengths.tolist() == [1] * plan.n_steps
+        _assert_poisson(counts, degenerate_field.reference.total_mass * plan.dt_eff)
+
+    @pytest.mark.parametrize("T, dt, block", [(2.0, 0.1, 3), (5.0, 0.5, 1)],
+                             ids=["rate-0.3", "rate-1.5"])
+    def test_counts_per_path_and_run_are_poisson(self, degenerate_field, T, dt, block):
+        # one state-free control: a run is a whole block, and its count per
+        # path is Poisson(mass dt r) over its r steps
         field = _jump_counting_field(degenerate_field)
         policy = PolicySchedule.constant(field.control_grid.points)
         plan = _Plan(field, policy, 0.0, T, dt)
-        assert plan.block == block and plan.n_steps > 2 * block
-        states = [np.full(CHUNK, 0.0)] + [x for _, x, _ in _steps(plan, _chunk_rng(3, 0), CHUNK)]
-        drift = plan.btab[0] * plan.dt_eff
-        counts = np.diff(np.array(states), axis=0) - drift
-        assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
-        counts = np.rint(counts)
-        lam = degenerate_field.reference.total_mass * plan.dt_eff
-        p2 = 1.0 - math.exp(-lam) * (1.0 + lam)
-        size = counts.size
-        for got, want, se in (
-                (counts.mean(), lam, math.sqrt(lam / size)),
-                (counts.var(ddof=1), lam, math.sqrt((lam + 2.0 * lam * lam) / size)),
-                (np.mean(counts >= 2), p2, math.sqrt(p2 * (1.0 - p2) / size))):
-            assert abs(got - want) <= 4.0 * se
+        assert plan.block == block and plan.single.tolist() == [0]
+        lengths, counts = _counts(plan, 3)
+        assert lengths.sum() == plan.n_steps and np.all(lengths[:-1] == block)
+        full = counts[lengths == block]
+        _assert_poisson(full, degenerate_field.reference.total_mass * plan.dt_eff * block)
 
     def test_memory_does_not_grow_with_the_jump_rate(self):
         # one block holds about one event per path: at lam_star = 150 a
@@ -640,3 +721,43 @@ class TestJumpSchedule:
         for _ in _steps(plan, rng, 64):
             pass
         assert 1 <= rng.poisson_calls <= math.ceil(plan.n_steps / block) == 4
+
+    def test_one_normal_draw_per_run(self, degenerate_field):
+        # the cli spec: a state-free constant policy takes each block of 333
+        # steps as one run, and a policy that looks up cells steps by mc.dt
+        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
+        plan = _Plan(degenerate_field, policy, 0.0, 1.0, 1e-3)
+        assert (plan.n_steps, plan.block) == (1000, 333)
+        rng = _CountingRng(_chunk_rng(1, 0))
+        for _ in _steps(plan, rng, 64):
+            pass
+        assert 1 <= rng.normal_calls <= math.ceil(plan.n_steps / plan.block) == 4
+        field = _jump_counting_field(degenerate_field)
+        _, lookup = _edge_policies(field.control_grid.points, np.array([0.0]), [1])
+        plan = _Plan(field, lookup, 0.0, 1.0, 1e-3)
+        rng = _CountingRng(_chunk_rng(1, 0))
+        for _ in _steps(plan, rng, 64):
+            pass
+        assert rng.normal_calls == plan.n_steps == 1000
+
+
+class TestStateFreeCompensator:
+    @pytest.mark.parametrize("T, dt, runs", [(0.5, 0.5, 1), (1.0, 0.01, 4)],
+                             ids=["one-step", "runs-of-33"])
+    def test_the_drift_is_minus_the_compensator(self, degenerate_field, T, dt, runs):
+        # |z| is not odd, so its compensator c is far from 0; with no drift or
+        # dispersion a path moves by its jumps less c T, however the steps run
+        field = dataclasses.replace(degenerate_field, drift=lambda f, x: 0.0,
+                                    dispersion=lambda f, x: 0.0,
+                                    jump_density_map=lambda f, x, z: np.abs(z))
+        quad = field.reference.quadrature
+        c = _compensator(field, np.abs(quad.nodes)[None, :], quad.weights)
+        assert c > 1.0
+        policy = PolicySchedule.constant(field.control_grid.points)
+        assert len(list(_steps(_Plan(field, policy, 0.3, T, dt), _chunk_rng(0, 0), 1))) == runs
+        jumps = 0
+        for seed in range(5):
+            x, applied = _terminals(field, policy, 0.3, T, dt, 1, seed=seed, collect_jumps=True)
+            assert x[0] - 0.3 - applied.sum() == pytest.approx(-c * T, abs=1e-12)
+            jumps += applied.size
+        assert jumps > 0
