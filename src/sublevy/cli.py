@@ -25,13 +25,15 @@ import numpy as np
 from .core import Quadrature, QuadratureError, audit_conditions
 from .kou import GaussianBump, KouSpec, LinearKouTriplet, _axis_resolution, build_field, fourier_reference
 from .pide import SpatialGrid, _landings, _preflight, _step, restart, solve
-from .simulate import mc_lower_bound
+from .simulate import CHUNK, mc_lower_bound
 from .transform import exponential_tails, power_tails, quantile_k, verify_transport
 
 __all__ = ["RunConfig", "entry", "main", "parse_config"]
 
 # Largest Monte Carlo run accepted, in paths x Euler steps: 100x the default
 # run, so a mistyped mc.dt or mc.paths fails at once instead of after days.
+# Paths count as at least one simulate.CHUNK: the simulator keeps tables per
+# step whatever the path count, so few paths do not buy unbounded steps.
 MC_PATH_STEPS_MAX = 10**9
 
 # Largest PIDE march accepted, in (steps + 1) x nx node-steps: solve's march at
@@ -182,8 +184,9 @@ class RunConfig:
         m = self["mc"]
         # the simulator's step count is max(1, round(T/dt)); a tiny dt overflows the round
         steps = p["t_horizon"] / m["dt"]
-        if steps > MC_PATH_STEPS_MAX or m["paths"] * max(1, round(steps)) > MC_PATH_STEPS_MAX:
-            raise ConfigError(f"mc.paths x Euler steps exceeds {MC_PATH_STEPS_MAX:.0e}")
+        paths = max(m["paths"], CHUNK)
+        if steps > MC_PATH_STEPS_MAX or paths * max(1, round(steps)) > MC_PATH_STEPS_MAX:
+            raise ConfigError(f"max(mc.paths, {CHUNK}) x Euler steps exceeds {MC_PATH_STEPS_MAX:.0e}")
         t = self["transform"]
         if not t["y_abs_min"] < t["y_abs_max"]:
             raise ConfigError("transform.y_abs_min must be below transform.y_abs_max")

@@ -3,7 +3,8 @@
 Paths follow an Euler scheme for the continuous part plus compound-Poisson
 jumps: the reference measure (finite mass only) drives jump times, marks
 are drawn from its normalized law, and each jump applies the control's jump
-map to the pre-jump state.  The continuous drift is the raw drift minus the
+map to the state after its step's diffusion, as the regular Euler scheme
+for jump SDEs does.  The continuous drift is the raw drift minus the
 truncated-jump compensator, so path laws match the generator the PIDE
 solver discretizes.  Under one state-free control that law is a Levy jump
 diffusion, whose increments over any interval can be drawn exactly; so a
@@ -26,10 +27,10 @@ Jumps are drawn a block of steps at a time, from each path's count over
 the block and a uniform step for each of its events (the compound-Poisson
 process from its jump times, not a count in every Euler step); a block
 holds about one event per path.  A run is a stretch of steps inside one
-block whose policy rows all name the same state-free control: it skips
-the per-path cell lookup, draws one normal per path, and applies all its
-jumps in one jump-map call.  Every other step is a run of its own, looks
-up its paths' cells, and draws its normals.
+block whose policy rows all name the same state-free control, and every
+other step, which looks up its paths' cells, is a run of its own.  Each
+run draws one normal per path and applies all its jumps at once, with
+one jump-map call per control among them.
 
 Reproducibility: paths are generated in fixed-size chunks, each from an
 independent child stream of the seed, so a chunk's paths depend on the seed
@@ -133,51 +134,43 @@ class _Plan:
 
 
 def _schedule(rng, n, rate, nb, sampler):
-    """The jumps of n paths over a block of nb steps, as rounds in step order.
+    """The jumps of n paths over a block of nb steps, in (step, path) order.
 
     Each path's count is Poisson(rate nb), and each event falls on a step
     drawn uniformly from the block: split so, the counts per (path, step)
-    are independent Poisson(rate), as one draw per step would give.  A path
-    with m events in a step has one in each of that step's rounds 0..m-1.
-    Returns ``(bounds, width, paths, marks)``: round r of step j is events
-    ``bounds[j * width + r]`` to ``bounds[j * width + r + 1]``, its paths in
-    increasing order, and a step has at most ``width`` rounds.
+    are independent Poisson(rate), as one draw per step would give.
+    Returns ``(bounds, paths, marks)``: step j's events are ``bounds[j]``
+    to ``bounds[j + 1]``, their paths in increasing order, and a path with
+    m events in a step is listed m times.
     """
     counts = rng.poisson(rate * nb, n)
     # one int64 key per event, step-major then path; sorting it orders the events
     key = rng.integers(0, nb, int(counts.sum())) * n + np.repeat(np.arange(n), counts)
     key.sort()
-    # an event's round is its rank among the events of its (step, path)
-    idx = np.arange(key.size)
-    rank = idx - np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, idx, 0))
-    width = int(rank.max(initial=0)) + 1
-    if width > 1:  # rekey by (step, round, path): step n + path -> (step width + rank) n + path
-        key += (key // n * (width - 1) + rank) * n
-        key.sort()
     slots, paths = np.divmod(key, n)
-    bounds = np.searchsorted(slots, np.arange(nb * width + 1)).tolist()
+    bounds = np.searchsorted(slots, np.arange(nb + 1)).tolist()
     # marks are i.i.d., drawn in event order
-    return bounds, width, paths, sampler(rng.random(key.size))
+    return bounds, paths, sampler(rng.random(key.size))
 
 
 def _steps(plan, rng, n):
-    """Advance n paths to T, yielding (t, x, jumps) after each run of steps.
+    """Advance n paths to T, yielding (t, x, applied) after each run of steps.
 
     A run is a stretch of steps inside one block of ``plan.block`` whose
     knot rows all name the same state-free control (``plan.single``); a
     step that looks up cells is a run of its own.  t is the run's end time
     and x the paths' states there; the next run rebinds x to a new array,
-    so a reader may keep the one it got.  jumps holds one (marks, applied
-    sizes) pair per jump-map call in the run, in event order.
+    so a reader may keep the one it got.  applied holds the run's jump
+    sizes, in event order.
 
-    A run of r steps under one state-free control is one exact increment of
-    the Levy process that control gives: one Gaussian of mean beff r dt and
-    variance sig^2 r dt, then all the run's scheduled jumps from one
-    jump-map call, added by ``np.add.at`` one after another.  A run of one
-    step is the Euler step bit for bit.  A step that looks up cells takes
-    its jumps in rounds: a round holds the paths with a further jump in the
-    step, in path order, and its jump map reads the states the round before
-    left.
+    Every run takes one Euler step of its length h: each path's control
+    (the run's one control, or its cell's at the run's start), then one
+    Gaussian of mean beff h and variance sig^2 h, then all the run's
+    scheduled jumps, each read by its path's control at the state after
+    the diffusion and added by ``np.add.at`` one after another.  Under one
+    state-free control that is one exact increment of the Levy process the
+    control gives; a step that looks up cells is the regular Euler step
+    for jump SDEs, every jump of the step read at the step's state.
 
     The stream draws, at the first step of each block and before that
     step's normals, the block's jump schedule (``_schedule``: per-path
@@ -195,80 +188,60 @@ def _steps(plan, rng, n):
     runs = zip(starts.tolist(), starts[1:].tolist() + [plan.n_steps], single[starts].tolist())
 
     x = np.full(n, plan.x0)
-    bounds, width = [0], 0  # a step's rounds; none without jumps
+    # no events without jumps
+    bounds, paths, marks = [0] * (plan.block + 1), np.empty(0, dtype=np.intp), np.empty(0)
     for step, end, ci in runs:
         j = step % plan.block
         if plan.rate > 0 and j == 0:
             nb = min(plan.block, plan.n_steps - step)
-            bounds, width, paths, marks = _schedule(rng, n, plan.rate, nb, measure.sampler)
-        h = (end - step) * dt_eff
+            bounds, paths, marks = _schedule(rng, n, plan.rate, nb, measure.sampler)
         if ci >= 0:
-            beff, sig = plan.btab[ci], plan.stab[ci]
+            fidx = np.full(n, ci)
         else:
             fidx = np.asarray(policy.control_indices(step * dt_eff, x), dtype=int)
-            beff = plan.btab[fidx]
-            sig = plan.stab[fidx]
-            if any_per_state:
-                for c in np.unique(fidx[plan.per_state[fidx]]):
-                    m = fidx == c
-                    beff[m], sig[m] = _coefficients(field, controls[c], x[m])
-        dw = rng.standard_normal(n)
-        x = x + beff * h + sig * math.sqrt(h) * dw
+        beff, sig = plan.btab[fidx], plan.stab[fidx]
+        if any_per_state:
+            for c in np.unique(fidx[plan.per_state[fidx]]):
+                m = fidx == c
+                beff[m], sig[m] = _coefficients(field, controls[c], x[m])
+        h = (end - step) * dt_eff
+        x = x + beff * h + sig * math.sqrt(h) * rng.standard_normal(n)
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite state after diffusion step {step}")
-        jumps = []
-        if ci >= 0:
-            lo, hi = bounds[j * width], bounds[(j + end - step) * width]
-            if lo < hi:
-                act, z = paths[lo:hi], marks[lo:hi]
-                applied = np.broadcast_to(
-                    np.asarray(field.jump_density_map(controls[ci], x[act], z), dtype=float),
-                    act.shape)
-                # unbuffered: a path's jumps are added one after another, in event order
-                np.add.at(x, act, applied)
-                if not np.all(np.isfinite(x[act])):
-                    raise RuntimeError(f"non-finite state after jumps in steps {step} to {end - 1}")
-                jumps.append((z, applied))
-        else:
-            for r in range(j * width, (j + 1) * width):
-                lo, hi = bounds[r], bounds[r + 1]
-                if lo == hi:
-                    break
-                act, z = paths[lo:hi], marks[lo:hi]
-                fa = fidx[act]
-                applied = np.empty(act.size)
-                for c in np.flatnonzero(np.bincount(fa, minlength=len(controls))):
-                    mm = fa == c
-                    sel = act[mm]
-                    k = np.asarray(
-                        field.jump_density_map(controls[c], x[sel], z[mm]), dtype=float
-                    )
-                    applied[mm] = np.broadcast_to(k, sel.shape)
-                # the other paths kept the finite states the diffusion check saw
-                xa = x[act] + applied
-                if not np.all(np.isfinite(xa)):
-                    raise RuntimeError(f"non-finite state after jumps at step {step}")
-                x[act] = xa
-                jumps.append((z, applied))
-        yield end * dt_eff, x, jumps
+        lo, hi = bounds[j], bounds[j + end - step]
+        act, z = paths[lo:hi], marks[lo:hi]
+        fa = fidx[act]
+        applied = np.empty(act.size)
+        for c in np.flatnonzero(np.bincount(fa)):
+            mm = fa == c
+            sel = act[mm]
+            k = np.asarray(field.jump_density_map(controls[c], x[sel], z[mm]), dtype=float)
+            applied[mm] = np.broadcast_to(k, sel.shape)
+        # unbuffered: a path's jumps are added one after another, in event order
+        np.add.at(x, act, applied)
+        # the other paths kept the finite states the diffusion check saw
+        if not np.all(np.isfinite(x[act])):
+            raise RuntimeError(f"non-finite state after jumps in steps {step} to {end - 1}")
+        yield end * dt_eff, x, applied
 
 
 def _terminals(field, policy, x0, T, dt, n_paths, seed, collect_jumps=False):
     """Terminal states of n_paths paths, CHUNK at a time from child streams.
 
     With ``collect_jumps`` it returns (terminal states, every applied jump
-    size) instead.  The chunks are dealt over the usable cores, at most one
-    process per core, and joined in chunk order (see the module docstring),
-    so the result is the same bit for bit however many processes ran them.
+    size, in chunk, run and event order) instead.  The chunks are dealt
+    over the usable cores, at most one process per core, and joined in
+    chunk order (see the module docstring), so the result is the same bit
+    for bit however many processes ran them.
     """
     plan = _Plan(field, policy, x0, T, dt)
     starts = range(0, n_paths, CHUNK)
 
     def run(c):
         sizes = []
-        for _, x, jumps in _steps(plan, _chunk_rng(seed, c), min(CHUNK, n_paths - starts[c])):
+        for _, x, applied in _steps(plan, _chunk_rng(seed, c), min(CHUNK, n_paths - starts[c])):
             if collect_jumps:
-                sizes.extend(applied for _, applied in jumps)
+                sizes.append(applied)
         return x, np.concatenate(sizes) if sizes else np.empty(0)
 
     results = _pool.map_chunks(run, len(starts))

@@ -16,6 +16,7 @@ from sublevy import cli, pide
 from sublevy.cli import MC_PATH_STEPS_MAX, ConfigError, main, parse_config
 from sublevy.core import ConditionAudit
 from sublevy.pide import ValueField, solve
+from sublevy.simulate import CHUNK
 
 FAST_SOLVE = ["--set", "pide.nx=201", "--set", "pide.t_horizon=0.2"]
 
@@ -337,6 +338,16 @@ class TestErrorChannels:
     def test_mc_size_at_the_cap_accepted(self):
         # 1e6 paths x round(1.0 / 1e-3) steps is the cap itself
         parse_config(f"mc.paths = {MC_PATH_STEPS_MAX // 1000}\n").validate()
+
+    def test_few_paths_count_as_one_chunk(self):
+        # 2 paths at mc.dt = 2e-9 are 5e8 Euler steps, whose per-step tables
+        # alone would take about 12 GB; CHUNK x 244,140 steps is the cap
+        with pytest.raises(ConfigError, match="Euler steps"):
+            parse_config("mc.paths = 2\nmc.dt = 2e-9\n").validate()
+        steps = MC_PATH_STEPS_MAX // CHUNK
+        parse_config(f"mc.paths = 2\nmc.dt = {1 / steps!r}\n").validate()
+        with pytest.raises(ConfigError, match="Euler steps"):
+            parse_config(f"mc.paths = 400\nmc.dt = {1 / (steps + 1)!r}\n").validate()
 
     def test_sizes_at_their_caps_accepted(self):
         assert (cli.AUDIT_TABLE_MAX, cli.FOURIER_N_XI_MAX, cli.TRANSFORM_POINTS_MAX) == (

@@ -461,7 +461,7 @@ def _serial_reference(field, policy, psi, x0, T, dt, n_paths, seed):
     terms, sizes = [], []
     for c, start in enumerate(range(0, n_paths, CHUNK)):
         for _, x, jumps in _steps(plan, _chunk_rng(seed, c), min(CHUNK, n_paths - start)):
-            sizes.extend(applied for _, applied in jumps)
+            sizes.append(jumps)
         terms.append(x)
     terms = np.concatenate(terms)
     vals = psi(terms)
@@ -739,6 +739,43 @@ class TestJumpSchedule:
         for _ in _steps(plan, rng, 64):
             pass
         assert rng.normal_calls == plan.n_steps == 1000
+
+
+class TestOneJumpRule:
+    def test_every_jump_of_a_step_reads_the_state_after_its_diffusion(self, degenerate_field):
+        # k(f, x, z) = x, one path at mass dt = 0.9: reading the state an
+        # earlier jump of its step left, a second jump would be twice the first
+        field = dataclasses.replace(_jump_counting_field(degenerate_field),
+                                    jump_density_map=lambda f, x, z: x + 0.0 * z)
+        _, lookup = _edge_policies(field.control_grid.points, np.array([0.0]), [1])
+        plan = _Plan(field, lookup, 1.0, 6.0, 0.3)
+        assert plan.block == 1 and plan.rate == pytest.approx(0.9)
+        assert plan.single.tolist() == [-1] and np.all(plan.per_state)
+        steps = list(_steps(plan, _chunk_rng(4, 0), 1))
+        assert len(steps) == plan.n_steps == 20
+        assert sum(applied.size >= 2 for _, _, applied in steps) >= 2
+        for _, _, applied in steps:
+            assert np.all(applied != 0.0) and np.all(applied == applied[:1])
+
+    def test_one_jump_map_call_per_step_with_events(self, degenerate_field):
+        # the cli rate, CHUNK paths, 1,000 steps that look up cells: a few
+        # steps hold a path with two events, and they too make one call
+        calls = []
+
+        def unit(f, x, z):
+            calls.append(np.size(x))
+            return 1.0 + 0.0 * z
+
+        field = dataclasses.replace(_jump_counting_field(degenerate_field), jump_density_map=unit)
+        _, lookup = _edge_policies(field.control_grid.points, np.array([0.0]), [1])
+        plan = _Plan(field, lookup, 0.0, 1.0, 1e-3)
+        assert plan.n_steps == 1000 and plan.single.tolist() == [-1]
+        calls.clear()
+        lengths, counts = _counts(plan, 1)
+        assert lengths.tolist() == [1] * plan.n_steps
+        assert np.any(counts >= 2)
+        assert len(calls) == np.any(counts > 0, axis=1).sum()
+        assert sum(calls) == counts.sum()
 
 
 class TestStateFreeCompensator:
