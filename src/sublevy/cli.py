@@ -49,6 +49,13 @@ MARCH_NODE_STEPS_MAX = 3 * 10**7
 # minutes.
 CONTROLS_MAX = 1000
 
+# Largest share of the jump mass the window [-pide.z_cut, pide.z_cut] may miss.
+# The march drops the jumps outside it, so a window that holds almost none of
+# the mass gives a value far off (u(T, 0) = 0.911 at z_cut = 1e-300 against
+# 0.451 at the default 10, which misses 4.5e-5): every z_cut below 9.21 misses
+# more than this on the config's double-exponential law.
+WINDOW_TAIL_MAX = 1e-4
+
 # Largest audit table accepted, in audit.sample_budget x pide.nz entries.  The
 # config's constant bounds give state-free jump tables, which the audit checks
 # on one row each: validate peaks at 37-43 MiB at the cap, with 1 or 1,000
@@ -210,6 +217,11 @@ class RunConfig:
             # landing at T/2 as dpp-check's direct solve does (never fewer steps
             # than without), and dpp-check's restart over the second half of the horizon
             field = self.field()
+            # the config's jump rate is positive, so is its mass
+            missed = field.reference.tail_mass_outside_window() / field.reference.total_mass
+            if missed > WINDOW_TAIL_MAX:
+                raise ConfigError(f"pide.z_cut must hold all but {WINDOW_TAIL_MAX:g} of the jump mass, got "
+                                  f"{p['z_cut']!r}, which misses {missed:.3g} of it")
             field.reference.validate_mass()
             denom, entries, _ = _preflight(field, self.grid())
             T = p["t_horizon"]

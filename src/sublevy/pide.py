@@ -18,10 +18,12 @@ table is state-free and becomes one row of a stacked correlation kernel
 (conv), applied with the other conv rows by one batched FFT per step whose
 length is bounded by the grid, as the taps off the grid are folded into
 edge weights; any other table is interpolated node by node (gather), and a
-zero-mass measure has no jump term at all.  The envelope applies itself
-into buffers it owns and ``solve`` sizes its timeline before it marches,
-so no step allocates a new stack or row, except on the gather route: each
-gather term forms (nx, nz) temporaries and a new row at every step.
+zero-mass measure has no jump term at all.  The jump rate is one more node
+of every table, at 0 with weight -mass, so a jump row holds J w - mass*w.
+The envelope applies itself into buffers it owns and ``solve`` sizes its
+timeline before it marches, so no step allocates a new stack or row,
+except on the gather route: each gather term forms (nx, nz + 1)
+temporaries and a new row at every step.
 
 The envelope is built in two parts.  The preflight, ``_preflight``, reads
 the controls through ``core._sources``, takes the distinct jump tables and
@@ -33,28 +35,32 @@ from the preflight's results and takes its denominator from it, so a solve
 reads and evaluates each coefficient once.  A max does not depend on its
 order, so the denominator has the bits of the max over the full rows.
 
-Control f's operator on w sums ((bp*dp + bm*dm) + ca*(dp + dm)) + jump -
-mass*w, where bp and bm are the upwind weights of its effective drift and
-ca = a / (2 dx^2).  The envelope holds one drift row per (jump row, drift
-source) pair, sorted jump-major so that each jump row's drift rows are one
-slice, and the march takes the sup on rows only:
+Control f's operator on w sums ((bp*dp + bm*dm) + ca*(dp + dm)) + jump,
+where bp and bm are the upwind weights of its effective drift, ca =
+a / (2 dx^2) and jump = J w - mass*w.  The envelope holds its drift rows
+in classes, each class's rows one slice, and the march takes the sup on
+rows only:
 
-    max over jump rows g of [(max_b drift_{b,g} + max_a diff_a) + jump_g] - mass*w
+    max over classes k of [(max_b drift_{b,k} + max_a diff_a) + max_{g in k} jump_g]
 
 A field may declare which control coordinate alone drives the drift, the
 dispersion and the jump map (``CoefficientField.control_axes``, which
 ``kou.build_field`` sets).  When its grid holds more than one control and
-every combination of those coordinates' values, the drift sources are the
-drift values and the diffusion is held apart, one row of ca per variance
-value; the compensator couples drift and jump, hence one drift row per
-pair.  Any other field has one drift source per control and folds its
-diffusion into the upwind weights, (bp + ca)*dp + (bm + ca)*dm, so that
-max_a diff_a drops out.  Round-to-nearest ``fl(a + c)`` is monotone in a
-and in c, so either way this gives the bits of the max of the full
-per-control sums; and ``fl(ca * s)`` is monotone in ca for s of either
-sign, so max_a diff_a is the larger of the products of s = dp + dm with
-the pointwise largest and smallest ca, Peng's G-heat nonlinearity,
-whatever the number of variance values.  A march that records the policy
+every combination of those coordinates' values, a class is the jump rows
+whose compensators have the same bytes: the compensator couples drift and
+jump, so a class holds one drift row per drift value, and the diffusion is
+held apart, one row of ca per variance value.  A field that declares its
+compensator 0 (``CoefficientField.symmetric_jumps``, which
+``kou.build_field`` sets) has one class, and the sup is three maxes: over
+b, over a and over the jump rows.  Any other field has one drift row per
+control and one class per jump row, and folds its diffusion into the
+upwind weights, (bp + ca)*dp + (bm + ca)*dm, so that max_a diff_a drops
+out.  Round-to-nearest ``fl(a + c)`` is monotone in a and in c, so either
+way this gives the bits of the max of the full per-control sums; and
+``fl(ca * s)`` is monotone in ca for s of either sign, so max_a diff_a is
+the larger of the products of s = dp + dm with the pointwise largest and
+smallest ca, Peng's G-heat nonlinearity, whatever the number of variance
+values.  A march that records the policy
 forms the full sums and takes their max and their argmax: a1 < a2 can
 round to a tie once a shared row is added, so only the full sums break
 ties as the per-control operators do.  The record is a
@@ -62,7 +68,9 @@ ties as the per-control operators do.  The record is a
 runs its paths under.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
-bitwise unchanged regardless of quadrature summation order.
+bitwise unchanged regardless of quadrature summation order.  The march
+checks that its values are finite where it stores a row: a node that is
+not finite stays so, as u + dt*S is not finite wherever u is.
 """
 
 from __future__ import annotations
@@ -245,9 +253,10 @@ class _ConvBlock:
     Row j is ``sum_m taps[j, m] * w[clip(i + m, 0, nx - 1)]``: the taps that
     stay on the grid correlate with w zero-padded to ``n_fft`` (the wrap-around
     lands on the padding), and those that leave it sum, once, to the edge
-    weights of ``left[i] * w[0] + right[i] * w[-1]``.  On-grid offsets reach
-    at most nx - 1 nodes, so ``n_fft`` is at most ``_fft_length(2 nx - 1)``
-    whatever the jump sizes.
+    weights of ``left[i] * w[0] + right[i] * w[-1]``, held stacked as
+    ``edges[j] = (left, right)``.  On-grid offsets reach at most nx - 1
+    nodes, so ``n_fft`` is at most ``_fft_length(2 nx - 1)`` whatever the
+    jump sizes.
     """
 
     def __init__(self, kappas, weights, dx, out):
@@ -261,8 +270,9 @@ class _ConvBlock:
             # an offset beyond +-nx reads the edge value at every node, as +-nx does
             at = np.clip(np.concatenate([i0, i0 + 1.0]), -nx, nx).astype(int) + nx
             np.add.at(row, at, np.concatenate([weights * (1.0 - frac), weights * frac]))
-        self._left = np.ascontiguousarray(np.cumsum(taps[:, :nx], axis=1)[:, ::-1])  # offsets < -i
-        self._right = np.cumsum(taps[:, :nx:-1], axis=1)  # offsets > nx - 1 - i
+        left = np.cumsum(taps[:, :nx], axis=1)[:, ::-1]  # offsets < -i
+        right = np.cumsum(taps[:, :nx:-1], axis=1)  # offsets > nx - 1 - i
+        self._edges = np.stack([left, right], axis=1)
         on_grid = np.flatnonzero(np.any(taps[:, 1:-1] != 0.0, axis=0)) - (nx - 1)
         self.n_fft = _fft_length(nx + int(np.abs(on_grid).max(initial=0)))
         kernel = np.zeros((len(kappas), self.n_fft))
@@ -277,10 +287,8 @@ class _ConvBlock:
         np.fft.rfft(w, self.n_fft, out=self._spec)
         np.multiply(self._kernel, self._spec, out=self._prod)
         np.fft.irfft(self._prod, self.n_fft, out=self._corr)
-        corr = self._corr[:, : w.size]
-        np.multiply(self._left, w[0], out=self.out)
-        self.out += corr
-        self.out += np.multiply(self._right, w[-1], out=corr)
+        np.matmul(w[:: w.size - 1], self._edges, out=self.out)
+        self.out += self._corr[:, : w.size]
 
 
 def _gather_term(ktab, weights, dx, nx):
@@ -299,12 +307,20 @@ def _gather_term(ktab, weights, dx, nx):
 def _compensator(field, ktab, weights):
     """Truncated-jump compensator of a jump table, one value per table row.
 
-    A one-row table is state-free and gives a plain number.
+    A one-row table is state-free and gives a plain number.  On a field that
+    declares ``symmetric_jumps`` the compensator is 0: each row's sum is
+    still taken, and one beyond roundoff, 64 eps sum |h w|, raises
+    ``ValueError``; any other comes back exactly 0.0.
     """
     h = np.asarray(field.truncation.evaluate(ktab), dtype=float)
-    if h.shape[0] == 1:
-        return float(h[0] @ weights)
-    return (h * weights[None, :]).sum(axis=1)
+    comp = np.array([h[0] @ weights]) if h.shape[0] == 1 else (h * weights[None, :]).sum(axis=1)
+    if field.symmetric_jumps:
+        bad = np.abs(comp) > 64.0 * np.finfo(float).eps * (np.abs(h) @ np.abs(weights))
+        if bad.any():
+            raise ValueError(f"the field declares symmetric jumps, but a jump table's compensator is "
+                             f"{float(comp[bad][0])!r}, beyond roundoff")
+        comp = np.zeros_like(comp)
+    return float(comp[0]) if h.shape[0] == 1 else comp
 
 
 def _preflight(field: CoefficientField, grid: SpatialGrid):
@@ -319,8 +335,8 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
     (n_controls, nx) stacks included, and its build's compensator rows and
     conv taps.  ``layout`` is what ``_Envelope`` allocates from: the reads
     of ``core._sources``, each distinct read once, the distinct jump tables
-    and their compensators, and the drift rows.  Nothing of size
-    (rows, nx) is formed when the reads are state-free.
+    and their compensators, each jump row's class and the drift rows.
+    Nothing of size (rows, nx) is formed when the reads are state-free.
     """
     dx, nx = grid.dx, grid.nx
     quad = field.reference.quadrature
@@ -345,18 +361,25 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
     denom = a_max / (dx * dx) + b_max / dx + quad.mass
     if not math.isfinite(denom):
         raise ValueError("the CFL denominator a_max/dx^2 + b_max/dx + jump rate overflows a float")
-    if not per_axis:  # one drift and one dispersion row per control
+    if per_axis:
+        # the jump rows whose compensators have the same bytes at every node are one class
+        first = {}
+        class_of = [first.setdefault(np.broadcast_to(c, (nx,)).tobytes(), len(first)) for c in comps]
+    else:  # one drift and one dispersion row per control, and one class per jump row
         drifts, disps = [drifts[i] for i in drift_at], [disps[i] for i in disp_at]
         drift_at = disp_at = list(range(n))
-    pairs = sorted(set(zip(jump_rows, drift_at)))  # jump-major
+        class_of = list(range(len(comps)))
+    pairs = sorted(set(zip([class_of[g] for g in jump_rows], drift_at)))  # class-major
     n_conv, n_fft = sum(len(t) == 1 for t in kappas), _fft_length(2 * nx - 1)
     # rows of nx: the drift rows and their two upwind weights; the compensator, jump and
     # best rows; the ca rows and their product with s; the two stacks; 8 scratch rows.
     # Each conv row's taps, edge weights, kernel, spectra and correlation take at most
-    # 4 (nx + n_fft + 2), and each gather table three (nx, nz) arrays
+    # 4 (nx + n_fft + 2), and each gather table, with its node for the jump rate, three
+    # (nx, nz + 1) arrays
     entries = (nx * (3 * len(pairs) + 3 * len(comps) + 2 * len(disps) + 2 * n + 8)
-               + 4 * n_conv * (nx + n_fft + 2) + 3 * nx * quad.nodes.size * (len(kappas) - n_conv))
-    return denom, entries, (drifts, disps, kappas, comps, per_axis, jump_rows, drift_at, disp_at, pairs, n_conv)
+               + 4 * n_conv * (nx + n_fft + 2) + 3 * nx * (quad.nodes.size + 1) * (len(kappas) - n_conv))
+    return denom, entries, (drifts, disps, kappas, comps, per_axis, jump_rows, drift_at, disp_at, pairs,
+                            class_of, n_conv)
 
 
 def _step(denom: float, safety: float, dt_max: float) -> float:
@@ -382,24 +405,28 @@ class _Envelope:
 
     Each control's operator on w = u - u[mid] is linear in w and zero on
     w = 0, which keeps constants exact.  Control f applies ((bp*dp + bm*dm)
-    + ca*(dp + dm)) + jump - mass*w, where bp and bm are the upwind weights
-    of its effective drift (drift minus the compensator of its jump table)
-    and ca = a / (2 dx^2).  The coefficients come from ``core._sources``,
-    each distinct read once, and the envelope keeps one list of the distinct
-    jump tables, by their bytes, one-row (conv) tables first: each is one
-    row of ``_jumps``, so controls with byte-identical tables share it and
-    tie exactly.  There is one drift row per (jump row, drift source) pair,
-    sorted jump-major, so that each jump row's drift rows are one slice of
-    ``_drift``.
+    + ca*(dp + dm)) + jump, where bp and bm are the upwind weights of its
+    effective drift (drift minus the compensator of its jump table), ca =
+    a / (2 dx^2) and jump = J w - mass*w.  The coefficients come from
+    ``core._sources``, each distinct read once, and the envelope keeps one
+    list of the distinct jump tables, by their bytes, one-row (conv) tables
+    first: each is one row of ``_jumps``, so controls with byte-identical
+    tables share it and tie exactly.  Each compensator is taken on its
+    table before the jump rate joins it as a node at 0.  The drift rows are
+    one per (class, drift source) pair, sorted class-major, and
+    ``_groups`` holds each class's slice of ``_drift`` with its jump rows.
 
     ``per_axis`` says that the diffusion is held apart: the field declares
     ``control_axes`` and its grid holds more than one control and every
-    combination of the axes' values.  Its drift sources are the drift axis's
-    values and the envelope holds n_a ``ca`` rows, so its size follows the
-    axes' values, not the controls; a drift row whose drift and compensator
-    are both state-free is upwind on one side only, so it is one product.
-    Any other field has one drift source per control, so its drift rows are
-    its controls stably sorted by jump row, and folds its diffusion into the
+    combination of the axes' values.  A class is the jump rows whose
+    compensators have the same bytes, its drift sources are the drift
+    axis's values and the envelope holds n_a ``ca`` rows, so its size
+    follows the axes' values, not the controls; on a field that declares
+    ``symmetric_jumps`` every compensator is 0.0 and there is one class.  A
+    drift row whose drift and compensator are both state-free is upwind on
+    one side only, so it is one product.  Any other field has one class per
+    jump row and one drift source per control, so its drift rows are its
+    controls stably sorted by jump row, and folds its diffusion into the
     upwind weights, (bp + ca)*dp + (bm + ca)*dm, leaving ``_ca`` None.
 
     ``apply`` forms the (n_controls, nx) stack in control order; ``sup`` is
@@ -410,21 +437,25 @@ class _Envelope:
     def __init__(self, field: CoefficientField, grid: SpatialGrid):
         dx, nx = grid.dx, grid.nx
         quad = field.reference.quadrature
-        self.mass = quad.mass
         self.denom, _, layout = _preflight(field, grid)
-        drifts, disps, kappas, comps, self.per_axis, jump_rows, drift_at, disp_at, pairs, n_conv = layout
+        drifts, disps, kappas, comps, self.per_axis, jump_rows, drift_at, disp_at, pairs, class_of, n_conv = layout
         self.routes = sorted({"conv" if len(t) == 1 else "gather" for t in kappas}) or ["none"]
         b = np.array([np.broadcast_to(v, (nx,)) for v in drifts])
         sig = np.array([np.broadcast_to(v, (nx,)) for v in disps])
         a = sig * sig
-        comp = np.array([np.broadcast_to(v, (nx,)) for v in comps])
-        self._jumps = np.zeros_like(comp)
-        conv = [t[0] for t in kappas[:n_conv]]
-        self._conv = _ConvBlock(conv, quad.weights, dx, self._jumps[:n_conv]) if conv else None
-        self._gathers = [(row, _gather_term(t, quad.weights, dx, nx))
+        classes = [[g for g, k in enumerate(class_of) if k == c] for c in range(max(class_of) + 1)]
+        class_comps = [comps[m[0]] for m in classes]
+        comp = np.array([np.broadcast_to(c, (nx,)) for c in class_comps])
+        # with no jump term, one jump row of zeros: apply adds 0.0
+        self._jumps = np.zeros((len(comps), nx))
+        # the jump rate is one more node, at 0 with weight -mass: a jump row holds J w - mass*w
+        weights = np.append(quad.weights, -quad.mass)
+        conv = [np.append(t[0], 0.0) for t in kappas[:n_conv]]
+        self._conv = _ConvBlock(conv, weights, dx, self._jumps[:n_conv]) if conv else None
+        self._gathers = [(row, _gather_term(np.pad(t, ((0, 0), (0, 1))), weights, dx, nx))
                          for row, t in zip(self._jumps[n_conv:], kappas[n_conv:])]
-        g_of, b_of = (list(v) for v in zip(*pairs))
-        eff = b[b_of] - comp[g_of]
+        k_of, b_of = (list(v) for v in zip(*pairs))
+        eff = b[b_of] - comp[k_of]
         bps = np.maximum(eff, 0.0) / dx
         bms = np.maximum(-eff, 0.0) / dx
         ca = a / (2.0 * dx * dx)
@@ -438,25 +469,27 @@ class _Envelope:
             bms += ca[b_of]
             self._ca = None
         row_of = {pair: i for i, pair in enumerate(pairs)}
-        self._at = np.array([[row_of[p] for p in zip(jump_rows, drift_at)], disp_at, jump_rows])
-        ends = list(itertools.accumulate(map(g_of.count, range(len(self._jumps)))))
-        self._groups = [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+        self._at = np.array([[row_of[class_of[g], j] for g, j in zip(jump_rows, drift_at)], disp_at, jump_rows])
+        ends = list(itertools.accumulate(map(k_of.count, range(len(classes)))))
+        # each class's drift rows, one slice, and its jump rows
+        self._groups = [(slice(lo, hi), [self._jumps[g] for g in m])
+                        for lo, hi, m in zip([0, *ends], ends, classes)]
         self._rows = np.zeros((6, nx))
         dp, dm = self._rows[:2]
         self._upwind = []  # each drift row's (coefficient, difference) terms
-        for bp, bm, (g, j) in zip(bps, bms, pairs):
-            if self.per_axis and np.ndim(drifts[j]) == np.ndim(comps[g]) == 0:
+        for bp, bm, (k, j) in zip(bps, bms, pairs):
+            if self.per_axis and np.ndim(drifts[j]) == np.ndim(class_comps[k]) == 0:
                 # a state-free effective drift is upwind on one side only
                 terms = [(bp[0], dp)] if bp[0] > 0 else [(bm[0], dm)]
             else:
                 terms = [(bp, dp), (bm, dm)]
             self._upwind.append(terms)
         self._drift = np.empty_like(eff)
-        self._best = np.empty_like(self._jumps)
+        self._best = np.empty((len(classes), nx))
         self._stacks = None  # the (n_controls, nx) buffers, from the first apply
 
     def _fill_rows(self, u):
-        """Fill the jump and drift rows; return w = u - u[mid] and s = dp + dm."""
+        """Fill the jump and drift rows; return s = dp + dm."""
         dp, dm, s, w, _, tmp = self._rows  # dp[-1] and dm[0] stay 0
         np.subtract(u, u[u.size // 2], out=w)
         np.subtract(w[1:], w[:-1], out=dp[:-1])
@@ -469,11 +502,11 @@ class _Envelope:
             np.multiply(c, d, out=row)
             for c, d in rest:
                 row += np.multiply(c, d, out=tmp)
-        return w, np.add(dp, dm, out=s)
+        return np.add(dp, dm, out=s)
 
     def apply(self, u):
         """The (n_controls, nx) stack of L_f u, in control order, in a buffer the next call overwrites."""
-        w, s = self._fill_rows(u)
+        s = self._fill_rows(u)
         if self._stacks is None:
             stack = np.empty((self._at.shape[1], u.size))
             self._stacks = stack, np.empty_like(stack), None if self._ca is None else np.empty_like(self._ca)
@@ -485,22 +518,24 @@ class _Envelope:
             np.multiply(self._ca, s, out=diff)
             out += np.take(diff, at_disp, axis=0, out=tmp, mode="clip")
         out += np.take(self._jumps, at_jump, axis=0, out=tmp, mode="clip")
-        out -= np.multiply(self.mass, w, out=self._rows[4])
         return out
 
     def sup(self, u, out):
         """max_f L_f u into ``out``: bit for bit ``apply(u).max(axis=0)``."""
-        w, s = self._fill_rows(u)
-        best, tmp = self._best, self._rows[5]
-        for rows, row in zip(self._groups, best):
-            _max_rows(self._drift[rows], row)
+        s = self._fill_rows(u)
+        diff, tmp = self._rows[4:]
         if self._ca is not None:
-            diff = self._rows[4]
             np.multiply(self._ca_hi, s, out=diff)
-            best += np.maximum(diff, np.multiply(self._ca_lo, s, out=tmp), out=diff)
-        best += self._jumps
-        _max_rows(best, out)
-        out -= np.multiply(self.mass, w, out=tmp)
+            np.maximum(diff, np.multiply(self._ca_lo, s, out=tmp), out=diff)
+        # one class writes its sup into out directly
+        best = self._best if len(self._groups) > 1 else out[None]
+        for (drifts, jumps), row in zip(self._groups, best):
+            _max_rows(self._drift[drifts], row)
+            if self._ca is not None:
+                row += diff
+            row += jumps[0] if len(jumps) == 1 else _max_rows(jumps, tmp)
+        if len(self._groups) > 1:
+            _max_rows(best, out)
         return out
 
 
@@ -558,7 +593,9 @@ def solve(
     at most 256 controls, where the every-step timeline takes 8 bytes per
     entry.  The march, its values and ``metadata`` are the same whatever
     is kept.  The jump quadrature must resolve the measure's mass on its
-    window (``QuadratureError`` otherwise).
+    window (``QuadratureError`` otherwise).  A march whose values leave the
+    floats raises ``RuntimeError`` at the first stored row that is not
+    finite.
     """
     checkpoints = [float(c) for c in checkpoints]
     if not (0.0 <= T < math.inf and all(map(math.isfinite, checkpoints))):
@@ -611,11 +648,14 @@ def solve(
             return np.max(stack, axis=0, out=out)
 
     for k, sub_dt in enumerate(sub_dts, start=1):
-        step = sup(u, row_of.get(k, scratch[k % 2]))
+        stored = row_of.get(k)
+        step = sup(u, scratch[k % 2] if stored is None else stored)
         step *= sub_dt
         u = np.add(u, step, out=step)
-        if not np.all(np.isfinite(u)):
-            raise RuntimeError(f"non-finite value at step {k}, t = {times[k]}")
+        # checked where a row is stored: a node that is not finite stays so, as u + dt*S is
+        # not finite wherever u is
+        if stored is not None and not np.all(np.isfinite(u)):
+            raise RuntimeError(f"non-finite value by step {k}, t = {times[k]}")
     recorded = None
     if policy:
         sup(u, scratch[0])  # the row at T

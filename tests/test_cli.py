@@ -349,6 +349,18 @@ class TestErrorChannels:
         with pytest.raises(ConfigError, match="Euler steps"):
             parse_config(f"mc.paths = 400\nmc.dt = {1 / (steps + 1)!r}\n").validate()
 
+    @pytest.mark.parametrize("z_cut, accepted", [
+        ("1e-300", False), ("9.0", False), ("9.2", False), ("9.25", True), ("10.0", True)])
+    def test_a_window_that_misses_the_jump_mass_is_rejected(self, z_cut, accepted):
+        # the window misses exp(-z_cut) of the double-exponential mass: z_cut = 1e-300
+        # misses all of it (u(T, 0) = 0.911 against 0.451), the default 10 misses 4.5e-5
+        cfg = parse_config(f"pide.z_cut = {z_cut}\n")
+        if accepted:
+            cfg.validate()
+        else:
+            with pytest.raises(ConfigError, match="pide.z_cut must hold all but 0.0001 of the jump mass"):
+                cfg.validate()
+
     def test_sizes_at_their_caps_accepted(self):
         assert (cli.AUDIT_TABLE_MAX, cli.FOURIER_N_XI_MAX, cli.TRANSFORM_POINTS_MAX) == (
             4 * 10**6, 10**6, 10**4)
@@ -579,16 +591,19 @@ class TestErrorChannels:
 
 # each bound of each key with a range of its own: (key, its last accepted value,
 # its first rejected value, other entries).  An open end at 0 accepts the smallest
-# float unless a cross-key check rejects it there, as the quadrature does for
-# pide.z_cut and the CFL step's underflow for the safeties; those take 1e-300.
+# float unless a cross-key check rejects it there, as the CFL step's underflow does
+# for the safeties; those take 1e-300.  The jump window must hold all but
+# cli.WINDOW_TAIL_MAX of the mass, which pide.z_cut = 9.25 does, and three nodes
+# resolve that mass within the quadrature's tolerance only when it is tiny.
+TINY_JUMP_RATE = [f"model.{key}=1e-5" for key in ("lam_floor", "lam_lo", "lam_hi", "lam_star")]
 RANGE_BOUNDS = [
     ("control.resolution", "1", "0", []),
     ("pide.nx", "3", "2", []),
-    ("pide.nz", "3", "2", ["pide.z_cut=1e-3"]),
+    ("pide.nz", "3", "2", TINY_JUMP_RATE),
     ("pide.t_horizon", "5e-324", "0.0", []),
     ("pide.cfl_safety", "1.0", "1.0000000000000002", []),
     ("pide.cfl_safety", "1e-300", "0.0", ["pide.t_horizon=1e-300"]),
-    ("pide.z_cut", "1e-300", "0.0", []),
+    ("pide.z_cut", "9.25", "0.0", []),
     ("psi.width", "5e-324", "0.0", []),
     ("mc.paths", "2", "1", []),
     ("mc.dt", "5e-324", "0.0", ["pide.t_horizon=5e-324"]),

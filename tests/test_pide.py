@@ -8,15 +8,19 @@ import pytest
 from sublevy.core import ControlGrid, QuadratureError
 from sublevy.kou import GaussianBump, KouSpec, build_field
 from sublevy.pide import (
+    PolicySchedule,
     SpatialGrid,
     ValueField,
+    _compensator,
     _Envelope,
     _fft_length,
     _preflight,
+    _step,
     cfl_timestep,
     restart,
     solve,
 )
+from sublevy.simulate import _coefficients, _Plan
 from tests.conftest import constant_drift_field, every_step_argmax
 
 
@@ -130,10 +134,12 @@ def _drift_and_intensity_vary_field(kou_field):
     """Kou field whose drift peaks at x = -3 and whose one-sided jumps peak at x = 3.
 
     Its jumps are all upward, so the compensator is not 0, and the sup of
-    |drift| + |compensator| lies below the sum of the two sups.
+    |drift| + |compensator| lies below the sum of the two sups.  So it does
+    not declare the Kou field's symmetric jumps.
     """
     return dataclasses.replace(
         kou_field,
+        symmetric_jumps=False,
         drift=lambda f, x: 0.3 * f[0] * np.exp(-(np.asarray(x, dtype=float) + 3.0) ** 2),
         jump_density_map=lambda f, x, z: np.abs(z) * (0.5 + 0.5 * f[2] * np.exp(-(np.asarray(x) - 3.0) ** 2)))
 
@@ -293,6 +299,20 @@ class TestSolve:
         field = constant_drift_field(np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             solve(field, np.sin, 0.1, coarse_grid)
+
+    def test_a_march_that_leaves_the_floats_raises(self, kou_field):
+        # differences of a payoff of amplitude 1e308 overflow on the first step; a
+        # node that is not finite stays so, and the check at the landing catches it
+        grid = SpatialGrid(-10.0, 10.0, 101)
+        psi = 1e308 * GaussianBump().value(grid.xs())
+        with np.errstate(all="ignore"):
+            n_steps = solve(kou_field, np.tanh, 0.5, grid).metadata["n_steps"]
+            with pytest.raises(RuntimeError, match=f"non-finite value by step {n_steps}, t = 0.5"):
+                solve(kou_field, psi, 0.5, grid)
+            with pytest.raises(RuntimeError, match="non-finite value by step 1, t = "):
+                solve(kou_field, psi, 0.5, grid, every_step=True)
+            with pytest.raises(RuntimeError, match="non-finite value by step 1, t = "):
+                solve(kou_field, psi, 0.5, grid, checkpoints=[0.5 / n_steps])
 
     def test_metadata_records_scheme(self, kou_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
@@ -597,7 +617,9 @@ class TestPerAxisLayout:
         env = _Envelope(field, SpatialGrid(-10.0, 10.0, 201))
         assert env.per_axis
         assert len(field.control_grid.points) == 18
-        assert env._jumps.shape[0] == 3 and env._drift.shape[0] == 3 * 3
+        # the compensator is 0 on every jump row, so the drift rows are the 3 drift values
+        assert env._jumps.shape[0] == 3 and env._drift.shape[0] == 3
+        assert len(env._groups) == 1
         assert env._ca.shape[0] == 2
         assert env._stacks is None  # until the first apply
 
@@ -613,6 +635,82 @@ class TestPerAxisLayout:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * len(field.control_grid.points) * grid.nx * 8
+
+
+class TestSymmetricJumps:
+    @pytest.mark.parametrize("case", ["march", "state-dependent", "mixed"])
+    def test_a_kou_compensator_is_exactly_zero(self, case, kou_spec, degenerate_spec):
+        field, grid, _, _ = _envelope_case(case, kou_spec, degenerate_spec)
+        assert field.symmetric_jumps
+        weights = field.reference.quadrature.weights
+        tables = _preflight(field, grid)[2][2]
+        comps = [_compensator(field, t, weights) for t in tables]
+        assert all(np.all(np.asarray(c) == 0.0) for c in comps)
+        # a one-row table's compensator is a plain number, any other's a row per state
+        assert [np.shape(c) for c in comps] == [() if len(t) == 1 else (len(t),) for t in tables]
+        # the quadrature's sums are roundoff, not 0: the declaration makes them 0
+        plain = dataclasses.replace(field, symmetric_jumps=False)
+        sums = np.concatenate([np.atleast_1d(_compensator(plain, t, weights)) for t in tables])
+        assert np.any(sums != 0.0) and np.max(np.abs(sums)) <= 1e-15
+
+    def test_one_class_of_drift_rows_on_a_kou_field(self, kou_field):
+        env = _Envelope(kou_field, SpatialGrid(-10.0, 10.0, 201))
+        # two intensities, two jump rows, one compensator: the drift rows are the two drifts
+        assert env._jumps.shape[0] == 2 and env._drift.shape[0] == 2
+        assert len(env._groups) == 1 and len(env._groups[0][1]) == 2
+
+    @pytest.mark.parametrize("case", ["march", "state-dependent"])
+    def test_the_monte_carlo_drift_is_the_model_drift(self, case, kou_spec, degenerate_spec):
+        field, grid, _, _ = _envelope_case(case, kou_spec, degenerate_spec)
+        controls = field.control_grid.points
+        plan = _Plan(field, PolicySchedule.constant(controls), 0.3, 1.0, 0.01)
+        xs = grid.xs()
+        for c, f in enumerate(controls):
+            b = np.asarray(field.drift(f, xs), dtype=float)
+            got, _ = _coefficients(field, f, xs)
+            assert np.array_equal(got, np.broadcast_to(b, np.shape(got)))
+            if not plan.per_state[c]:
+                assert plan.btab[c] == field.drift(f, 0.3)
+        assert case == "state-dependent" or not plan.per_state.any()
+
+    def test_a_declaration_the_jumps_break_is_rejected(self, kou_field):
+        # all jumps upward: the compensator is far from 0, whatever the declaration says
+        field = dataclasses.replace(_drift_and_intensity_vary_field(kou_field), symmetric_jumps=True)
+        grid = SpatialGrid(-10.0, 10.0, 201)
+        policy = PolicySchedule.constant(field.control_grid.points)
+        for build in (lambda: _Envelope(field, grid), lambda: cfl_timestep(field, grid, 0.9),
+                      lambda: _Plan(field, policy, 0.0, 1.0, 0.01)):
+            with pytest.raises(ValueError, match="declares symmetric jumps, but a jump table's compensator is"):
+                build()
+
+
+def _long_step_field():
+    """No diffusion and a drift of at most 1e-9: the jump rate alone bounds the step."""
+    return build_field(KouSpec(b_lo=0.0, b_hi=1e-9, a_lo=0.0, a_hi=0.0, lam_lo=1.0, lam_hi=1.5,
+                               lam_star=1.5, lam_floor=0.5), 2)
+
+
+class TestMonotoneStep:
+    @pytest.mark.parametrize("case", ["cli", "march", "long-step"])
+    def test_raising_one_node_lowers_no_node(self, case, kou_spec, degenerate_spec):
+        # E(u) = u + dt sup_f L_f u at the CFL step.  Its jump rows hold J w - mass*w, the
+        # rate a tap of the FFT kernel, whose roundoff must not break E's monotonicity
+        if case == "long-step":
+            field, grid = _long_step_field(), SpatialGrid(-10.0, 10.0, 801)
+        else:
+            field, grid, _, _ = _envelope_case(case, kou_spec, degenerate_spec)
+        env = _Envelope(field, grid)
+        dt = _step(env.denom, 0.9, 1.0)
+        u = np.random.default_rng(7).uniform(-1.0, 1.0, grid.nx)
+        base = u + dt * env.sup(u, np.empty(grid.nx))
+        worst, up = np.inf, np.inf
+        for j in range(grid.nx):
+            bumped = u.copy()
+            bumped[j] += 0.5
+            gain = bumped + dt * env.sup(bumped, np.empty(grid.nx)) - base
+            worst, up = min(worst, float(gain.min())), min(up, float(gain[j]))
+        assert worst >= -1e-14
+        assert up > 0.0
 
 
 def _held_bytes(obj, held=None):
