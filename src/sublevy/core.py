@@ -266,12 +266,6 @@ class CoefficientField:
     one that alone drives the dispersion and the one that alone drives the
     jump map.  The solver then takes its sup over the controls one axis at
     a time when the grid holds every combination of the axes' values.
-
-    ``symmetric_jumps`` declares that every control pushes the reference
-    measure to a law symmetric about 0 and that the truncation is odd, so
-    the jump compensator is 0.  It is a fact of the model, never read off
-    the data: the compensator is still summed, and a sum beyond roundoff
-    raises ``ValueError`` (``pide._compensator``).
     """
 
     dimension: int
@@ -286,7 +280,6 @@ class CoefficientField:
     gamma: Callable[[np.ndarray], np.ndarray] | None = None
     state_box: tuple = (-10.0, 10.0)
     control_axes: tuple | None = None
-    symmetric_jumps: bool = False
 
     def __post_init__(self):
         if self.dimension != 1:

@@ -207,7 +207,7 @@ def build_field(
     0 alone drives the drift, 1 the variance and 2 the intensity, which the
     field declares as its ``control_axes``.  The marks' law is symmetric,
     the clamp is odd in the mark and the clip truncation is odd, so the
-    field declares ``symmetric_jumps``: its compensator is 0.
+    compensator is 0 and ``pide._compensator`` returns exactly 0.0.
     """
     spec.validate()
     grid = ControlGrid.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), _axis_resolution(spec, control_resolution))
@@ -249,7 +249,6 @@ def build_field(
         gamma=gamma,
         state_box=tuple(state_box),
         control_axes=(0, 1, 2),
-        symmetric_jumps=True,
     )
 
 

@@ -49,15 +49,16 @@ dispersion and the jump map (``CoefficientField.control_axes``, which
 every combination of those coordinates' values, a class is the jump rows
 whose compensators have the same bytes: the compensator couples drift and
 jump, so a class holds one drift row per drift value, and the diffusion is
-held apart, one row of ca per variance value.  A field that declares its
-compensator 0 (``CoefficientField.symmetric_jumps``, which
-``kou.build_field`` sets) has one class, and the sup is three maxes: over
-b, over a and over the jump rows.  Any other field has one drift row per
-control and one class per jump row, and folds its diffusion into the
-upwind weights, (bp + ca)*dp + (bm + ca)*dm, so that max_a diff_a drops
-out.  Round-to-nearest ``fl(a + c)`` is monotone in a and in c, so either
-way this gives the bits of the max of the full per-control sums; and
-``fl(ca * s)`` is monotone in ca for s of either sign, so max_a diff_a is
+held apart, one row of ca per variance value.  A field whose compensators
+are 0 has one class (a sum within its rounding error is 0.0,
+``_compensator``; every Kou field's jumps are symmetric and its truncation
+odd), and the sup is three maxes: over b, over a and over the jump rows.
+Any other field has one drift row per control and one class per jump
+row, and folds its diffusion into the upwind weights, (bp + ca)*dp +
+(bm + ca)*dm, so that max_a diff_a drops out.  Round-to-nearest
+``fl(a + c)`` is monotone in a and in c, so either way this gives the
+bits of the max of the full per-control sums; and ``fl(ca * s)`` is
+monotone in ca for s of either sign, so max_a diff_a is
 the larger of the products of s = dp + dm with the pointwise largest and
 smallest ca, Peng's G-heat nonlinearity, whatever the number of variance
 values.  A march that records the policy
@@ -307,19 +308,20 @@ def _gather_term(ktab, weights, dx, nx):
 def _compensator(field, ktab, weights):
     """Truncated-jump compensator of a jump table, one value per table row.
 
-    A one-row table is state-free and gives a plain number.  On a field that
-    declares ``symmetric_jumps`` the compensator is 0: each row's sum is
-    still taken, and one beyond roundoff, 64 eps sum |h w|, raises
-    ``ValueError``; any other comes back exactly 0.0.
+    A one-row table is state-free and gives a plain number.  A row's sum of
+    nz terms h*w carries a rounding error of at most nz eps sum |h w|; a
+    sum within that bound cannot be told from 0 and comes back exactly 0.0.
+    A symmetric jump law under an odd truncation, as on every Kou field,
+    gives such sums, so its drift does not couple to its jump rows.
     """
     h = np.asarray(field.truncation.evaluate(ktab), dtype=float)
-    comp = np.array([h[0] @ weights]) if h.shape[0] == 1 else (h * weights[None, :]).sum(axis=1)
-    if field.symmetric_jumps:
-        bad = np.abs(comp) > 64.0 * np.finfo(float).eps * (np.abs(h) @ np.abs(weights))
-        if bad.any():
-            raise ValueError(f"the field declares symmetric jumps, but a jump table's compensator is "
-                             f"{float(comp[bad][0])!r}, beyond roundoff")
-        comp = np.zeros_like(comp)
+    if h.shape[0] == 1:
+        comp, size = np.array([h[0] @ weights]), np.abs(h[0]) @ np.abs(weights)
+    else:
+        hw = h * weights[None, :]
+        comp = hw.sum(axis=1)
+        size = np.abs(hw, out=hw).sum(axis=1)
+    comp[np.abs(comp) <= h.shape[1] * np.finfo(float).eps * size] = 0.0
     return float(comp[0]) if h.shape[0] == 1 else comp
 
 
@@ -421,10 +423,10 @@ class _Envelope:
     combination of the axes' values.  A class is the jump rows whose
     compensators have the same bytes, its drift sources are the drift
     axis's values and the envelope holds n_a ``ca`` rows, so its size
-    follows the axes' values, not the controls; on a field that declares
-    ``symmetric_jumps`` every compensator is 0.0 and there is one class.  A
-    drift row whose drift and compensator are both state-free is upwind on
-    one side only, so it is one product.  Any other field has one class per
+    follows the axes' values, not the controls; where every compensator is
+    0.0, as on a Kou field, there is one class.  A drift row whose drift
+    and compensator are both state-free is upwind on one side only, so it
+    is one product.  Any other field has one class per
     jump row and one drift source per control, so its drift rows are its
     controls stably sorted by jump row, and folds its diffusion into the
     upwind weights, (bp + ca)*dp + (bm + ca)*dm, leaving ``_ca`` None.
@@ -595,7 +597,8 @@ def solve(
     is kept.  The jump quadrature must resolve the measure's mass on its
     window (``QuadratureError`` otherwise).  A march whose values leave the
     floats raises ``RuntimeError`` at the first stored row that is not
-    finite.
+    finite; the step it names is that row's, not the step where the values
+    first left the floats.
     """
     checkpoints = [float(c) for c in checkpoints]
     if not (0.0 <= T < math.inf and all(map(math.isfinite, checkpoints))):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sublevy.cli import AUDIT_TABLE_MAX, parse_config
 from sublevy.core import ControlGrid, QuadratureError
 from sublevy.kou import GaussianBump, KouSpec, build_field
 from sublevy.pide import (
@@ -134,12 +135,10 @@ def _drift_and_intensity_vary_field(kou_field):
     """Kou field whose drift peaks at x = -3 and whose one-sided jumps peak at x = 3.
 
     Its jumps are all upward, so the compensator is not 0, and the sup of
-    |drift| + |compensator| lies below the sum of the two sups.  So it does
-    not declare the Kou field's symmetric jumps.
+    |drift| + |compensator| lies below the sum of the two sups.
     """
     return dataclasses.replace(
         kou_field,
-        symmetric_jumps=False,
         drift=lambda f, x: 0.3 * f[0] * np.exp(-(np.asarray(x, dtype=float) + 3.0) ** 2),
         jump_density_map=lambda f, x, z: np.abs(z) * (0.5 + 0.5 * f[2] * np.exp(-(np.asarray(x) - 3.0) ** 2)))
 
@@ -641,17 +640,34 @@ class TestSymmetricJumps:
     @pytest.mark.parametrize("case", ["march", "state-dependent", "mixed"])
     def test_a_kou_compensator_is_exactly_zero(self, case, kou_spec, degenerate_spec):
         field, grid, _, _ = _envelope_case(case, kou_spec, degenerate_spec)
-        assert field.symmetric_jumps
         weights = field.reference.quadrature.weights
         tables = _preflight(field, grid)[2][2]
         comps = [_compensator(field, t, weights) for t in tables]
         assert all(np.all(np.asarray(c) == 0.0) for c in comps)
         # a one-row table's compensator is a plain number, any other's a row per state
         assert [np.shape(c) for c in comps] == [() if len(t) == 1 else (len(t),) for t in tables]
-        # the quadrature's sums are roundoff, not 0: the declaration makes them 0
-        plain = dataclasses.replace(field, symmetric_jumps=False)
-        sums = np.concatenate([np.atleast_1d(_compensator(plain, t, weights)) for t in tables])
+        # the quadrature's sums are roundoff, not 0: their rounding bound makes them 0
+        sums = np.concatenate([np.asarray(field.truncation.evaluate(t), dtype=float) @ weights for t in tables])
         assert np.any(sums != 0.0) and np.max(np.abs(sums)) <= 1e-15
+
+    def test_at_the_largest_nz_the_config_accepts(self):
+        # one audit sample, the most jump nodes validate lets through: the sums of
+        # 4e6 terms are still roundoff, and still come back 0.0
+        cfg = parse_config(f"audit.sample_budget = 1\npide.nz = {AUDIT_TABLE_MAX}\n")
+        cfg.validate()
+        field = cfg.field()
+        assert field.reference.quadrature.nodes.size >= AUDIT_TABLE_MAX
+        comps = _preflight(field, cfg.grid())[2][3]
+        assert comps and all(c == 0.0 for c in comps)
+
+    @pytest.mark.parametrize("shift", [1e-12, -1e-12])
+    def test_a_sum_past_its_rounding_error_is_kept(self, kou_field, shift):
+        # shifted jumps move the sum by about shift * mass, past 401 eps sum |h w| ~ 1e-13
+        quad, mass = kou_field.reference.quadrature, kou_field.reference.total_mass
+        table = np.clip(quad.nodes, -0.5, 0.5)[None, :] + shift
+        c = _compensator(kou_field, table, quad.weights)
+        assert c == float(table[0] @ quad.weights)
+        assert 0.5 * abs(shift) * mass < c * np.sign(shift) < 2.0 * abs(shift) * mass
 
     def test_one_class_of_drift_rows_on_a_kou_field(self, kou_field):
         env = _Envelope(kou_field, SpatialGrid(-10.0, 10.0, 201))
@@ -672,16 +688,6 @@ class TestSymmetricJumps:
             if not plan.per_state[c]:
                 assert plan.btab[c] == field.drift(f, 0.3)
         assert case == "state-dependent" or not plan.per_state.any()
-
-    def test_a_declaration_the_jumps_break_is_rejected(self, kou_field):
-        # all jumps upward: the compensator is far from 0, whatever the declaration says
-        field = dataclasses.replace(_drift_and_intensity_vary_field(kou_field), symmetric_jumps=True)
-        grid = SpatialGrid(-10.0, 10.0, 201)
-        policy = PolicySchedule.constant(field.control_grid.points)
-        for build in (lambda: _Envelope(field, grid), lambda: cfl_timestep(field, grid, 0.9),
-                      lambda: _Plan(field, policy, 0.0, 1.0, 0.01)):
-            with pytest.raises(ValueError, match="declares symmetric jumps, but a jump table's compensator is"):
-                build()
 
 
 def _long_step_field():

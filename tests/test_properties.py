@@ -242,7 +242,7 @@ def _kou_cases(draw, route):
     kmap = field.jump_density_map
     state_axis = {"as-built": lambda f: False, "mixed": lambda f: f[2] > 0.5,
                   "gather": lambda f: True}[route]
-    field = dataclasses.replace(field, symmetric_jumps=shift == 0.0, jump_density_map=lambda f, x, z: (
+    field = dataclasses.replace(field, jump_density_map=lambda f, x, z: (
         kmap(f, x, z) + shift * (1.0 + np.tanh(x)) if state_axis(f) else kmap(f, x, z) + shift))
     # half-widths down to 1: narrower than the jumps' reach of z_cut
     half = draw(st.sampled_from([1.0, 2.5, 10.0]))

@@ -618,7 +618,7 @@ def _jump_counting_field(field):
     up cells at every step and moves the paths as either one alone would.
     """
     return dataclasses.replace(field, drift=lambda f, x: 0.0, dispersion=lambda f, x: 0.0,
-                               jump_density_map=lambda f, x, z: 1.0 + 0.0 * z, symmetric_jumps=False,
+                               jump_density_map=lambda f, x, z: 1.0 + 0.0 * z,
                                control_grid=ControlGrid.uniform((0.0,) * 3, (0.0, 0.0, 1.0), 2))
 
 
@@ -786,7 +786,7 @@ class TestStateFreeCompensator:
         # dispersion a path moves by its jumps less c T, however the steps run
         field = dataclasses.replace(degenerate_field, drift=lambda f, x: 0.0,
                                     dispersion=lambda f, x: 0.0,
-                                    jump_density_map=lambda f, x, z: np.abs(z), symmetric_jumps=False)
+                                    jump_density_map=lambda f, x, z: np.abs(z))
         quad = field.reference.quadrature
         c = _compensator(field, np.abs(quad.nodes)[None, :], quad.weights)
         assert c > 1.0
