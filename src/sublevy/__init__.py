@@ -17,8 +17,8 @@ from .core import (
     JumpReferenceMeasure,
     Quadrature,
     QuadratureError,
-    TruncationFunction,
     audit_conditions,
+    clip_truncation,
     pushforward_tail,
     simpson_quadrature,
     zero_jump_measure,

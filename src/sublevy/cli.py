@@ -56,11 +56,16 @@ CONTROLS_MAX = 1000
 # more than this on the config's double-exponential law.
 WINDOW_TAIL_MAX = 1e-4
 
-# Largest audit table accepted, in audit.sample_budget x pide.nz entries.  The
-# config's constant bounds give state-free jump tables, which the audit checks
-# on one row each: validate peaks at 37-43 MiB at the cap, with 1 or 1,000
-# controls (36 MiB at the default 64 x 401).  A state-dependent table, which the
-# API accepts, forms (budget, nodes) arrays: about 250 MiB at the cap.
+# Largest audit table accepted, in audit.sample_budget x pide.nz entries.  It
+# bounds the audit table and, through pide.nz, the jump quadrature too, whose
+# Simpson rule forms arrays of nz nodes.  The config's constant bounds give
+# state-free jump tables, which the audit checks on one row each.  Peak resident
+# sizes of the process: at the cap with the default nz (9,975 x 401) the validate
+# subcommand peaks at 37 MiB with 1 or 1,000 controls (36 MiB at the default
+# 64 x 401).  At 1 x 4e6, the same product, the quadrature dominates:
+# RunConfig.field() alone peaks at 233 MiB, RunConfig.validate at 245 MiB and
+# the validate subcommand, with its audit, at 372 MiB.  A state-dependent table,
+# which the API accepts, forms (budget, nodes) arrays: about 250 MiB at the cap.
 AUDIT_TABLE_MAX = 4 * 10**6
 
 # Largest PIDE envelope accepted, in the entries pide._preflight counts from the

@@ -38,8 +38,8 @@ __all__ = [
     "JumpReferenceMeasure",
     "Quadrature",
     "QuadratureError",
-    "TruncationFunction",
     "audit_conditions",
+    "clip_truncation",
     "pushforward_tail",
     "simpson_quadrature",
     "zero_jump_measure",
@@ -51,48 +51,19 @@ class QuadratureError(RuntimeError):
 
 
 class AuditError(ValueError):
-    """A coefficient field is structurally unusable (e.g. empty control grid)."""
+    """A coefficient field is structurally unusable (e.g. a coefficient that is not finite)."""
 
 
-@dataclasses.dataclass(frozen=True)
-class TruncationFunction:
-    """Bounded cutoff separating small (compensated) from large jumps.
-
-    ``evaluate`` acts componentwise, equals the identity on
-    ``[-identity_radius, identity_radius]``, is Lipschitz with the declared
-    constant, and satisfies ``|evaluate(y)| <= bound`` everywhere.  The
-    solver and the generator compensate with any such function;
-    ``kou.characteristic_exponent`` assumes an odd one, as ``clip`` is.
-    """
-
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    lipschitz_bound: float
-    identity_radius: float
-    bound: float
-
-    def __post_init__(self):
-        if self.lipschitz_bound < 0 or self.identity_radius <= 0 or self.bound <= 0:
-            raise ValueError("truncation constants out of range")
-
-    @classmethod
-    def clip(cls) -> "TruncationFunction":
-        """Default cutoff: clip to [-1, 1] componentwise."""
-        return cls(
-            evaluate=lambda y: np.clip(y, -1.0, 1.0),
-            lipschitz_bound=1.0,
-            identity_radius=1.0,
-            bound=1.0,
-        )
+def clip_truncation(y):
+    """The default truncation h: clip to [-1, 1] componentwise."""
+    return np.clip(y, -1.0, 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
 class ControlGrid:
-    """Finite grid of control points inside a box, in lexicographic order."""
+    """Finite grid of control points, all of one dimension."""
 
     points: tuple
-    resolution: tuple
-    box_lo: tuple
-    box_hi: tuple
 
     def __post_init__(self):
         if not self.points:
@@ -100,15 +71,12 @@ class ControlGrid:
         if len(set(self.points)) != len(self.points):
             raise ValueError("control grid has duplicate points")
         for p in self.points:
-            if len(p) != len(self.box_lo):
+            if len(p) != len(self.points[0]):
                 raise ValueError(f"control point {p} has wrong dimension")
-            for v, lo, hi in zip(p, self.box_lo, self.box_hi):
-                if not (lo - 1e-12 <= v <= hi + 1e-12):
-                    raise ValueError(f"control point {p} outside box")
 
     @classmethod
     def uniform(cls, box_lo, box_hi, resolution) -> "ControlGrid":
-        """Uniform per-axis grid; an axis with lo == hi collapses to one point."""
+        """Uniform per-axis grid of a box, in lexicographic order; an axis with lo == hi is one point."""
         lo = tuple(float(v) for v in np.atleast_1d(box_lo))
         hi = tuple(float(v) for v in np.atleast_1d(box_hi))
         if isinstance(resolution, (int, np.integer)):
@@ -118,18 +86,11 @@ class ControlGrid:
         if len(res) != len(lo) or any(r < 1 for r in res):
             raise ValueError("bad control resolution")
         axes = []
-        final_res = []
         for a, b, r in zip(lo, hi, res):
             if b < a:
                 raise ValueError("control box has lo > hi")
-            if a == b or r == 1:
-                axes.append((a,))
-                final_res.append(1)
-            else:
-                axes.append(tuple(float(v) for v in np.linspace(a, b, r)))
-                final_res.append(r)
-        points = tuple(itertools.product(*axes))
-        return cls(points=points, resolution=tuple(final_res), box_lo=lo, box_hi=hi)
+            axes.append((a,) if a == b or r == 1 else tuple(float(v) for v in np.linspace(a, b, r)))
+        return cls(points=tuple(itertools.product(*axes)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,8 +174,8 @@ class JumpReferenceMeasure:
         z = self.quadrature.z_cut
         return float(self.tail_upper(z) + self.tail_lower(-z))
 
-    def validate_mass(self, rtol: float = 1e-4) -> None:
-        """Compare the quadrature mass with the measure's mass on the window.
+    def validate_mass(self) -> None:
+        """Compare the quadrature mass with the measure's mass on the window, to a relative 1e-4.
 
         That mass is exact for a finite ``total_mass`` (less the tails outside
         the window), which catches a node spacing that misses a density peak;
@@ -227,10 +188,10 @@ class JumpReferenceMeasure:
             grid = np.linspace(-z, z, 20001)
             ref = float(np.trapezoid(np.asarray(self.density(grid), dtype=float), grid))
         err = abs(self.window_mass - ref)
-        if err > rtol * max(1.0, abs(ref)):
+        if err > 1e-4 * max(1.0, abs(ref)):
             raise QuadratureError(
                 f"quadrature mass {self.window_mass:.8g} vs window mass {ref:.8g} "
-                f"(diff {err:.3g} > rtol {rtol:g}): the nodes do not resolve the density"
+                f"(diff {err:.3g} > rtol 1e-4): the nodes do not resolve the density"
             )
 
 
@@ -251,8 +212,12 @@ def zero_jump_measure(z_cut: float = 1.0) -> JumpReferenceMeasure:
 class CoefficientField:
     """Controlled Markovian coefficients over a finite control grid.
 
-    ``dimension`` must be 1, as the engine is one-dimensional; any other
-    value is a ``ValueError``.  Callables broadcast elementwise over states.
+    Callables broadcast elementwise over states.  ``truncation`` is the
+    cutoff h that separates the small (compensated) jumps from the large
+    ones: it acts componentwise, is bounded, equals the identity near 0 and
+    is Lipschitz.  The solver and the generator compensate with any such
+    function; ``kou.characteristic_exponent`` assumes an odd one, as
+    ``clip_truncation`` is.
     ``declared_lipschitz`` bounds the sampled increment ratio
     (|drift| + |dispersion|) / |x - y|, ``declared_bound`` the pointwise
     |drift| + |dispersion| + capped jump second moment, and ``gamma``
@@ -268,12 +233,11 @@ class CoefficientField:
     a time when the grid holds every combination of the axes' values.
     """
 
-    dimension: int
     drift: Callable
     dispersion: Callable
     jump_density_map: Callable
     reference: JumpReferenceMeasure
-    truncation: TruncationFunction
+    truncation: Callable[[np.ndarray], np.ndarray]
     control_grid: ControlGrid
     declared_lipschitz: float | None = None
     declared_bound: float | None = None
@@ -282,12 +246,10 @@ class CoefficientField:
     control_axes: tuple | None = None
 
     def __post_init__(self):
-        if self.dimension != 1:
-            raise ValueError(f"dimension must be 1, got {self.dimension!r}")
         lo, hi = self.state_box
         if not lo < hi:
             raise ValueError("state_box must be a nonempty interval")
-        n_coords = len(self.control_grid.box_lo)
+        n_coords = len(self.control_grid.points[0])
         if self.control_axes is not None and (
             tuple(self.control_axes) not in itertools.permutations(range(n_coords), 3)
         ):
@@ -296,15 +258,9 @@ class CoefficientField:
 
 @dataclasses.dataclass(frozen=True)
 class ConditionAudit:
-    """Result of a sampling audit; empty ``violations`` means all checks passed.
-
-    ``gamma_majorant`` / ``beta_majorant`` interpolate the per-mark sampled
-    sups of (increment ratio or size) and size respectively.
-    """
+    """Result of a sampling audit; empty ``violations`` means all checks passed."""
 
     lipschitz_constant_estimate: float
-    gamma_majorant: Callable[[np.ndarray], np.ndarray]
-    beta_majorant: Callable[[np.ndarray], np.ndarray]
     violations: tuple
     sup_drift_dispersion: float
     sup_jump_moment: float
@@ -387,9 +343,6 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
-    grid = field.control_grid
-    if not grid.points:
-        raise AuditError("empty control grid")
     field.reference.validate_mass()
 
     rng = np.random.default_rng(rng_seed)
@@ -426,13 +379,11 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
 
     # per distinct jump table: its capped moments, and its witnesses (size, then an
     # increment per partner set), each a (kind, witness without the control) or None
-    sup_jump, gamma_nodes, beta_nodes = 0.0, np.zeros_like(nodes), np.zeros_like(nodes)
-    moments, table_found = [], []
+    sup_jump, moments, table_found = 0.0, [], []
     for t, kappa in enumerate(tables):
         moments.append((np.minimum(kappa * kappa, 1.0) * weights).sum(axis=1))
         sup_jump = max(sup_jump, float(moments[t].max()))
         size = np.abs(kappa)
-        beta_nodes = np.maximum(beta_nodes, size.max(axis=0))
         ij = over_cap(size)
         found = [ij and ("jump-size-majorant",
                          (float(xs[ij[0]]), float(nodes[ij[1]]), float(size[ij])))]
@@ -443,7 +394,6 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
             else:
                 inc = diff[ok]
                 inc /= dx[ok, None]
-            gamma_nodes = np.maximum(gamma_nodes, inc.max(axis=0))
             ij = over_cap(inc)
             i = ij and int(np.flatnonzero(ok)[ij[0]])
             found.append(ij and ("jump-increment-majorant",
@@ -466,7 +416,7 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
                          and rmax > field.declared_lipschitz * (1.0 + slack) + slack else None)
 
     violations: list = []
-    for f, (d, s, t) in zip(grid.points, at.T):
+    for f, (d, s, t) in zip(field.control_grid.points, at.T):
         if len(violations) >= 50:
             break
         found = []
@@ -478,11 +428,8 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
         found += [table_found[t][0], *itertools.chain(*zip(pair_found[d, s], table_found[t][1:]))]
         violations += [(kind, (f, *w)) for kind, w in filter(None, found)][:50 - len(violations)]
 
-    gamma_nodes = np.maximum(gamma_nodes, beta_nodes)
     return ConditionAudit(
         lipschitz_constant_estimate=lip_est,
-        gamma_majorant=lambda z: np.interp(z, nodes, gamma_nodes),
-        beta_majorant=lambda z: np.interp(z, nodes, beta_nodes),
         violations=tuple(violations),
         sup_drift_dispersion=sup_bs,
         sup_jump_moment=sup_jump,

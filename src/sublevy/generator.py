@@ -32,28 +32,11 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class TestFunction:
-    """Twice differentiable function with explicit derivatives and sup bounds."""
+    """Twice differentiable function with explicit derivatives."""
 
     value: Callable
     gradient: Callable
     hessian: Callable
-    value_bound: float
-    gradient_bound: float
-    hessian_bound: float
-
-    @property
-    def bounds(self):
-        return (self.value_bound, self.gradient_bound, self.hessian_bound)
-
-    def check_gradient(self, xs, step: float = 1e-6, tol: float = 1e-5) -> None:
-        """Central-difference sanity check of the declared derivatives."""
-        for x in np.atleast_1d(np.asarray(xs, dtype=float)):
-            fd_g = (self.value(x + step) - self.value(x - step)) / (2 * step)
-            fd_h = (self.value(x + step) - 2 * self.value(x) + self.value(x - step)) / step**2
-            if abs(fd_g - self.gradient(x)) > tol * (1 + abs(fd_g)):
-                raise ValueError(f"gradient mismatch at x={x}: {fd_g} vs {self.gradient(x)}")
-            if abs(fd_h - self.hessian(x)) > 1e3 * tol * (1 + abs(fd_h)):
-                raise ValueError(f"hessian mismatch at x={x}: {fd_h} vs {self.hessian(x)}")
 
 
 def constant_function(c: float) -> TestFunction:
@@ -62,9 +45,6 @@ def constant_function(c: float) -> TestFunction:
         value=lambda x: c + 0.0 * np.asarray(x, dtype=float),
         gradient=lambda x: 0.0 * np.asarray(x, dtype=float),
         hessian=lambda x: 0.0 * np.asarray(x, dtype=float),
-        value_bound=abs(c),
-        gradient_bound=0.0,
-        hessian_bound=0.0,
     )
 
 
@@ -86,14 +66,7 @@ def gaussian_bump(amplitude: float = 1.0, center: float = 0.0, width: float = 1.
         u = (np.asarray(x, dtype=float) - c) / s
         return a * (u * u - 1.0) / (s * s) * np.exp(-0.5 * u * u)
 
-    return TestFunction(
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        value_bound=abs(a),
-        gradient_bound=abs(a) * math.exp(-0.5) / s,
-        hessian_bound=abs(a) / (s * s),
-    )
+    return TestFunction(value=value, gradient=gradient, hessian=hessian)
 
 
 def _point(field, f, x):
@@ -102,37 +75,21 @@ def _point(field, f, x):
     return b.item(0), sig.item(0), kappa[0]
 
 
-def apply_generator(
-    field: CoefficientField,
-    f,
-    phi: TestFunction,
-    x: float,
-    *,
-    return_tail_bound: bool = False,
-):
-    """One-control generator value at x; optionally a window-tail error bound.
-
-    The jump integral runs over the quadrature window only.  The tail bound
-    covers the discarded ``|z| > z_cut`` part using the sup bounds of phi
-    and the measure mass outside the window.
-    """
+def apply_generator(field: CoefficientField, f, phi: TestFunction, x: float) -> float:
+    """One-control generator value at x; the jump integral runs over the quadrature window only."""
     x = float(x)
     b, sig, kappa = _point(field, f, x)
     g = float(np.asarray(phi.gradient(x), dtype=float))
     hess = float(np.asarray(phi.hessian(x), dtype=float))
     quad = field.reference.quadrature
-    h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
+    h = np.asarray(field.truncation(kappa), dtype=float)
     phi_x = float(np.asarray(phi.value(x), dtype=float))
     incr = np.asarray(phi.value(x + kappa), dtype=float) - phi_x - g * h
     jump = float(incr @ quad.weights)
     total = g * b + 0.5 * sig * sig * hess + jump
     if not math.isfinite(total):
         raise ValueError(f"non-finite generator value at control {f}, x {x}")
-    if not return_tail_bound:
-        return total
-    tail_mass = field.reference.tail_mass_outside_window()
-    bound = (2.0 * phi.value_bound + phi.gradient_bound * field.truncation.bound) * tail_mass
-    return total, bound
+    return total
 
 
 def hamiltonian_G(field: CoefficientField, phi: TestFunction, x: float):
@@ -155,7 +112,7 @@ def symbol(field: CoefficientField, f, x: float, xi):
 
 def _symbol(field, b, sig, kappa, xv):
     """The symbol at the frequencies xv of the generator with drift b, dispersion sig and jump row kappa."""
-    h = np.asarray(field.truncation.evaluate(kappa), dtype=float)
+    h = np.asarray(field.truncation(kappa), dtype=float)
     term = (
         1.0
         - np.exp(1j * xv[:, None] * kappa[None, :])

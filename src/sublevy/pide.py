@@ -314,7 +314,7 @@ def _compensator(field, ktab, weights):
     A symmetric jump law under an odd truncation, as on every Kou field,
     gives such sums, so its drift does not couple to its jump rows.
     """
-    h = np.asarray(field.truncation.evaluate(ktab), dtype=float)
+    h = np.asarray(field.truncation(ktab), dtype=float)
     if h.shape[0] == 1:
         comp, size = np.array([h[0] @ weights]), np.abs(h[0]) @ np.abs(weights)
     else:
@@ -549,19 +549,20 @@ def _max_rows(rows, out):
     return out
 
 
-def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float, *, dt_max: float = 1.0) -> float:
+def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float) -> float:
     """Stable explicit step: safety / (a_max/dx^2 + b_max/dx + jump_rate).
 
     ``a_max`` is the squared-dispersion sup, ``b_max`` the sup of
     |drift| + |jump compensator| over controls and grid nodes, and the jump
-    rate is the quadrature mass.  Zero coefficients cap the step at
-    ``dt_max``.  A denominator that overflows a float, or a step that
-    underflows to 0, raises ``ValueError``: no explicit step is stable.
+    rate is the quadrature mass.  The step is capped at 1.0, ``solve``'s
+    default ``dt_max``, which zero coefficients give.  A denominator that
+    overflows a float, or a step that underflows to 0, raises
+    ``ValueError``: no explicit step is stable.
     The denominator comes from ``_preflight``, which reads the coefficients
     and builds no envelope, and the step from ``_step``, the rule ``solve``
     applies to its envelope's denominator.
     """
-    return _step(_preflight(field, grid)[0], safety, dt_max)
+    return _step(_preflight(field, grid)[0], safety, 1.0)
 
 
 def _landings(T, checkpoints, dt):

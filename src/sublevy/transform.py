@@ -50,20 +50,19 @@ class TailPair:
 
 
 def _sup_level(tail, level, tol, z_max):
-    """sup{z > 0 : tail(z) >= level} for a nonincreasing tail.
+    """sup{z > 0 : tail(z) >= level} for a nonincreasing tail, capped at z_max.
 
-    Returns (value, truncated).  Empty set gives (0, False); brackets grow
-    geometrically from [0, 1] and cap at z_max with the truncation flag set.
-    The last bracket, at least 1 wide, is halved by ``core._bisect_edge``
-    until it is ``tol`` wide, at least once and at most 200 times, and its
-    midpoint returned.
+    The empty set gives 0; brackets grow geometrically from [0, 1] and cap
+    at z_max.  The last bracket, at least 1 wide, is halved by
+    ``core._bisect_edge`` until it is ``tol`` wide, at least once and at
+    most 200 times, and its midpoint returned.
     """
     probe = min(tol, 1e-9)
     prev = tail(probe)
     if not math.isfinite(prev):
         raise ValueError(f"tail not finite at z = {probe}")
     if prev < level:
-        return 0.0, False
+        return 0.0
     z_lo, z_hi = 0.0, 1.0
     while True:
         cur = tail(z_hi)
@@ -77,17 +76,17 @@ def _sup_level(tail, level, tol, z_max):
         z_lo = z_hi
         z_hi *= 2.0
         if z_hi > z_max:
-            return float(z_max), True
-    return _bisect_edge(z_hi, z_lo, lambda z: tail(z) >= level, tol, 200), False
+            return float(z_max)
+    return _bisect_edge(z_hi, z_lo, lambda z: tail(z) >= level, tol, 200)
 
 
-def quantile_k(tails: TailPair, y: float, tol: float, *, z_max: float = 1e6, return_flag: bool = False):
+def quantile_k(tails: TailPair, y: float, tol: float, *, z_max: float = 1e6) -> float:
     """Quantile jump map at mark y: tail level matching by bisection.
 
     For y > 0 this is sup{z > 0 : target_upper(z) >= reference_upper(y)},
-    resolved to width ``tol``; 0 when the set is empty.  Negative marks use
-    the mirrored lower tails.  ``return_flag`` adds a bool marking a result
-    capped at ``z_max``.
+    resolved to width ``tol``; 0 when the set is empty, and ``z_max`` when
+    the tail still reaches the level there.  Negative marks use the mirrored
+    lower tails.
     """
     y = float(y)
     if y == 0:
@@ -95,13 +94,8 @@ def quantile_k(tails: TailPair, y: float, tol: float, *, z_max: float = 1e6, ret
     if tol <= 0:
         raise ValueError("tol must be positive")
     if y > 0:
-        val, truncated = _sup_level(tails.target_upper, tails.reference_upper(y), tol, z_max)
-    else:
-        val, truncated = _sup_level(
-            lambda w: tails.target_lower(-w), tails.reference_lower(y), tol, z_max
-        )
-        val = -val
-    return (val, truncated) if return_flag else val
+        return _sup_level(tails.target_upper, tails.reference_upper(y), tol, z_max)
+    return -_sup_level(lambda w: tails.target_lower(-w), tails.reference_lower(y), tol, z_max)
 
 
 def verify_transport(

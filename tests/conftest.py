@@ -13,7 +13,7 @@ def pytest_terminal_summary(terminalreporter):
 from sublevy.core import (
     CoefficientField,
     ControlGrid,
-    TruncationFunction,
+    clip_truncation,
     zero_jump_measure,
 )
 from sublevy.kou import KouSpec, build_field
@@ -33,12 +33,11 @@ def constant_drift_field(b, sigma=0.0, controls=None):
         grid = controls
         drift = lambda f, x: f[0] + 0.0 * np.asarray(x, dtype=float)
     return CoefficientField(
-        dimension=1,
         drift=drift,
         dispersion=lambda f, x: sigma + 0.0 * np.asarray(x, dtype=float),
         jump_density_map=lambda f, x, z: 0.0 * (np.asarray(x, dtype=float) + np.asarray(z, dtype=float)),
         reference=zero_jump_measure(),
-        truncation=TruncationFunction.clip(),
+        truncation=clip_truncation,
         control_grid=grid,
     )
 

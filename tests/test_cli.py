@@ -164,7 +164,7 @@ class TestValidateCommand:
     def test_a_failed_audit_exits_with_its_violations(self, capsys, tmp_path, monkeypatch):
         # no config reaches a violation, so the audit is stubbed with one
         failed = ConditionAudit(
-            lipschitz_constant_estimate=0.0, gamma_majorant=abs, beta_majorant=abs,
+            lipschitz_constant_estimate=0.0,
             violations=(("coefficient-bound", ((0.0, 0.0, 0.0), 0.5, 9.0)),),
             sup_drift_dispersion=9.0, sup_jump_moment=0.0)
         monkeypatch.setattr(cli, "audit_conditions", lambda field, budget, seed: failed)

@@ -7,7 +7,7 @@ from sublevy.core import (
     AuditError,
     CoefficientField,
     ControlGrid,
-    TruncationFunction,
+    clip_truncation,
     zero_jump_measure,
 )
 from sublevy.generator import (
@@ -24,36 +24,20 @@ from tests.conftest import constant_drift_field
 
 
 class TestTestFunction:
-    def test_check_gradient_accepts_consistent_derivatives(self):
-        f = gaussian_bump(1.0, 0.0, 1.0)
-        f.check_gradient(np.linspace(-3, 3, 11))
-
-    def test_check_gradient_rejects_wrong_gradient(self):
-        good = gaussian_bump(1.0, 0.0, 1.0)
-        bad = GenTestFunction(
-            value=good.value,
-            gradient=lambda x: 2.0 * np.asarray(good.gradient(x)),
-            hessian=good.hessian,
-            value_bound=good.value_bound,
-            gradient_bound=good.gradient_bound,
-            hessian_bound=good.hessian_bound,
-        )
-        with pytest.raises(ValueError):
-            bad.check_gradient(np.linspace(-2, 2, 9))
-
-    def test_bounds_tuple(self):
-        f = gaussian_bump(2.0, 0.5, 0.7)
-        assert f.bounds == (f.value_bound, f.gradient_bound, f.hessian_bound)
-        assert f.value_bound == pytest.approx(2.0)
-        assert f.gradient_bound == pytest.approx(2.0 * math.exp(-0.5) / 0.7)
-        assert f.hessian_bound == pytest.approx(2.0 / 0.7**2)
+    def test_gaussian_bump_derivatives_match_central_differences(self):
+        xs, step = np.linspace(-3, 3, 11), 1e-6
+        for f in (gaussian_bump(1.0, 0.0, 1.0), gaussian_bump(2.0, 0.5, 0.7)):
+            fd_g = (f.value(xs + step) - f.value(xs - step)) / (2 * step)
+            fd_h = (f.value(xs + step) - 2 * f.value(xs) + f.value(xs - step)) / step**2
+            assert np.allclose(f.gradient(xs), fd_g, rtol=0, atol=1e-8)
+            assert np.allclose(f.hessian(xs), fd_h, rtol=0, atol=1e-3)
 
     def test_constant_function(self):
         f = constant_function(3.5)
         xs = np.linspace(-4, 4, 9)
         assert np.all(f.value(xs) == 3.5)
         assert np.all(f.gradient(xs) == 0.0)
-        assert f.bounds == (3.5, 0.0, 0.0)
+        assert np.all(f.hessian(xs) == 0.0)
 
 
 class TestApplyGenerator:
@@ -69,7 +53,6 @@ class TestApplyGenerator:
             value=lambda x: np.sin(np.asarray(x, dtype=float)),
             gradient=lambda x: np.cos(np.asarray(x, dtype=float)),
             hessian=lambda x: -np.sin(np.asarray(x, dtype=float)),
-            value_bound=1.0, gradient_bound=1.0, hessian_bound=1.0,
         )
         got = apply_generator(field, field.control_grid.points[0], phi, 0.0)
         assert got == pytest.approx(2.0, abs=1e-14)
@@ -80,7 +63,6 @@ class TestApplyGenerator:
             value=lambda x: np.sin(np.asarray(x, dtype=float)),
             gradient=lambda x: np.cos(np.asarray(x, dtype=float)),
             hessian=lambda x: -np.sin(np.asarray(x, dtype=float)),
-            value_bound=1.0, gradient_bound=1.0, hessian_bound=1.0,
         )
         got = apply_generator(field, field.control_grid.points[0], phi, math.pi / 2.0)
         assert got == pytest.approx(-1.0, abs=1e-12)
@@ -95,7 +77,7 @@ class TestApplyGenerator:
         zs = quad.nodes
         ws = quad.weights
         ks = np.asarray(kou_field.jump_density_map(f, x, zs), dtype=float)
-        hks = kou_field.truncation.evaluate(ks)
+        hks = kou_field.truncation(ks)
         b = float(kou_field.drift(f, x))
         sig = float(kou_field.dispersion(f, x))
         jump = np.sum(ws * (phi.value(x + ks) - phi.value(x)
@@ -103,25 +85,14 @@ class TestApplyGenerator:
         local = b * float(phi.gradient(x)) + 0.5 * sig * sig * float(phi.hessian(x))
         assert got == pytest.approx(local + jump, rel=1e-12)
 
-    def test_tail_bound_formula(self, kou_field):
-        f = kou_field.control_grid.points[0]
-        phi = gaussian_bump(1.0, 0.0, 1.0)
-        val, bound = apply_generator(kou_field, f, phi, 0.0, return_tail_bound=True)
-        tail = kou_field.reference.tail_mass_outside_window()
-        want = (2.0 * phi.value_bound
-                + phi.gradient_bound * kou_field.truncation.bound) * tail
-        assert bound == pytest.approx(want, rel=1e-9)
-        assert val == pytest.approx(apply_generator(kou_field, f, phi, 0.0))
-
     def test_non_finite_coefficient_diagnosed(self):
         grid = ControlGrid.uniform((0.0,), (1.0,), 2)
         field = CoefficientField(
-            dimension=1,
             drift=lambda f, x: np.nan + 0.0 * np.asarray(x, dtype=float),
             dispersion=lambda f, x: 0.0 * np.asarray(x, dtype=float),
             jump_density_map=lambda f, x, z: 0.0 * np.asarray(z, dtype=float),
             reference=zero_jump_measure(),
-            truncation=TruncationFunction.clip(),
+            truncation=clip_truncation,
             control_grid=grid,
         )
         with pytest.raises(ValueError, match="non-finite"):
@@ -138,7 +109,7 @@ class TestHamiltonian:
             quad = kou_field.reference.quadrature
             ks = np.asarray(kou_field.jump_density_map(f, x, quad.nodes), dtype=float)
             jump = np.sum(quad.weights * (phi.value(x + ks) - phi.value(x)
-                                          - kou_field.truncation.evaluate(ks)
+                                          - kou_field.truncation(ks)
                                           * float(phi.gradient(x))))
             b = float(kou_field.drift(f, x))
             sig = float(kou_field.dispersion(f, x))
@@ -154,12 +125,11 @@ class TestHamiltonian:
         # three distinct controls that the coefficients ignore: an exact tie
         grid = ControlGrid.uniform((0.0,), (1.0,), 3)
         field = CoefficientField(
-            dimension=1,
             drift=lambda f, x: 0.3 + 0.0 * np.asarray(x, dtype=float),
             dispersion=lambda f, x: 0.0 * np.asarray(x, dtype=float),
             jump_density_map=lambda f, x, z: 0.0 * np.asarray(z, dtype=float),
             reference=zero_jump_measure(),
-            truncation=TruncationFunction.clip(),
+            truncation=clip_truncation,
             control_grid=grid,
         )
         _, f_star = hamiltonian_G(field, gaussian_bump(), 0.1)

@@ -262,13 +262,6 @@ class TestFourierReference:
         got = fourier_reference(trip, bump, 1.0, 0.5)
         assert got == pytest.approx(bump.gaussian_blur(0.5, 0.0, 0.4), abs=1e-10)
 
-    def test_error_estimate_reported(self):
-        trip = LinearKouTriplet(b=0.05, a=0.2, lam=1.5)
-        bump = GaussianBump(1.0, 0.0, 1.0)
-        val, err = fourier_reference(trip, bump, 1.0, 0.0, return_error=True)
-        assert err < 1e-8
-        assert val == pytest.approx(fourier_reference(trip, bump, 1.0, 0.0))
-
     def test_unsupported_payoff_rejected(self):
         trip = LinearKouTriplet(b=0.0, a=0.1, lam=0.0)
         with pytest.raises(ValueError):

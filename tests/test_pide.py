@@ -150,8 +150,10 @@ class TestCflTimestep:
             0.005, rel=1e-12)
 
     def test_zero_coefficients_cap_at_dt_max(self, coarse_grid):
+        # a zero denominator takes the cap: solve's dt_max, and 1.0 for cfl_timestep
         field = constant_drift_field(0.0)
-        assert cfl_timestep(field, coarse_grid, 0.9, dt_max=0.125) == 0.125
+        assert solve(field, np.sin, 1.0, coarse_grid, 0.9, dt_max=0.125).metadata["dt"] == 0.125
+        assert cfl_timestep(field, coarse_grid, 0.9) == 1.0
 
     @pytest.mark.parametrize("case", ["kou", "state-dependent"])
     def test_matches_independent_sups(self, kou_field, case):
@@ -168,7 +170,7 @@ class TestCflTimestep:
             # the compensator at each state, summed with |drift| state by state
             ks = np.broadcast_to(np.asarray(field.jump_density_map(f, xs[:, None], quad.nodes[None, :]),
                                             dtype=float), (xs.size, quad.nodes.size))
-            comp = (field.truncation.evaluate(ks) * quad.weights).sum(axis=1)
+            comp = (field.truncation(ks) * quad.weights).sum(axis=1)
             a_max = max(a_max, float(np.max(sig * sig)))
             b_max = max(b_max, float(np.max(np.abs(b) + np.abs(comp))))
         want = 0.9 / (a_max / grid.dx**2 + b_max / grid.dx + quad.mass)
@@ -181,16 +183,16 @@ class TestCflTimestep:
         with pytest.raises(ValueError):
             cfl_timestep(field, coarse_grid, 1.5)
         with pytest.raises(ValueError):
-            cfl_timestep(field, coarse_grid, 0.5, dt_max=0.0)
+            solve(field, np.sin, 1.0, coarse_grid, 0.5, dt_max=0.0)
 
     def test_nan_dt_max_rejected(self, coarse_grid):
         # a NaN cap was ignored, or returned as the step when no coefficient
         # bounds it, and solve then failed in math.ceil
         for field in (constant_drift_field(1.0), constant_drift_field(0.0)):
             with pytest.raises(ValueError, match="dt_max"):
-                cfl_timestep(field, coarse_grid, 0.5, dt_max=math.nan)
-            with pytest.raises(ValueError, match="dt_max"):
                 solve(field, np.sin, 1.0, coarse_grid, dt_max=math.nan)
+        with pytest.raises(ValueError, match="dt_max"):
+            _step(0.0, 0.5, math.nan)
 
     def test_overflowing_denominator_rejected(self, coarse_grid):
         # b_max / dx overflows to inf, so the step was 0.0 and solve divided by it
@@ -415,7 +417,7 @@ def _reference_stack(field, grid, w):
     xs, dx, nx = grid.xs(), grid.dx, grid.nx
     quad = field.reference.quadrature
     nodes, weights = quad.nodes, quad.weights
-    h_of = field.truncation.evaluate
+    h_of = field.truncation
     d = np.diff(w)
     dp = np.append(d, 0.0)
     dm = np.concatenate(([0.0], -d))
@@ -647,7 +649,7 @@ class TestSymmetricJumps:
         # a one-row table's compensator is a plain number, any other's a row per state
         assert [np.shape(c) for c in comps] == [() if len(t) == 1 else (len(t),) for t in tables]
         # the quadrature's sums are roundoff, not 0: their rounding bound makes them 0
-        sums = np.concatenate([np.asarray(field.truncation.evaluate(t), dtype=float) @ weights for t in tables])
+        sums = np.concatenate([np.asarray(field.truncation(t), dtype=float) @ weights for t in tables])
         assert np.any(sums != 0.0) and np.max(np.abs(sums)) <= 1e-15
 
     def test_at_the_largest_nz_the_config_accepts(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sublevy.core import TruncationFunction, _coefficients, _jump_table, audit_conditions
+from sublevy.core import _coefficients, _jump_table, audit_conditions, clip_truncation
 from sublevy.generator import gaussian_bump, hamiltonian_G, small_symbol_sup
 from sublevy.generator import TestFunction as GenTestFunction
 from sublevy.kou import KouSpec, build_field, clamp_jump, double_exponential_measure
@@ -34,9 +34,6 @@ def _sum_function(f1, f2):
         value=lambda x: f1.value(x) + f2.value(x),
         gradient=lambda x: f1.gradient(x) + f2.gradient(x),
         hessian=lambda x: f1.hessian(x) + f2.hessian(x),
-        value_bound=f1.value_bound + f2.value_bound,
-        gradient_bound=f1.gradient_bound + f2.gradient_bound,
-        hessian_bound=f1.hessian_bound + f2.hessian_bound,
     )
 
 
@@ -45,9 +42,6 @@ def _scaled_function(c, f):
         value=lambda x: c * f.value(x),
         gradient=lambda x: c * f.gradient(x),
         hessian=lambda x: c * f.hessian(x),
-        value_bound=c * f.value_bound,
-        gradient_bound=c * f.gradient_bound,
-        hessian_bound=c * f.hessian_bound,
     )
 
 
@@ -76,10 +70,9 @@ class TestTruncationProperties:
     @settings(max_examples=200, deadline=None)
     @given(y=st.floats(-50.0, 50.0))
     def test_bounded_and_identity_near_zero(self, y):
-        h = TruncationFunction.clip()
-        v = float(h.evaluate(y))
-        assert abs(v) <= h.bound + 1e-15
-        if abs(y) <= h.identity_radius:
+        v = float(clip_truncation(y))
+        assert abs(v) <= 1.0
+        if abs(y) <= 1.0:
             assert v == y
 
 
@@ -147,7 +140,6 @@ class TestEnvelopeProperties:
             value=lambda xx: c + 0.0 * np.asarray(xx, dtype=float),
             gradient=lambda xx: 0.0 * np.asarray(xx, dtype=float),
             hessian=lambda xx: 0.0 * np.asarray(xx, dtype=float),
-            value_bound=abs(c), gradient_bound=0.0, hessian_bound=0.0,
         )
         g, _ = hamiltonian_G(kou_field, phi, x)
         assert g == pytest.approx(0.0, abs=1e-12)
@@ -265,12 +257,10 @@ def _bits(*values):
 
 
 def _audit_bits(field, sample_budget=8):
-    """Every field of the audit, the majorants at the quadrature nodes, as bits."""
+    """Every field of the audit, as bits."""
     audit = audit_conditions(field, sample_budget, 3)
-    nodes = field.reference.quadrature.nodes
     return audit.violations, _bits(audit.lipschitz_constant_estimate, audit.sup_drift_dispersion,
-                                   audit.sup_jump_moment, audit.gamma_majorant(nodes),
-                                   audit.beta_majorant(nodes))
+                                   audit.sup_jump_moment)
 
 
 def _per_control_audit_bits(field, sample_budget, rng_seed):
@@ -285,7 +275,6 @@ def _per_control_audit_bits(field, sample_budget, rng_seed):
     gamma_declared = None if field.gamma is None else np.asarray(field.gamma(nodes), dtype=float)
     shapes = (sample_budget,), (sample_budget,), (sample_budget, nodes.size)
     sup_bs = sup_jump = lip_est = 0.0
-    gamma_nodes, beta_nodes = np.zeros_like(nodes), np.zeros_like(nodes)
     violations, slack = [], 1e-9
     for f in field.control_grid.points:
         (b, s, kappa), *partner_reads = [
@@ -295,7 +284,6 @@ def _per_control_audit_bits(field, sample_budget, rng_seed):
         sup_bs = max(sup_bs, float(mag.max()))
         jm = (np.minimum(kappa * kappa, 1.0) * weights).sum(axis=1)
         sup_jump = max(sup_jump, float(jm.max()))
-        beta_nodes = np.maximum(beta_nodes, np.abs(kappa).max(axis=0))
         if field.declared_bound is not None:
             total = mag + jm
             if total.max() > field.declared_bound * (1.0 + slack) + slack:
@@ -319,17 +307,15 @@ def _per_control_audit_bits(field, sample_budget, rng_seed):
                     1.0 + slack) + slack:
                 i = int(np.flatnonzero(ok)[np.argmax(ratios)])
                 violations.append(("drift-dispersion-lipschitz", (f, float(xs[i]), float(ys[i]), rmax)))
-            inc = np.abs(kappa - kappa2)[ok] / dx[ok, None]
-            gamma_nodes = np.maximum(gamma_nodes, inc.max(axis=0))
             if gamma_declared is not None:
+                inc = np.abs(kappa - kappa2)[ok] / dx[ok, None]
                 excess = inc - gamma_declared[None, :] * (1.0 + slack) - 1e-12
                 if excess.max() > 0:
                     i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
                     io = int(np.flatnonzero(ok)[i])
                     violations.append(("jump-increment-majorant",
                                        (f, float(xs[io]), float(ys[io]), float(nodes[j]))))
-    gamma_nodes = np.maximum(gamma_nodes, beta_nodes)
-    return tuple(violations[:50]), _bits(lip_est, sup_bs, sup_jump, gamma_nodes, beta_nodes)
+    return tuple(violations[:50]), _bits(lip_est, sup_bs, sup_jump)
 
 
 class TestEnvelopeOracle:

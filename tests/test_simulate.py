@@ -12,7 +12,7 @@ from sublevy.core import (
     ControlGrid,
     JumpReferenceMeasure,
     Quadrature,
-    TruncationFunction,
+    clip_truncation,
     zero_jump_measure,
 )
 from sublevy.kou import GaussianBump, KouSpec, build_field, double_exponential_measure
@@ -35,12 +35,11 @@ def _linear_decay_field():
     """Deterministic ODE x' = -x: exact solution x0 exp(-t)."""
     grid = ControlGrid.uniform((0.0,), (0.0,), 1)
     return CoefficientField(
-        dimension=1,
         drift=lambda f, x: -np.asarray(x, dtype=float),
         dispersion=lambda f, x: 0.0 * np.asarray(x, dtype=float),
         jump_density_map=lambda f, x, z: 0.0 * np.asarray(z, dtype=float),
         reference=zero_jump_measure(),
-        truncation=TruncationFunction.clip(),
+        truncation=clip_truncation,
         control_grid=grid,
     )
 
@@ -168,12 +167,11 @@ def _tent(x):
 
 def _one_control_field(drift, dispersion, jump_density_map, reference):
     return CoefficientField(
-        dimension=1,
         drift=drift,
         dispersion=dispersion,
         jump_density_map=jump_density_map,
         reference=reference,
-        truncation=TruncationFunction.clip(),
+        truncation=clip_truncation,
         control_grid=ControlGrid.uniform((0.0,), (0.0,), 1),
     )
 
@@ -335,12 +333,11 @@ class TestMeasureRequirements:
             quadrature=quad,
         )
         field = CoefficientField(
-            dimension=1,
             drift=lambda f, x: 0.0 * np.asarray(x, dtype=float),
             dispersion=lambda f, x: 0.0 * np.asarray(x, dtype=float),
             jump_density_map=lambda f, x, z: np.asarray(z, dtype=float),
             reference=measure,
-            truncation=TruncationFunction.clip(),
+            truncation=clip_truncation,
             control_grid=ControlGrid.uniform((0.0,), (0.0,), 1),
         )
         policy = PolicySchedule.constant(field.control_grid.points)
@@ -359,12 +356,11 @@ class TestMeasureRequirements:
             sampler=None,
         )
         field = CoefficientField(
-            dimension=1,
             drift=lambda f, x: 0.0 * np.asarray(x, dtype=float),
             dispersion=lambda f, x: 0.0 * np.asarray(x, dtype=float),
             jump_density_map=lambda f, x, z: np.asarray(z, dtype=float),
             reference=measure,
-            truncation=TruncationFunction.clip(),
+            truncation=clip_truncation,
             control_grid=ControlGrid.uniform((0.0,), (0.0,), 1),
         )
         policy = PolicySchedule.constant(field.control_grid.points)

@@ -62,7 +62,7 @@ class TestQuantileK:
         with pytest.raises(ValueError):
             quantile_k(exponential_tails(1.0, 1.0), 1.0, 0.0)
 
-    def test_cap_sets_truncation_flag(self):
+    def test_cap_returns_z_max(self):
         # target tail never drops below the matched level inside the cap
         tails = TailPair(
             target_upper=lambda z: 1.0,
@@ -70,9 +70,8 @@ class TestQuantileK:
             reference_upper=lambda y: 0.5,
             reference_lower=lambda y: 0.5,
         )
-        val, truncated = quantile_k(tails, 1.0, 1e-9, z_max=100.0, return_flag=True)
-        assert truncated
-        assert val == 100.0
+        assert quantile_k(tails, 1.0, 1e-9, z_max=100.0) == 100.0
+        assert quantile_k(tails, -1.0, 1e-9, z_max=100.0) == -100.0
 
     def test_rising_tail_diagnosed(self):
         tails = TailPair(
