@@ -54,8 +54,8 @@ class KouSpec:
 
     Requires 0 < lam_floor <= lam_lo <= lam_hi <= lam_star, b_lo <= b_hi and
     0 <= a_lo <= a_hi (pointwise, sampled at seven states in [-8, 8] when
-    bounds are state functions),
-    with every bound and constant finite.
+    bounds are state functions, and by ``build_field`` at the 201 states it
+    samples across its ``state_box``), with every bound and constant finite.
     ``lipschitz_constant`` declares the state-Lipschitz constant of the
     bound maps (0 for constant bounds).
     """
@@ -78,7 +78,10 @@ class KouSpec:
         # a nan passes every order check below, since each comparison with it is False
         if not all(map(math.isfinite, (self.lam_star, self.lam_floor, self.lipschitz_constant))):
             raise ValueError("lam_star, lam_floor and lipschitz_constant must be finite")
-        xs = np.array([-8.0, -3.0, -1.0, 0.0, 1.0, 3.0, 8.0])
+        self._check_bounds(np.array([-8.0, -3.0, -1.0, 0.0, 1.0, 3.0, 8.0]))
+
+    def _check_bounds(self, xs) -> None:
+        """The bounds are finite and in order at the states xs."""
         blo, bhi = _at(self.b_lo, xs), _at(self.b_hi, xs)
         alo, ahi = _at(self.a_lo, xs), _at(self.a_hi, xs)
         llo, lhi = _at(self.lam_lo, xs), _at(self.lam_hi, xs)
@@ -208,9 +211,13 @@ def build_field(
     0 alone drives the drift, 1 the variance and 2 the intensity, which the
     field declares as its ``control_axes``.  The marks' law is symmetric,
     the clamp is odd in the mark and the clip truncation is odd, so the
-    compensator is 0 and ``pide._compensator`` returns exactly 0.0.
+    compensator is 0 and ``pide._compensator`` returns exactly 0.0.  The
+    spec's bounds are checked at 201 states across ``state_box``, its
+    endpoints included, as well as at ``KouSpec.validate``'s seven.
     """
     spec.validate()
+    xs = np.linspace(state_box[0], state_box[1], 201)
+    spec._check_bounds(xs)
     grid = ControlGrid.uniform((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), _axis_resolution(spec, control_resolution))
     measure = double_exponential_measure(spec.lam_star, z_cut, nz)
     lam_star = float(spec.lam_star)
@@ -230,7 +237,6 @@ def build_field(
     def gamma(z):
         return np.maximum(np.abs(np.asarray(z, dtype=float)), lip_log_lam)
 
-    xs = np.linspace(state_box[0], state_box[1], 201)
     b_mag = float(
         max(np.max(np.abs(_at(spec.b_lo, xs))), np.max(np.abs(_at(spec.b_hi, xs))))
     )

@@ -65,6 +65,20 @@ class TestKouSpec:
         with pytest.raises(ValueError):
             spec.validate()
 
+    def test_bounds_checked_across_the_state_box(self):
+        # b_lo(x) = x - 8.5 is below b_hi = 0 at validate's seven states in [-8, 8], but
+        # crosses it at x = 8.5, inside the default state box (-10, 10)
+        spec = KouSpec(b_lo=lambda x: np.asarray(x, dtype=float) - 8.5, b_hi=0.0, a_lo=0.1, a_hi=0.2,
+                       lam_lo=1.0, lam_hi=1.5, lam_star=1.5, lam_floor=0.5, lipschitz_constant=1.0)
+        spec.validate()
+        with pytest.raises(ValueError, match="b_lo > b_hi"):
+            build_field(spec, 2)
+        # the box's endpoints are sampled: one that ends at 8.4 holds no crossing, one
+        # that ends just past 8.5 holds one only at its endpoint
+        build_field(spec, 2, state_box=(-10.0, 8.4))
+        with pytest.raises(ValueError, match="b_lo > b_hi"):
+            build_field(spec, 2, state_box=(-10.0, 8.5 + 1e-9))
+
 
 class TestLinearKouTriplet:
     def test_zero_intensity_allowed(self):

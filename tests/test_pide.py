@@ -549,9 +549,9 @@ class TestEnvelope:
         assert env.routes == ["conv"]
         assert env._conv.n_fft <= 2 * grid.nx
 
-    def test_fft_length_is_the_smallest_5_smooth_bound(self):
-        smooth = sorted(2 ** a * 3 ** b * 5 ** c
-                        for a in range(14) for b in range(9) for c in range(7))
+    def test_fft_length_is_the_smallest_5_smooth_multiple_of_4(self):
+        smooth = sorted(4 * 2 ** a * 3 ** b * 5 ** c
+                        for a in range(12) for b in range(9) for c in range(7))
         for n in range(1, 5001):
             assert _fft_length(n) == next(m for m in smooth if m >= n), n
 
@@ -719,6 +719,123 @@ class TestMonotoneStep:
             worst, up = min(worst, float(gain.min())), min(up, float(gain[j]))
         assert worst >= -1e-14
         assert up > 0.0
+
+
+def _drift_interval_field(b_lo, b_hi):
+    """The march spec with the drift interval [b_lo, b_hi], three values an axis."""
+    return build_field(KouSpec(b_lo=b_lo, b_hi=b_hi, a_lo=0.1, a_hi=0.3, lam_lo=1.0, lam_hi=2.0,
+                               lam_star=2.0, lam_floor=0.5), 3)
+
+
+# at three values an axis, b = 0 is a grid value of the intervals that hold it, where a
+# state-free drift row has no upwind term at all
+DRIFT_CASES = [((0.0, 0.1), True), ((-0.1, 0.0), True), ((-0.2, -0.1), True), ((-0.1, 0.1), True),
+               ((0.0, 0.1), False), ((-0.1, 0.0), False), ((-0.2, -0.1), False), ((-0.1, 0.1), False)]
+
+
+def _drift_case(interval, axes):
+    """(envelope, grid) of a drift interval, with or without the field's ``control_axes``."""
+    field = _drift_interval_field(*interval)
+    grid = SpatialGrid(-10.0, 10.0, 201)
+    env = _Envelope(field if axes else _without_the_axes(field), grid)
+    assert env.per_axis == axes
+    return env, grid
+
+
+class TestUpwindTerms:
+    """Upwind terms of each drift sign, one side, both sides or none, on both layouts."""
+
+    @pytest.mark.parametrize("interval, axes", DRIFT_CASES)
+    def test_sup_is_the_max_of_the_per_control_rows(self, interval, axes):
+        env, grid = _drift_case(interval, axes)
+        xs = grid.xs()
+        w = np.exp(-0.5 * (xs - 0.3) ** 2) + 0.2 * np.tanh(xs)
+        w -= w[grid.nx // 2]
+        stack = env.apply(w).copy()  # the next call overwrites the buffer
+        want = _reference_stack(_drift_interval_field(*interval), grid, w)
+        assert float(np.max(np.abs(stack - want))) <= 1e-13 * float(np.max(np.abs(w)))
+        got = env.sup(w, np.empty(grid.nx))
+        assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
+
+    @pytest.mark.parametrize("interval, axes", DRIFT_CASES)
+    def test_one_step_keeps_a_constant_exactly(self, interval, axes):
+        env, grid = _drift_case(interval, axes)
+        u = np.full(grid.nx, 0.7)
+        step = _step(env.denom, 0.9, 1.0) * env.sup(u, np.empty(grid.nx))
+        assert np.array_equal(u + step, u)
+
+    @pytest.mark.parametrize("interval, axes", DRIFT_CASES)
+    def test_one_step_is_monotone(self, interval, axes):
+        env, grid = _drift_case(interval, axes)
+        dt = _step(env.denom, 0.9, 1.0)
+        u = np.random.default_rng(7).uniform(-1.0, 1.0, grid.nx)
+        base = u + dt * env.sup(u, np.empty(grid.nx))
+        worst, up = np.inf, np.inf
+        for j in range(grid.nx):
+            bumped = u.copy()
+            bumped[j] += 0.5
+            gain = bumped + dt * env.sup(bumped, np.empty(grid.nx)) - base
+            worst, up = min(worst, float(gain.min())), min(up, float(gain[j]))
+        assert worst >= -1e-14
+        assert up > 0.0
+
+
+class TestStepAllocation:
+    def test_sup_allocates_less_than_one_grid_row(self, kou_spec, degenerate_spec):
+        # numpy allocates an iterator buffer the size of its output for a 2-D broadcast or
+        # strided ufunc call; the step makes 1-D calls only
+        field, grid, _, w = _envelope_case("march", kou_spec, degenerate_spec)
+        env = _Envelope(field, grid)
+        out = np.empty(grid.nx)
+        for _ in range(3):
+            env.sup(w, out)
+        tracemalloc.start()
+        try:
+            for _ in range(100):
+                env.sup(w, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes
+
+
+def _oracle_field(b, a, lam, lam_star):
+    """Kou field at three values an axis on the state box [-40, 40], jumps cut at 30."""
+    spec = KouSpec(b_lo=b[0], b_hi=b[1], a_lo=a[0], a_hi=a[1], lam_lo=lam[0], lam_hi=lam[1],
+                   lam_star=lam_star, lam_floor=0.5)
+    return build_field(spec, 3, z_cut=30.0, nz=1201, state_box=(-40.0, 40.0))
+
+
+class TestUncertainOracle:
+    """Exact values of an uncertain march, which pin the per-axis maxes of its step."""
+
+    grid = SpatialGrid(-40.0, 40.0, 801)
+
+    def test_a_convex_payoff_takes_the_largest_variance_and_intensity(self):
+        # x^2 is convex, so every second difference and every jump term is largest at
+        # (a_hi, lam_hi); the corner's CFL denominator is the uncertain field's, so both
+        # march the same steps
+        uncertain = solve(_oracle_field((0.05, 0.05), (0.1, 0.3), (1.0, 1.5), 1.5),
+                          lambda x: x * x, 1.0, self.grid)
+        corner = solve(_oracle_field((0.05, 0.05), (0.3, 0.3), (1.5, 1.5), 1.5),
+                       lambda x: x * x, 1.0, self.grid)
+        assert uncertain.metadata["n_steps"] == corner.metadata["n_steps"]
+        x = np.array([-1.0, 0.0, 1.0])
+        got = uncertain.terminal_value(x)
+        assert float(np.max(np.abs(got - corner.terminal_value(x)))) <= 1e-10
+        # E(x + bT + sqrt(a) W_T + jumps)^2, the marks' second moment 4 lam per unit time;
+        # the scheme's error here is 9.93e-3
+        closed = (x + 0.05) ** 2 + (0.3 + 4.0 * 1.5) * 1.0
+        assert float(np.max(np.abs(got - closed))) <= 1e-2
+
+    def test_every_step_keeps_the_payoffs_lipschitz_constant(self):
+        # a monotone step with state-free coefficients that keeps constants does not grow
+        # the difference of neighbours: not by one ulp on this march
+        vf = solve(_oracle_field((0.0, 0.1), (0.1, 0.3), (1.0, 2.0), 2.0),
+                   lambda x: np.tanh(x / 0.5), 1.0, self.grid, every_step=True)
+        lipschitz = np.abs(np.diff(vf.values, axis=1)).max(axis=1)
+        assert vf.values.shape[0] > 2
+        assert float(np.max(lipschitz - lipschitz[0])) == 0.0
 
 
 def _held_bytes(obj, held=None):
