@@ -91,10 +91,7 @@ class ConfigError(ValueError):
 
 
 def _floats(raw: str):
-    try:
-        return tuple(float(v) for v in raw.split(",") if v.strip() != "")
-    except ValueError as e:
-        raise ConfigError(f"bad float list {raw!r}") from e
+    return tuple(float(v) for v in raw.split(",") if v.strip() != "")
 
 
 _POSITIVE = (lambda v: v > 0, "> 0")
@@ -216,10 +213,10 @@ class RunConfig:
         if self["audit"]["sample_budget"] * p["nz"] > AUDIT_TABLE_MAX:
             raise ConfigError(f"audit.sample_budget x pide.nz exceeds {AUDIT_TABLE_MAX:.0e}; lower either")
         try:
-            # builds the field, so the spec is checked, then its jump quadrature,
-            # then reads the march's CFL denominator and the envelope's size, once,
-            # building no envelope, for the CFL steps of its marches: solve's,
-            # landing at T/2 as dpp-check's direct solve does (never fewer steps
+            # builds the field, so the spec is checked, then reads the march's CFL
+            # denominator and the envelope's size once, its reads checking the jump
+            # quadrature first, building no envelope, for the CFL steps of its marches:
+            # solve's, landing at T/2 as dpp-check's direct solve does (never fewer steps
             # than without), and dpp-check's restart over the second half of the horizon
             field = self.field()
             # the config's jump rate is positive, so is its mass
@@ -227,7 +224,6 @@ class RunConfig:
             if missed > WINDOW_TAIL_MAX:
                 raise ConfigError(f"pide.z_cut must hold all but {WINDOW_TAIL_MAX:g} of the jump mass, got "
                                   f"{p['z_cut']!r}, which misses {missed:.3g} of it")
-            field.reference.validate_mass()
             denom, entries, _ = _preflight(field, self.grid())
             T = p["t_horizon"]
             marches = [  # (name, horizon, checkpoints, its safety key, its CFL step)

@@ -3,9 +3,10 @@
 A model is a family of Markovian coefficient triples (drift, dispersion,
 jump map) indexed by points of a finite control grid, together with a
 reference jump measure on the mark space.  This module owns the container
-types, the reference-measure quadrature, the push-forward tail evaluation,
-and a sampling-based audit of the regularity the numerics rely on
-(boundedness, Lipschitz increments in the state, jump-size majorants).
+types, the reference-measure quadrature and its mass check, the push-forward
+tail evaluation, and a sampling-based audit of the regularity the numerics
+rely on (boundedness, Lipschitz increments in the state, jump-size
+majorants).
 
 Conventions: the engine is one-dimensional.  Coefficient callables follow
 NumPy broadcasting -- ``drift(f, x)`` maps an array of states to an array
@@ -18,7 +19,9 @@ this.  Every layer reads a control's coefficients on the quadrature nodes
 through ``_coefficients``, the one reader: it keeps that shape and raises
 ``AuditError`` on a value that is not finite.  ``_sources`` reads all the
 controls through it, each distinct coefficient once, for the solver's
-envelope, the audit and the symbol sup.
+envelope, the audit, the symbol sup and the Monte Carlo, and checks the
+jump quadrature's mass (``JumpReferenceMeasure.validate_mass``) before it
+reads: it is the one place that check is made.
 """
 
 from __future__ import annotations
@@ -151,46 +154,50 @@ def simpson_quadrature(density, z_cut: float, nz: int) -> Quadrature:
 
 @dataclasses.dataclass(frozen=True)
 class JumpReferenceMeasure:
-    """Reference measure on the mark space (the real line).
+    """Reference measure on the mark space (the real line), held as its tails and quadrature.
 
     ``tail_upper(y)`` is the mass of [y, inf) and ``tail_lower(y)`` of
-    (-inf, y]; both accept 0 as a one-sided limit.  ``total_mass`` may be
-    ``math.inf``; the ``sampler`` (inverse CDF on (0,1), for the normalized
-    measure) exists only when the mass is finite.
+    (-inf, y]; both accept 0 as a one-sided limit.  The measure has no
+    density: ``quadrature`` carries it on the window, its weights including
+    the density.  ``total_mass`` may be ``math.inf``; such a measure still
+    serves ``generator.apply_generator``, ``generator.symbol`` and
+    ``pushforward_tail``, which read only the quadrature and the tails, but
+    ``validate_mass`` rejects it, so no reader behind ``_sources`` takes it.
+    The ``sampler`` (inverse CDF on (0,1), for the normalized measure)
+    exists only when the mass is finite.
     """
 
-    density: Callable[[np.ndarray], np.ndarray]
     total_mass: float
     tail_upper: Callable[[float], float]
     tail_lower: Callable[[float], float]
     quadrature: Quadrature
     sampler: Callable[[np.ndarray], np.ndarray] | None = None
 
-    @property
-    def window_mass(self) -> float:
-        return self.quadrature.mass
-
     def tail_mass_outside_window(self) -> float:
         z = self.quadrature.z_cut
         return float(self.tail_upper(z) + self.tail_lower(-z))
 
     def validate_mass(self) -> None:
-        """Compare the quadrature mass with the measure's mass on the window, to a relative 1e-4.
+        """Check the quadrature mass against the measure's mass on the window, to a relative 1e-4.
 
-        That mass is exact for a finite ``total_mass`` (less the tails outside
-        the window), which catches a node spacing that misses a density peak;
-        an infinite-mass measure falls back to a fine trapezoid of the density.
+        That mass is ``total_mass`` less the tails outside the window, exact
+        for any finite ``total_mass``, which catches a node spacing that
+        misses a density peak.  An infinite ``total_mass`` is rejected by
+        name: the window's mass cannot be read off the tails then.
+        ``_sources`` calls this before it reads a coefficient, so every
+        layer that reads the controls checks its quadrature here.
         """
-        if math.isfinite(self.total_mass):
-            ref = self.total_mass - self.tail_mass_outside_window()
-        else:
-            z = self.quadrature.z_cut
-            grid = np.linspace(-z, z, 20001)
-            ref = float(np.trapezoid(np.asarray(self.density(grid), dtype=float), grid))
-        err = abs(self.window_mass - ref)
+        if not math.isfinite(self.total_mass):
+            raise QuadratureError(
+                f"total_mass is {self.total_mass!r}: the quadrature's mass can only be checked "
+                "against a finite total mass"
+            )
+        ref = self.total_mass - self.tail_mass_outside_window()
+        mass = self.quadrature.mass
+        err = abs(mass - ref)
         if err > 1e-4 * max(1.0, abs(ref)):
             raise QuadratureError(
-                f"quadrature mass {self.window_mass:.8g} vs window mass {ref:.8g} "
+                f"quadrature mass {mass:.8g} vs window mass {ref:.8g} "
                 f"(diff {err:.3g} > rtol 1e-4): the nodes do not resolve the density"
             )
 
@@ -199,7 +206,6 @@ def zero_jump_measure(z_cut: float = 1.0) -> JumpReferenceMeasure:
     """Jump-free reference measure (zero mass, no sampler)."""
     quad = Quadrature(nodes=np.array([0.0]), weights=np.array([0.0]), z_cut=z_cut)
     return JumpReferenceMeasure(
-        density=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
         total_mass=0.0,
         tail_upper=lambda y: 0.0,
         tail_lower=lambda y: 0.0,
@@ -313,7 +319,12 @@ def _sources(field, x):
     ``drifts[at[0, c]]``, ``dispersions[at[1, c]]`` and ``tables[at[2, c]]``.
     On a field that declares ``control_axes`` the controls with the same
     value on an axis share that axis's read; any other control reads its own.
+    It checks the field's jump quadrature first (``validate_mass``), so the
+    envelope's preflight (``solve``, ``restart``, ``cfl_timestep`` and the
+    CLI's config check), ``audit_conditions``, ``small_symbol_sup`` and the
+    Monte Carlo all raise ``QuadratureError`` on one that misses its mass.
     """
+    field.reference.validate_mass()
     controls, axes = field.control_grid.points, field.control_axes
     keys = [tuple(f[i] for i in axes) if axes is not None else (c,) * 3 for c, f in enumerate(controls)]
     reads, firsts = ([], [], []), ({}, {}, {})  # per coefficient: its reads, each key's read
@@ -343,7 +354,6 @@ def audit_conditions(field: CoefficientField, sample_budget: int, rng_seed: int)
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
-    field.reference.validate_mass()
 
     rng = np.random.default_rng(rng_seed)
     lo, hi = field.state_box
@@ -473,9 +483,7 @@ def _indicator_intervals(nodes, ind, predicate):
 
 
 def _interval_mass(upper, lower, a, b):
-    """Mass of [a, b] under the tail functions ``upper`` and ``lower`` (atomless convention)."""
-    if b < a:
-        return 0.0
+    """Mass of [a, b], a <= b, under the tail functions ``upper`` and ``lower`` (atomless convention)."""
     if a >= 0:
         hi = 0.0 if math.isinf(b) else upper(b)
         return max(upper(a) - hi, 0.0)

@@ -132,7 +132,9 @@ def small_symbol_sup(
     The state sample always contains both box edges and the midpoint, and
     the frequency sample always contains +-radius, so shrinking the radius
     can only shrink the reported sup for a fixed seed.  The coefficients are
-    read once, at all the sampled states, through ``core._sources``.
+    read once, at all the sampled states, through ``core._sources``, which
+    first checks the jump quadrature (``QuadratureError`` on one that misses
+    the measure's mass).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -53,9 +53,11 @@ class KouSpec:
     """Interval bounds for drift b, squared volatility a and intensity lam.
 
     Requires 0 < lam_floor <= lam_lo <= lam_hi <= lam_star, b_lo <= b_hi and
-    0 <= a_lo <= a_hi (pointwise, sampled at seven states in [-8, 8] when
-    bounds are state functions, and by ``build_field`` at the 201 states it
-    samples across its ``state_box``), with every bound and constant finite.
+    0 <= a_lo <= a_hi, with every bound and constant finite.  ``validate``
+    checks what needs no state: the constants, and the bounds that are
+    plain numbers against each other and the constants.  A bound that is a
+    state function is checked by ``build_field``, pointwise at the 201
+    states it samples across its ``state_box``, endpoints included.
     ``lipschitz_constant`` declares the state-Lipschitz constant of the
     bound maps (0 for constant bounds).
     """
@@ -78,7 +80,9 @@ class KouSpec:
         # a nan passes every order check below, since each comparison with it is False
         if not all(map(math.isfinite, (self.lam_star, self.lam_floor, self.lipschitz_constant))):
             raise ValueError("lam_star, lam_floor and lipschitz_constant must be finite")
-        self._check_bounds(np.array([-8.0, -3.0, -1.0, 0.0, 1.0, 3.0, 8.0]))
+        # at no state: a state-function bound reads as an empty array, so only the plain
+        # numbers are compared
+        self._check_bounds(np.empty(0))
 
     def _check_bounds(self, xs) -> None:
         """The bounds are finite and in order at the states xs."""
@@ -124,9 +128,6 @@ def double_exponential_measure(lam_star: float, z_cut: float = 10.0, nz: int = 4
     if lam_star <= 0:
         raise ValueError("lam_star must be positive")
 
-    def density(z):
-        return lam_star * np.exp(-np.abs(np.asarray(z, dtype=float)))
-
     def tail_upper(y):
         return lam_star * math.exp(-y) if y >= 0 else lam_star * (2.0 - math.exp(y))
 
@@ -138,11 +139,10 @@ def double_exponential_measure(lam_star: float, z_cut: float = 10.0, nz: int = 4
         return np.where(u < 0.5, np.log(2.0 * u), -np.log(2.0 * (1.0 - u)))
 
     return JumpReferenceMeasure(
-        density=density,
         total_mass=2.0 * lam_star,
         tail_upper=tail_upper,
         tail_lower=tail_lower,
-        quadrature=simpson_quadrature(density, z_cut, nz),
+        quadrature=simpson_quadrature(lambda z: lam_star * np.exp(-np.abs(z)), z_cut, nz),
         sampler=sampler,
     )
 
@@ -212,8 +212,8 @@ def build_field(
     field declares as its ``control_axes``.  The marks' law is symmetric,
     the clamp is odd in the mark and the clip truncation is odd, so the
     compensator is 0 and ``pide._compensator`` returns exactly 0.0.  The
-    spec's bounds are checked at 201 states across ``state_box``, its
-    endpoints included, as well as at ``KouSpec.validate``'s seven.
+    spec is checked by ``KouSpec.validate``, and its bounds at 201 states
+    across ``state_box``, its endpoints included.
     """
     spec.validate()
     xs = np.linspace(state_box[0], state_box[1], 201)

@@ -589,13 +589,20 @@ def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float) -> f
     ``ValueError``: no explicit step is stable.
     The denominator comes from ``_preflight``, which reads the coefficients
     and builds no envelope, and the step from ``_step``, the rule ``solve``
-    applies to its envelope's denominator.
+    applies to its envelope's denominator.  The reads check the jump
+    quadrature first, as ``solve``'s do, so one that misses the measure's
+    mass raises ``QuadratureError``.
     """
     return _step(_preflight(field, grid)[0], safety, 1.0)
 
 
 def _landings(T, checkpoints, dt):
-    """Solve's schedule: each time in (0, T] it lands on, in order, and its steps of at most dt to it."""
+    """Solve's schedule: each time in (0, T] it lands on, in order, and its steps of at most dt to it.
+
+    A count is at least 1 and at least span/dt - 1e-12, so a step, span /
+    count, is at most dt * (1 + 1e-12) up to rounding; a span within a few
+    ulps of a multiple of dt gives steps within a few ulps of dt.
+    """
     t = 0.0
     for target in sorted({c for c in (*checkpoints, float(T)) if 0.0 < c <= T}):
         yield target, max(1, math.ceil((target - t) / dt - 1e-12))
@@ -624,11 +631,12 @@ def solve(
     row at T, as the field's ``PolicySchedule``: (steps + 1) * nx bytes with
     at most 256 controls, where the every-step timeline takes 8 bytes per
     entry.  The march, its values and ``metadata`` are the same whatever
-    is kept.  The jump quadrature must resolve the measure's mass on its
-    window (``QuadratureError`` otherwise).  A march whose values leave the
-    floats raises ``RuntimeError`` at the first stored row that is not
-    finite; the step it names is that row's, not the step where the values
-    first left the floats.
+    is kept.  The envelope's reads check the jump quadrature
+    (``core._sources``): one that misses the measure's mass on its window,
+    or a measure of infinite mass, raises ``QuadratureError``.  A march
+    whose values leave the floats raises ``RuntimeError`` at the first
+    stored row that is not finite; the step it names is that row's, not the
+    step where the values first left the floats.
     """
     checkpoints = [float(c) for c in checkpoints]
     if not (0.0 <= T < math.inf and all(map(math.isfinite, checkpoints))):
@@ -639,7 +647,6 @@ def solve(
         raise ValueError("psi must give one value per grid node")
     if not np.all(np.isfinite(u)):
         raise ValueError("psi must be finite on the grid")
-    field.reference.validate_mass()
     env = _Envelope(field, grid)
     dt = _step(env.denom, safety, dt_max)
     psi_sup = float(np.max(np.abs(u)))
@@ -649,12 +656,7 @@ def solve(
     landed = []
     t = 0.0
     for target, n_sub in _landings(T, checkpoints, dt):
-        span = target - t
-        sub_dt = span / n_sub
-        if sub_dt > dt * (1.0 + 1e-9):
-            raise RuntimeError(
-                f"internal CFL violation: step {sub_dt} exceeds stable step {dt}"
-            )
+        sub_dt = (target - t) / n_sub
         times += [t + (i + 1) * sub_dt for i in range(n_sub)]
         sub_dts += [sub_dt] * n_sub
         t = target

@@ -261,7 +261,13 @@ def estimate_value(
     n_paths: int,
     seed: int,
 ):
-    """Sample mean and standard error of psi at the terminal state."""
+    """Sample mean and standard error of psi at the terminal state.
+
+    The jump measure must have finite mass and a sampler (``ValueError``
+    otherwise), and its quadrature must resolve that mass on its window:
+    the plan reads the controls through ``core._sources``, which raises
+    ``QuadratureError`` on one that misses it.
+    """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     terms = _terminals(field, policy, x0, T, dt, n_paths, seed)

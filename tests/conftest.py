@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ def pytest_terminal_summary(terminalreporter):
 from sublevy.core import (
     CoefficientField,
     ControlGrid,
+    Quadrature,
     clip_truncation,
     zero_jump_measure,
 )
@@ -40,6 +43,13 @@ def constant_drift_field(b, sigma=0.0, controls=None):
         truncation=clip_truncation,
         control_grid=grid,
     )
+
+
+def doubled_weights(field):
+    """The field with its jump quadrature's weights doubled: a rule that misses the measure's mass."""
+    q = field.reference.quadrature
+    doubled = Quadrature(nodes=q.nodes, weights=2.0 * q.weights, z_cut=q.z_cut)
+    return dataclasses.replace(field, reference=dataclasses.replace(field.reference, quadrature=doubled))
 
 
 def every_step_argmax(field, fieldU):

@@ -8,17 +8,21 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import sublevy
 from sublevy import cli, pide
 from sublevy.cli import MC_PATH_STEPS_MAX, ConfigError, main, parse_config
-from sublevy.core import ConditionAudit
+from sublevy.core import ConditionAudit, QuadratureError
+from sublevy.kou import build_field
 from sublevy.pide import ValueField, solve
 from sublevy.simulate import CHUNK
+from tests.conftest import doubled_weights
 
 FAST_SOLVE = ["--set", "pide.nx=201", "--set", "pide.t_horizon=0.2"]
+BENCH_CFG = Path(__file__).parents[1] / "perfbench" / "cli.cfg"
 
 
 def _run(capsys, *argv):
@@ -245,6 +249,27 @@ class TestDppCheckCommand:
         lines = (out / "dpp.csv").read_text().splitlines()
         assert lines[0] == "x,u_direct,u_restart,diff"
         assert len(lines) > 1
+
+
+class TestTanhPayoff:
+    def test_solve_and_simulate_run_on_the_benchmark_config(self, capsys, tmp_path):
+        for sub in ("solve", "simulate"):
+            code, _, err = _run(capsys, sub, "--config", str(BENCH_CFG), "--out", str(tmp_path / sub),
+                                "--set", "psi.kind=tanh", "--seed", "1")
+            assert (code, err) == (0, "")
+
+    def test_without_drift_the_value_is_odd_and_inside_the_payoff_range(self, capsys, tmp_path):
+        # one model with a symmetric jump law and no drift keeps tanh's oddness, and a
+        # monotone march keeps the values in the payoff's range
+        code, _, _ = _run(capsys, "solve", "--config", str(BENCH_CFG), "--out", str(tmp_path),
+                          "--set", "psi.kind=tanh", "--set", "model.b_lo=0", "--set", "model.b_hi=0")
+        assert code == 0
+        nx = parse_config(BENCH_CFG.read_text())["pide"]["nx"]
+        rows = [line.split(",") for line in (tmp_path / "u.csv").read_text().splitlines()[-nx:]]
+        assert {t for t, _, _ in rows} == {"1.0"}
+        u = [float(v) for _, _, v in rows]
+        assert max(abs(a + b) for a, b in zip(u, u[::-1])) <= 1e-12
+        assert -1.0 < min(u) and max(u) < 1.0
 
 
 class TestErrorChannels:
@@ -542,6 +567,28 @@ class TestErrorChannels:
         code, _, err = _run(capsys, "dpp-check", "--out", str(tmp_path), *sets)
         assert code == 2
         assert err.startswith("CONFIG_INVALID")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_quadrature_that_misses_the_mass_is_a_config_error(self, capsys, tmp_path, monkeypatch):
+        # no config gives doubled weights, so the field is stubbed with them
+        monkeypatch.setattr(cli, "build_field", lambda *args, **kw: doubled_weights(build_field(*args, **kw)))
+        with pytest.raises(QuadratureError) as expected:
+            parse_config("").field().reference.validate_mass()
+        code, _, err = _run(capsys, "validate", "--out", str(tmp_path / "art"))
+        assert (code, err) == (2, f"CONFIG_INVALID: {expected.value}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("entries, key", [
+        (["fourier.check_points=1, x"], "fourier.check_points"),
+        (["pide.x_min=5", "pide.x_max=1"], "pide.x_min"),
+        (["transform.y_abs_min=5"], "transform.y_abs_min"),
+        (["transform.lam=3"], "transform.lam"),
+    ], ids=["float-list", "x-range", "y-range", "lam-over-lam-star"])
+    def test_config_checks_name_their_key(self, capsys, tmp_path, entries, key):
+        sets = [arg for entry in entries for arg in ("--set", entry)]
+        code, _, err = _run(capsys, "validate", "--out", str(tmp_path / "art"), *sets)
+        assert code == 2
+        assert err.startswith("CONFIG_INVALID") and key in err
         assert list(tmp_path.iterdir()) == []
 
     def test_out_naming_a_file_is_an_io_error(self, capsys, tmp_path):

@@ -29,9 +29,19 @@ from sublevy.core import (
 )
 from sublevy.generator import small_symbol_sup
 from sublevy.kou import KouSpec, build_field, double_exponential_measure
-from sublevy.pide import SpatialGrid, _Envelope
+from sublevy.pide import PolicySchedule, SpatialGrid, _Envelope, cfl_timestep, solve
+from sublevy.simulate import estimate_value
 
-from tests.conftest import constant_drift_field
+from tests.conftest import constant_drift_field, doubled_weights
+
+
+def _infinite_mass_field():
+    """A field on the measure |z|^-2 dz, of infinite mass, held by a two-node quadrature."""
+    quad = Quadrature(nodes=np.array([-1.0, 1.0]), weights=np.array([1.0, 1.0]), z_cut=2.0)
+    measure = JumpReferenceMeasure(total_mass=math.inf, tail_upper=lambda y: 1.0 / max(y, 1e-12),
+                                   tail_lower=lambda y: 1.0 / max(-y, 1e-12), quadrature=quad)
+    return dataclasses.replace(constant_drift_field(0.0), reference=measure,
+                               jump_density_map=lambda f, x, z: np.asarray(z, dtype=float))
 
 
 class TestTruncation:
@@ -130,14 +140,13 @@ class TestJumpReferenceMeasure:
     def test_zero_measure(self):
         m = zero_jump_measure()
         assert m.total_mass == 0.0
-        assert m.window_mass == 0.0
+        assert m.quadrature.mass == 0.0
         assert m.tail_mass_outside_window() == 0.0
         m.validate_mass()
 
     def test_validate_mass_catches_mismatch(self):
         quad = simpson_quadrature(lambda s: np.exp(-np.abs(s)), 5.0, 101)
         bad = JumpReferenceMeasure(
-            density=lambda s: 2.0 * np.exp(-np.abs(np.asarray(s, dtype=float))),
             total_mass=4.0,
             tail_upper=lambda y: 2.0 * math.exp(-y),
             tail_lower=lambda y: 2.0 * math.exp(y),
@@ -147,10 +156,10 @@ class TestJumpReferenceMeasure:
             bad.validate_mass()
 
     def test_validate_mass_catches_an_unresolved_peak(self):
-        # nodes 15 apart put one Simpson weight on the exp(-|z|) peak; a fine
-        # trapezoid over the same window does the same, the exact mass does not
+        # nodes 15 apart put one Simpson weight on the exp(-|z|) peak; the exact mass
+        # on the window is 3
         m = double_exponential_measure(1.5, z_cut=1e5, nz=13333)
-        assert m.window_mass == pytest.approx(15.0, rel=1e-3)
+        assert m.quadrature.mass == pytest.approx(15.0, rel=1e-3)
         with pytest.raises(QuadratureError):
             m.validate_mass()
 
@@ -389,6 +398,37 @@ class TestSources:
             tracemalloc.stop()
         assert audit.passed
         assert peak < 10 * 2**20
+
+
+class TestQuadratureCheck:
+    def test_every_reader_rejects_a_quadrature_that_misses_the_mass(self, degenerate_field):
+        # the window holds 2.9998638 of the mass 3; doubled weights hold 5.9997278
+        field = doubled_weights(degenerate_field)
+        with pytest.raises(QuadratureError) as expected:
+            field.reference.validate_mass()
+        assert str(expected.value).startswith("quadrature mass 5.9997278 vs window mass 2.9998638")
+        grid = SpatialGrid(-10.0, 10.0, 201)
+        policy = PolicySchedule.constant(field.control_grid.points)
+        for call in (lambda: cfl_timestep(field, grid, 0.9),
+                     lambda: small_symbol_sup(field, 0.1),
+                     lambda: estimate_value(field, policy, np.tanh, 0.0, 0.1, 0.01, 2, seed=0),
+                     lambda: solve(field, np.tanh, 0.1, grid),
+                     lambda: audit_conditions(field, 16, 0)):
+            with pytest.raises(QuadratureError) as got:
+                call()
+            assert str(got.value) == str(expected.value)
+
+    def test_an_infinite_mass_is_rejected_by_name(self):
+        # the Monte Carlo rejects such a measure first, as one it cannot sample
+        # (TestMeasureRequirements in test_simulate.py)
+        with pytest.raises(QuadratureError, match="total_mass is inf"):
+            solve(_infinite_mass_field(), np.tanh, 0.1, SpatialGrid(-5.0, 5.0, 51))
+
+    def test_the_reader_is_the_one_place_that_checks(self):
+        modules = sorted(p.stem for p in Path(sublevy.__file__).parent.glob("*.py"))
+        checks = [(module, scope) for module in modules
+                  for scope, name, _ in _calls(module) if name == "validate_mass"]
+        assert checks == [("core", "_sources")]
 
 
 # (module, enclosing function) -> the model reads it may make; core._coefficients

@@ -22,6 +22,13 @@ LOG2 = 0.6931471805599453
 ONE_MINUS_LOG2 = 0.3068528194400547
 
 
+def _spec_with(**bounds):
+    """A valid spec with the given bounds replaced."""
+    return dataclasses.replace(
+        KouSpec(b_lo=0.0, b_hi=0.0, a_lo=0.1, a_hi=0.2, lam_lo=1.0, lam_hi=1.5, lam_star=1.5,
+                lam_floor=0.5, lipschitz_constant=1.0), **bounds)
+
+
 class TestKouSpec:
     def test_valid(self, kou_spec):
         kou_spec.validate()
@@ -44,7 +51,6 @@ class TestKouSpec:
         spec = KouSpec(b_lo=0.05, b_hi=0.05, a_lo=0.2, a_hi=0.2, lam_lo=1.0, lam_hi=1.0,
                        lam_star=1.5, lam_floor=0.5)
         for entry in [{"lam_hi": math.nan}, {"b_hi": math.inf}, {"a_hi": math.inf},
-                      {"a_hi": lambda x: np.where(np.asarray(x) > 5.0, math.nan, 0.2)},
                       {"lam_star": math.inf}, {"lipschitz_constant": math.nan},
                       {"lipschitz_constant": math.inf}]:
             with pytest.raises(ValueError, match="finite"):
@@ -55,22 +61,32 @@ class TestKouSpec:
             KouSpec(b_lo=0.0, b_hi=0.0, a_lo=0.0, a_hi=0.0,
                     lam_lo=1.0, lam_hi=1.0, lam_star=1.0, lam_floor=0.0).validate()
 
+    def test_validate_alone_samples_no_state(self):
+        # bounds that are state functions are build_field's to check, across its state box
+        spec = KouSpec(b_lo=lambda x: np.sin(np.asarray(x, dtype=float)), b_hi=0.0,
+                       a_lo=lambda x: np.where(np.asarray(x) > 5.0, math.nan, 0.1), a_hi=0.2,
+                       lam_lo=1.0, lam_hi=1.0, lam_star=1.0, lam_floor=0.5, lipschitz_constant=1.0)
+        spec.validate()
+        # constant bounds are still checked against each other and the constants
+        with pytest.raises(ValueError, match="lam_floor <= lam_lo"):
+            dataclasses.replace(spec, lam_lo=0.25).validate()
+
+    # build_field checks state-function bounds at the 201 states it samples across state_box
+
     def test_state_dependent_bounds_sampled(self):
-        spec = KouSpec(
-            b_lo=lambda x: np.sin(np.asarray(x, dtype=float)),
-            b_hi=0.0,
-            a_lo=0.1, a_hi=0.2, lam_lo=1.0, lam_hi=1.0,
-            lam_star=1.0, lam_floor=0.5, lipschitz_constant=1.0,
-        )
-        with pytest.raises(ValueError):
-            spec.validate()
+        with pytest.raises(ValueError, match="b_lo > b_hi"):
+            build_field(_spec_with(b_lo=lambda x: np.sin(np.asarray(x, dtype=float))), 2)
+
+    def test_a_bound_not_finite_somewhere_in_the_box(self):
+        spec = _spec_with(a_hi=lambda x: np.where(np.asarray(x) > 5.0, math.nan, 0.2))
+        with pytest.raises(ValueError, match="finite"):
+            build_field(spec, 2)
+        build_field(spec, 2, state_box=(-5.0, 5.0))
 
     def test_bounds_checked_across_the_state_box(self):
-        # b_lo(x) = x - 8.5 is below b_hi = 0 at validate's seven states in [-8, 8], but
-        # crosses it at x = 8.5, inside the default state box (-10, 10)
-        spec = KouSpec(b_lo=lambda x: np.asarray(x, dtype=float) - 8.5, b_hi=0.0, a_lo=0.1, a_hi=0.2,
-                       lam_lo=1.0, lam_hi=1.5, lam_star=1.5, lam_floor=0.5, lipschitz_constant=1.0)
-        spec.validate()
+        # b_lo(x) = x - 8.5 is below b_hi = 0 at x = -8, -3, -1, 0, 1, 3 and 8, but crosses
+        # it at x = 8.5, inside the default state box (-10, 10)
+        spec = _spec_with(b_lo=lambda x: np.asarray(x, dtype=float) - 8.5)
         with pytest.raises(ValueError, match="b_lo > b_hi"):
             build_field(spec, 2)
         # the box's endpoints are sampled: one that ends at 8.4 holds no crossing, one
@@ -78,6 +94,14 @@ class TestKouSpec:
         build_field(spec, 2, state_box=(-10.0, 8.4))
         with pytest.raises(ValueError, match="b_lo > b_hi"):
             build_field(spec, 2, state_box=(-10.0, 8.5 + 1e-9))
+
+    def test_only_the_state_box_is_sampled(self):
+        # b_lo(x) = x - 5 <= -3 on (-2, 2); it crosses b_hi = 0 at x = 5, outside that box
+        spec = _spec_with(b_lo=lambda x: np.asarray(x, dtype=float) - 5.0)
+        field = build_field(spec, 2, state_box=(-2.0, 2.0))
+        assert field.state_box == (-2.0, 2.0)
+        with pytest.raises(ValueError, match="b_lo > b_hi"):
+            build_field(spec, 2)
 
 
 class TestLinearKouTriplet:

@@ -15,6 +15,7 @@ from sublevy.pide import (
     _compensator,
     _Envelope,
     _fft_length,
+    _landings,
     _preflight,
     _step,
     cfl_timestep,
@@ -208,6 +209,40 @@ class TestCflTimestep:
         with pytest.raises(ValueError, match="zero step"):
             cfl_timestep(field, coarse_grid, 5e-324)
         assert cfl_timestep(field, coarse_grid, 1e-300) > 0.0
+
+
+class TestLandings:
+    @staticmethod
+    def _largest_step(T, checkpoints, dt):
+        """The largest step solve takes on its schedule, computed as solve computes it."""
+        t, largest = 0.0, 0.0
+        for target, n in _landings(T, checkpoints, dt):
+            largest = max(largest, (target - t) / n)
+            t = target
+        return largest
+
+    def test_no_step_exceeds_dt(self):
+        # random steps and horizons within 2 ulps of a multiple of the step, each with
+        # and without random checkpoints below it; the worst step is dt (1 + 3 eps)
+        rng = np.random.default_rng(20261020)
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for _ in range(5000):
+            dt = 10.0 ** rng.uniform(-4.0, 0.0)
+            T = int(rng.integers(1, 2000)) * dt * (1.0 + int(rng.integers(-2, 3)) * eps)
+            checkpoints = rng.uniform(0.0, T, size=int(rng.integers(1, 6))).tolist()
+            for stops in ((), checkpoints):
+                worst = max(worst, self._largest_step(T, stops, dt) / dt)
+        assert 1.0 <= worst <= 1.0 + 4.0 * eps
+
+    def test_a_span_within_the_ceilings_slack_takes_the_lower_count(self):
+        # a span over k steps by less than 1e-12 of a step takes k steps, each at most
+        # dt (1 + 1e-12)
+        for k in (1, 7, 1000):
+            dt = 0.1
+            T = dt * (k + 0.9e-12)
+            assert [n for _, n in _landings(T, (), dt)] == [k]
+            assert self._largest_step(T, (), dt) <= dt * (1.0 + 1e-12)
 
 
 class TestSolve:
@@ -541,11 +576,13 @@ class TestEnvelope:
         assert float(np.max(np.abs(conv.times - gather.times))) <= 1e-13
         assert float(np.max(np.abs(conv.values - gather.values))) <= 1e-13
 
-    def test_conv_length_is_bounded_by_the_grid(self, degenerate_spec):
+    def test_conv_length_is_bounded_by_the_grid(self, degenerate_field):
         # jumps of up to 1e5 span 4e6 nodes of this grid, but every one of
         # them past an edge reads the edge value
         grid = SpatialGrid(-10.0, 10.0, 801)
-        env = _Envelope(build_field(degenerate_spec, 2, z_cut=1e5), grid)
+        jump = degenerate_field.jump_density_map
+        field = dataclasses.replace(degenerate_field, jump_density_map=lambda f, x, z: 1e4 * jump(f, x, z))
+        env = _Envelope(field, grid)
         assert env.routes == ["conv"]
         assert env._conv.n_fft <= 2 * grid.nx
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -326,7 +327,6 @@ class TestMeasureRequirements:
         quad = Quadrature(nodes=np.array([-1.0, 1.0]),
                           weights=np.array([1.0, 1.0]), z_cut=2.0)
         measure = JumpReferenceMeasure(
-            density=lambda z: np.abs(z) ** -2.0,
             total_mass=math.inf,
             tail_upper=lambda y: 1.0 / max(y, 1e-12),
             tail_lower=lambda y: 1.0 / max(-y, 1e-12),
@@ -348,7 +348,6 @@ class TestMeasureRequirements:
         quad = Quadrature(nodes=np.array([-1.0, 1.0]),
                           weights=np.array([1.0, 1.0]), z_cut=2.0)
         measure = JumpReferenceMeasure(
-            density=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             total_mass=2.0,
             tail_upper=lambda y: max(0.0, 1.0 - y),
             tail_lower=lambda y: max(0.0, 1.0 + y),
@@ -772,6 +771,36 @@ class TestOneJumpRule:
         assert np.any(counts >= 2)
         assert len(calls) == np.any(counts > 0, axis=1).sum()
         assert sum(calls) == counts.sum()
+
+
+class TestNonFiniteStates:
+    def test_a_drift_that_overflows_the_state_names_its_step(self):
+        # the drift reads 1e308 at every state: the state is 1e308 after step 0 and
+        # overflows in step 1
+        field = _one_control_field(lambda f, x: 1e308 + 0.0 * x, lambda f, x: 0.0 * x,
+                                   lambda f, x, z: 0.0 * (x + z), zero_jump_measure())
+        plan = _Plan(field, PolicySchedule.constant(field.control_grid.points), 0.0, 2.0, 1.0)
+        assert plan.per_state.tolist() == [True]
+        with np.errstate(over="ignore"), pytest.raises(
+                RuntimeError, match="non-finite state after diffusion step 1$"):
+            list(_steps(plan, _chunk_rng(0, 0), 1))
+
+    def test_a_jump_map_that_overflows_the_state_names_its_steps(self):
+        # every jump is 1e308, so a path's second jump overflows its state; the runs
+        # are blocks of 33 steps, about one jump each
+        field = _one_control_field(lambda f, x: 0.0, lambda f, x: 0.0,
+                                   lambda f, x, z: 1e308 + 0.0 * z, double_exponential_measure(1.5))
+        plan = _Plan(field, PolicySchedule.constant(field.control_grid.points), 0.0, 10.0, 0.01)
+        assert plan.block == 33
+        ends, jumps = [0], 0
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as err:
+            for t, x, applied in _steps(plan, _chunk_rng(0, 0), 1):
+                ends.append(round(t / plan.dt_eff))
+                jumps += applied.size
+        # the run named is the one after the last that kept the state finite
+        first, last = map(int, re.fullmatch(r"non-finite state after jumps in steps (\d+) to (\d+)",
+                                            str(err.value)).groups())
+        assert jumps <= 1 and first == ends[-1] and first < last
 
 
 class TestStateFreeCompensator:
