@@ -69,9 +69,10 @@ WINDOW_TAIL_MAX = 1e-4
 AUDIT_TABLE_MAX = 4 * 10**6
 
 # Largest PIDE envelope accepted, in the entries pide._preflight counts from the
-# coefficient reads before anything of size nx is built: the drift, ca, jump and
-# compensator rows, the conv block, each gather table's three (nx, nz) arrays and
-# the policy march's two (controls, nx) stacks, counted for every subcommand.
+# coefficient reads before the envelope is built: the drift, ca and jump rows, the
+# compensator rows its build forms (the envelope holds none), the conv block, each
+# gather table's three (nx, nz) arrays and the policy march's two (controls, nx)
+# stacks, counted for every subcommand.
 # The peak resident size measured up to 6.5 B per entry for solve and 10.4 B for
 # simulate (1,000 variance values, whose policy march also copies its stack for
 # the argmax): at the cap simulate peaked at 1,461 MiB and solve at 911 MiB.

@@ -32,52 +32,50 @@ its argmax, which are 2-D calls.
 
 The envelope is built in two parts.  The preflight, ``_preflight``, reads
 the controls through ``core._sources``, takes the distinct jump tables and
-their compensators, and returns the CFL denominator with the count of the
-entries the envelope will hold; it forms nothing of size (rows, nx) when
-the reads are state-free.  ``cfl_timestep`` and the CLI's config check
-call only the preflight.  The allocation, ``_Envelope``, builds the rows
-from the preflight's results and takes its denominator from it, so a solve
-reads and evaluates each coefficient once.  A max does not depend on its
-order, so the denominator has the bits of the max over the full rows.
+their compensators, forms the effective drift rows, and returns them with
+the CFL denominator and the count of the entries the envelope will hold;
+it forms nothing of size (rows, nx) when the reads are state-free.
+``cfl_timestep`` and the CLI's config check call only the preflight.  The
+allocation, ``_Envelope``, builds the rows from the preflight's results and
+takes its denominator from it, so a solve reads and evaluates each
+coefficient once.  A max does not depend on its order, so the denominator
+has the bits of the max over the full rows.
 
 Control f's operator on w sums ((bp*dp + bm*dm) + ca*(dp + dm)) + jump,
-where bp and bm are the upwind weights of its effective drift, ca =
-a / (2 dx^2) and jump = J w - mass*w.  The march holds one difference row,
-d = (0, w[1:] - w[:-1], 0), so dp = d[1:] and dm = -d[:-1]: a bm*dm term
-is the coefficient -bm on d[:-1], and dp + dm = d[1:] - d[:-1].  IEEE
-arithmetic gives x + (-y) = x - y and (-c)*y = -(c*y), so these are the
-bits of the sums with dm.  An upwind term whose coefficient is a plain 0
-is no term, and a drift row without terms is zeros, filled once.  The
-envelope holds its drift rows
-in classes, each class's rows one slice, and the march takes the sup on
-rows only:
-
-    max over classes k of [(max_b drift_{b,k} + max_a diff_a) + max_{g in k} jump_g]
+where bp and bm are the upwind weights of its effective drift (its drift
+less the compensator of its jump table), ca = a / (2 dx^2) and jump = J w -
+mass*w.  The march holds one difference row, d = (0, w[1:] - w[:-1], 0),
+so dp = d[1:] and dm = -d[:-1]: a bm*dm term is the coefficient -bm on
+d[:-1], and dp + dm = d[1:] - d[:-1].  IEEE arithmetic gives x + (-y) = x -
+y and (-c)*y = -(c*y), so these are the bits of the sums with dm.  An upwind
+term whose coefficient is a plain 0 is no term, and a drift row without
+terms is zeros, filled once.
 
 A field may declare which control coordinate alone drives the drift, the
 dispersion and the jump map (``CoefficientField.control_axes``, which
-``kou.build_field`` sets).  When its grid holds more than one control and
-every combination of those coordinates' values, a class is the jump rows
-whose compensators have the same bytes: the compensator couples drift and
-jump, so a class holds one drift row per drift value, and the diffusion is
-held apart, one row of ca per variance value.  A field whose compensators
-are 0 has one class (a sum within its rounding error is 0.0,
-``_compensator``; every Kou field's jumps are symmetric and its truncation
-odd), and the sup is three maxes: over b, over a and over the jump rows.
-Any other field has one drift row per control and one class per jump
-row, and folds its diffusion into the upwind weights, (bp + ca)*dp +
-(bm + ca)*dm, so that max_a diff_a drops out.  Round-to-nearest
-``fl(a + c)`` is monotone in a and in c, so either way this gives the
-bits of the max of the full per-control sums; and ``fl(ca * s)`` is
-monotone in ca for s of either sign, so max_a diff_a is
-the larger of the products of s = dp + dm with the pointwise largest and
-smallest ca, Peng's G-heat nonlinearity, whatever the number of variance
-values.  A march that records the policy
-forms the full sums and takes their max and their argmax: a1 < a2 can
-round to a tie once a shared row is added, so only the full sums break
-ties as the per-control operators do.  The record is a
-``PolicySchedule``, the feedback rule that the Monte Carlo in ``simulate``
-runs its paths under.
+``kou.build_field`` sets).  Where its grid holds more than one control and
+every combination of those coordinates' values, and every jump row has the
+same compensator, the effective drift does not depend on the jump row, and
+the envelope splits by axis: one drift row per drift value, one row of ca
+per variance value, and the sup is three maxes,
+
+    (max_b drift_b + max_a diff_a) + max_g jump_g
+
+Every Kou field splits: its jumps are symmetric and its truncation odd, so
+each compensator is a sum within its rounding error of 0, which
+``_compensator`` returns as 0.0.  Any other field has one drift row per
+control, stably sorted by jump row, and folds its diffusion into the upwind
+weights, (bp + ca)*dp + (bm + ca)*dm; its sup is the max over the jump rows
+g of jump_g plus the max of the drift rows of g's controls.  Round-to-nearest
+``fl(a + c)`` is monotone in a and in c, so either way this gives the bits
+of the max of the full per-control sums; and ``fl(ca * s)`` is monotone in
+ca for s of either sign, so max_a diff_a is the larger of the products of s
+= dp + dm with the pointwise largest and smallest ca, Peng's G-heat
+nonlinearity, whatever the number of variance values.  A march that records
+the policy forms the full sums and takes their max and their argmax: a1 < a2
+can round to a tie once a shared row is added, so only the full sums break
+ties as the per-control operators do.  The record is a ``PolicySchedule``,
+the feedback rule that the Monte Carlo in ``simulate`` runs its paths under.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.  The march
@@ -329,21 +327,17 @@ def _gather_term(ktab, weights, dx, nx):
 def _compensator(field, ktab, weights):
     """Truncated-jump compensator of a jump table, one value per table row.
 
-    A one-row table is state-free and gives a plain number.  A row's sum of
-    nz terms h*w carries a rounding error of at most nz eps sum |h w|; a
-    sum within that bound cannot be told from 0 and comes back exactly 0.0.
-    A symmetric jump law under an odd truncation, as on every Kou field,
-    gives such sums, so its drift does not couple to its jump rows.
+    A one-row table is state-free and gives a value without a state axis.
+    A row's sum of nz terms h*w carries a rounding error of at most nz eps
+    sum |h w|; a sum within that bound cannot be told from 0 and comes back
+    exactly 0.0.  A symmetric jump law under an odd truncation, as on every
+    Kou field, gives such sums, so its drift does not couple to its jump
+    rows.
     """
     h = np.asarray(field.truncation(ktab), dtype=float)
-    if h.shape[0] == 1:
-        comp, size = np.array([h[0] @ weights]), np.abs(h[0]) @ np.abs(weights)
-    else:
-        hw = h * weights[None, :]
-        comp = hw.sum(axis=1)
-        size = np.abs(hw, out=hw).sum(axis=1)
-    comp[np.abs(comp) <= h.shape[1] * np.finfo(float).eps * size] = 0.0
-    return float(comp[0]) if h.shape[0] == 1 else comp
+    comp = h @ weights
+    comp[np.abs(comp) <= h.shape[1] * np.finfo(float).eps * (np.abs(h) @ np.abs(weights))] = 0.0
+    return comp.squeeze()
 
 
 def _preflight(field: CoefficientField, grid: SpatialGrid):
@@ -356,19 +350,23 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
     ``entries`` counts the floats of the envelope built on ``layout``: the
     arrays it holds after its first ``apply``, the policy march's two
     (n_controls, nx) stacks included, and its build's compensator rows and
-    conv taps.  ``layout`` is what ``_Envelope`` allocates from: the reads
-    of ``core._sources``, each distinct read once, the distinct jump tables
-    and their compensators, each jump row's class and the drift rows.
-    Nothing of size (rows, nx) is formed when the reads are state-free.
+    conv taps.  ``layout`` is what ``_Envelope`` allocates from: the
+    effective drift rows, the dispersion rows, the distinct jump tables,
+    whether the field splits by axis, and each control's jump, drift and
+    dispersion row.  The reads are those of ``core._sources``, each
+    distinct read once.  A field splits by axis where its grid holds more
+    than one control and every combination of the sources, and every jump
+    row has the same compensator (the same bytes): its drift rows are the
+    drift reads less that compensator.  Any other field has one drift and
+    one dispersion row per control, its drift less its own jump row's
+    compensator, stably sorted by jump row.  Nothing of size (rows, nx) is
+    formed when the reads are state-free.
     """
     dx, nx = grid.dx, grid.nx
     quad = field.reference.quadrature
     drifts, disps, tables, at = _sources(field, grid.xs())
     drift_at, disp_at, jump_at = at.tolist()
     n = len(drift_at)
-    # every combination of the sources is a control, and there is more than one control
-    # to split (one control's folded row is the cheaper step): split by axis
-    per_axis = n > 1 and len(set(zip(drift_at, disp_at, jump_at))) == len(drifts) * len(disps) * len(tables)
     # each distinct jump table once, by its bytes, first seen first, conv (one-row) tables
     # first; none with zero mass
     names = [t.tobytes() for t in tables] if quad.mass != 0.0 else []
@@ -384,25 +382,27 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
     denom = a_max / (dx * dx) + b_max / dx + quad.mass
     if not math.isfinite(denom):
         raise ValueError("the CFL denominator a_max/dx^2 + b_max/dx + jump rate overflows a float")
+    # split by axis where there is more than one control (one control's folded row is the
+    # cheaper step), every combination of the sources is a control, and the effective drift
+    # does not depend on the jump row
+    per_axis = (n > 1 and len(set(zip(drift_at, disp_at, jump_at))) == len(drifts) * len(disps) * len(tables)
+                and len({np.broadcast_to(c, (nx,)).tobytes() for c in comps}) == 1)
     if per_axis:
-        # the jump rows whose compensators have the same bytes at every node are one class
-        first = {}
-        class_of = [first.setdefault(np.broadcast_to(c, (nx,)).tobytes(), len(first)) for c in comps]
-    else:  # one drift and one dispersion row per control, and one class per jump row
-        drifts, disps = [drifts[i] for i in drift_at], [disps[i] for i in disp_at]
-        drift_at = disp_at = list(range(n))
-        class_of = list(range(len(comps)))
-    pairs = sorted(set(zip([class_of[g] for g in jump_rows], drift_at)))  # class-major
+        effs = [b - comps[0] for b in drifts]
+    else:  # one drift and one dispersion row per control, stably sorted by jump row
+        order = sorted(range(n), key=jump_rows.__getitem__)
+        effs = [drifts[drift_at[c]] - comps[jump_rows[c]] for c in order]
+        disps = [disps[disp_at[c]] for c in order]
+        drift_at = disp_at = np.argsort(order).tolist()  # control c's drift and dispersion row
     n_conv, n_fft = sum(len(t) == 1 for t in kappas), _fft_length(2 * nx - 1)
-    # rows of nx: the drift rows and their two upwind weights; the compensator, jump and
-    # best rows; the ca rows and their product with s; the two stacks; 8 scratch rows.
-    # Each conv row's taps, edge weights, kernel, spectra and correlation take at most
-    # 4 (nx + n_fft + 2), and each gather table, with its node for the jump rate, three
-    # (nx, nz + 1) arrays
-    entries = (nx * (3 * len(pairs) + 3 * len(comps) + 2 * len(disps) + 2 * n + 8)
+    # rows of nx: the drift rows and their two upwind weights; per jump row, its compensator,
+    # which the preflight forms for a gather table, its jump row and a best row; the ca rows
+    # and their product with s; the two stacks; 8 scratch rows.  Each conv row's taps, edge
+    # weights, kernel, spectra and correlation take at most 4 (nx + n_fft + 2), and each
+    # gather table, with its node for the jump rate, three (nx, nz + 1) arrays
+    entries = (nx * (3 * len(effs) + 3 * len(comps) + 2 * len(disps) + 2 * n + 8)
                + 4 * n_conv * (nx + n_fft + 2) + 3 * nx * (quad.nodes.size + 1) * (len(kappas) - n_conv))
-    return denom, entries, (drifts, disps, kappas, comps, per_axis, jump_rows, drift_at, disp_at, pairs,
-                            class_of, n_conv)
+    return denom, entries, (effs, disps, kappas, per_axis, jump_rows, drift_at, disp_at, n_conv)
 
 
 def _step(denom: float, safety: float, dt_max: float) -> float:
@@ -432,29 +432,25 @@ class _Envelope:
     effective drift (drift minus the compensator of its jump table), ca =
     a / (2 dx^2) and jump = J w - mass*w.  The step holds one difference
     row ``_d``, with dp = d[1:] and dm = -d[:-1], so each drift row's
-    terms are (bp, d[1:]) and (-bm, d[:-1]).  The coefficients come from
-    ``core._sources``, each distinct read once, and the envelope keeps one
-    list of the distinct jump tables, by their bytes, one-row (conv) tables
-    first: each is one row of ``_jumps``, so controls with byte-identical
-    tables share it and tie exactly.  Each compensator is taken on its
-    table before the jump rate joins it as a node at 0.  The drift rows are
-    one per (class, drift source) pair, sorted class-major, and
-    ``_groups`` holds each class's slice of ``_drift`` with its jump rows.
+    terms are (bp, d[1:]) and (-bm, d[:-1]).  The rows come from
+    ``_preflight``: the effective drift rows, and one list of the distinct
+    jump tables, by their bytes, one-row (conv) tables first, each one row
+    of ``_jumps``, so controls with byte-identical tables share it and tie
+    exactly.  Each compensator is taken on its table before the jump rate
+    joins it as a node at 0.
 
-    ``per_axis`` says that the diffusion is held apart: the field declares
-    ``control_axes`` and its grid holds more than one control and every
-    combination of the axes' values.  A class is the jump rows whose
-    compensators have the same bytes, its drift sources are the drift
-    axis's values and the envelope holds n_a ``ca`` rows, so its size
-    follows the axes' values, not the controls; where every compensator is
-    0.0, as on a Kou field, there is one class.  The pointwise least and
-    largest ``ca`` are plain numbers when every dispersion read is
-    state-free.  A drift row whose drift and compensator are both
-    state-free is upwind on one side only, so it is one product, or none
-    where its effective drift is 0: that row is zeros.  Any other field has one class per
-    jump row and one drift source per control, so its drift rows are its
-    controls stably sorted by jump row, and folds its diffusion into the
-    upwind weights, (bp + ca)*dp + (bm + ca)*dm, leaving ``_ca`` None.
+    ``per_axis`` says that the field splits by axis (``_preflight``): its
+    drift rows are the drift axis's values and the envelope holds n_a
+    ``ca`` rows, so its size follows the axes' values, not the controls,
+    and ``_groups`` is one group, every drift row with every jump row.  The
+    pointwise least and largest ``ca`` are plain numbers when every
+    dispersion read is state-free.  A state-free effective drift row is
+    upwind on one side only, so it is one product, or none where its
+    effective drift is 0: that row is zeros.  Any other field has one drift
+    row per control, stably sorted by jump row, and folds its diffusion into
+    the upwind weights, (bp + ca)*dp + (bm + ca)*dm, leaving ``_ca`` None;
+    ``_groups`` holds each jump row with the slice of ``_drift`` of its
+    controls.
 
     ``apply`` forms the (n_controls, nx) stack in control order; ``sup`` is
     its max over the controls, bit for bit, and never forms it.  The stacks
@@ -465,24 +461,19 @@ class _Envelope:
         dx, nx = grid.dx, grid.nx
         quad = field.reference.quadrature
         self.denom, _, layout = _preflight(field, grid)
-        drifts, disps, kappas, comps, self.per_axis, jump_rows, drift_at, disp_at, pairs, class_of, n_conv = layout
+        effs, disps, kappas, self.per_axis, jump_rows, drift_at, disp_at, n_conv = layout
         self.routes = sorted({"conv" if len(t) == 1 else "gather" for t in kappas}) or ["none"]
-        b = np.array([np.broadcast_to(v, (nx,)) for v in drifts])
+        eff = np.array([np.broadcast_to(v, (nx,)) for v in effs])
         sig = np.array([np.broadcast_to(v, (nx,)) for v in disps])
         a = sig * sig
-        classes = [[g for g, k in enumerate(class_of) if k == c] for c in range(max(class_of) + 1)]
-        class_comps = [comps[m[0]] for m in classes]
-        comp = np.array([np.broadcast_to(c, (nx,)) for c in class_comps])
         # with no jump term, one jump row of zeros: apply adds 0.0
-        self._jumps = np.zeros((len(comps), nx))
+        self._jumps = np.zeros((len(kappas) or 1, nx))
         # the jump rate is one more node, at 0 with weight -mass: a jump row holds J w - mass*w
         weights = np.append(quad.weights, -quad.mass)
         conv = [np.append(t[0], 0.0) for t in kappas[:n_conv]]
         self._conv = _ConvBlock(conv, weights, dx, self._jumps[:n_conv]) if conv else None
         self._gathers = [(row, _gather_term(np.pad(t, ((0, 0), (0, 1))), weights, dx, nx))
                          for row, t in zip(self._jumps[n_conv:], kappas[n_conv:])]
-        k_of, b_of = (list(v) for v in zip(*pairs))
-        eff = b[b_of] - comp[k_of]
         bps = np.maximum(eff, 0.0) / dx
         bms = np.maximum(-eff, 0.0) / dx
         ca = a / (2.0 * dx * dx)
@@ -493,30 +484,29 @@ class _Envelope:
             self._ca_lo, self._ca_hi = ca.min(axis=0), ca.max(axis=0)
             if all(np.ndim(v) == 0 for v in disps):
                 self._ca_lo, self._ca_hi = float(self._ca_lo[0]), float(self._ca_hi[0])
+            self._groups = [(slice(None), list(self._jumps))]
         else:  # one drift row per control: its diffusion folds into the upwind weights
-            bps += ca[b_of]
-            bms += ca[b_of]
+            bps += ca
+            bms += ca
             self._ca = None
+            # each jump row with the slice of its controls' drift rows
+            ends = list(itertools.accumulate(map(jump_rows.count, range(len(self._jumps)))))
+            self._groups = [(slice(lo, hi), [row]) for lo, hi, row in zip([0, *ends], ends, self._jumps)]
         # the dm = -d[:-1] term of a drift row is the coefficient -bm on d[:-1]
         np.negative(bms, out=bms)
-        row_of = {pair: i for i, pair in enumerate(pairs)}
-        self._at = np.array([[row_of[class_of[g], j] for g, j in zip(jump_rows, drift_at)], disp_at, jump_rows])
-        ends = list(itertools.accumulate(map(k_of.count, range(len(classes)))))
-        # each class's drift rows, one slice, and its jump rows
-        self._groups = [(slice(lo, hi), [self._jumps[g] for g in m])
-                        for lo, hi, m in zip([0, *ends], ends, classes)]
+        self._at = np.array([drift_at, disp_at, jump_rows])
         self._d = np.zeros(nx + 1)  # first differences of w, d[0] = d[nx] = 0
         self._rows = np.zeros((4, nx))
         self._drift = np.zeros_like(eff)  # a row without terms stays 0
         self._upwind = []  # each drift row with its (coefficient, difference) terms
-        for row, bp, bm, (k, j) in zip(self._drift, bps, bms, pairs):
+        for row, bp, bm, v in zip(self._drift, bps, bms, effs):
             terms = [(bp, self._d[1:]), (bm, self._d[:-1])]
-            if self.per_axis and np.ndim(drifts[j]) == np.ndim(class_comps[k]) == 0:
+            if self.per_axis and np.ndim(v) == 0:
                 # a state-free effective drift is upwind on one side only, and one of 0 on none
                 terms = [(c[0], d) for c, d in terms if c[0] != 0.0]
             if terms:
                 self._upwind.append((row, terms))
-        self._best = np.empty((len(classes), nx))
+        self._best = np.empty((len(self._groups), nx))
         self._stacks = None  # the (n_controls, nx) buffers, from the first apply
 
     def _fill_rows(self, u):
@@ -558,7 +548,7 @@ class _Envelope:
         if self._ca is not None:
             np.multiply(self._ca_hi, s, out=diff)
             np.maximum(diff, np.multiply(self._ca_lo, s, out=tmp), out=diff)
-        # one class writes its sup into out directly
+        # one group writes its sup into out directly
         best = self._best if len(self._groups) > 1 else out[None]
         for (drifts, jumps), row in zip(self._groups, best):
             _max_rows(self._drift[drifts], row)
@@ -599,13 +589,15 @@ def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float) -> f
 def _landings(T, checkpoints, dt):
     """Solve's schedule: each time in (0, T] it lands on, in order, and its steps of at most dt to it.
 
-    A count is at least 1 and at least span/dt - 1e-12, so a step, span /
-    count, is at most dt * (1 + 1e-12) up to rounding; a span within a few
-    ulps of a multiple of dt gives steps within a few ulps of dt.
+    A span takes n = max(1, ceil(span/dt - 1e-12)) steps, and one more where
+    a step of span / n, computed as ``solve`` computes it, would exceed dt:
+    a span over a multiple of dt by less than 1e-12 of it, or one that
+    rounds so.  Every step is then at most dt.
     """
     t = 0.0
     for target in sorted({c for c in (*checkpoints, float(T)) if 0.0 < c <= T}):
-        yield target, max(1, math.ceil((target - t) / dt - 1e-12))
+        n = max(1, math.ceil((target - t) / dt - 1e-12))
+        yield target, n + ((target - t) / n > dt)
         t = target
 
 

@@ -105,6 +105,12 @@ class TestSolveCommand:
                                  (lines[1:1 + nx], lines[1 + nx:])):
             assert block == [f"{t},{x!r},{v!r}" for x, v in zip(xs, row)]
 
+    def test_without_out_the_artifacts_land_in_the_output_directory(self, capsys, tmp_path):
+        out = tmp_path / "configured"
+        code, _, _ = _run(capsys, "solve", "--set", f"output.directory={out}", *FAST_SOLVE)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["meta.txt", "u.csv"]
+
     def test_reruns_are_bit_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -135,6 +141,17 @@ class TestSimulateCommand:
             assert code == 0
         assert filecmp.cmp(outs[0] / "mc.csv", outs[1] / "mc.csv", shallow=False)
         assert not filecmp.cmp(outs[0] / "mc.csv", outs[2] / "mc.csv", shallow=False)
+
+    @pytest.mark.parametrize("seed, message", [("1", "mc mean .* above pide"),
+                                               ("4", "degenerate mc mean .* vs pide")])
+    def test_mc_outside_its_tolerance_keeps_artifacts(self, capsys, tmp_path, seed, message):
+        # two paths and no tolerance: seed 1 lands above the PIDE value, seed 4 below it
+        out = tmp_path / "art"
+        code, _, err = _run(capsys, "simulate", "--out", str(out), "--seed", seed,
+                            "--set", "mc.paths=2", "--set", "mc.tolerance=1e-300")
+        assert code == 1
+        assert re.match(f"TOLERANCE_EXCEEDED: {message}", err)
+        assert sorted(p.name for p in out.iterdir()) == ["mc.csv", "policy.csv"]
 
     def test_uncertain_model_writes_its_policy_map(self, capsys, tmp_path):
         # drift and intensity intervals: 4 controls, and the sup moves between them
@@ -193,6 +210,14 @@ class TestFourierCheckCommand:
         assert lines[0] == "x0,pide,fourier,diff"
         assert len(lines) == 4  # three default check points
 
+    def test_tolerance_exceeded_keeps_artifacts(self, capsys, tmp_path):
+        out = tmp_path / "art"
+        code, _, err = _run(capsys, "fourier-check", "--out", str(out),
+                            "--set", "fourier.tolerance=1e-6", *self.FAST)
+        assert code == 1
+        assert err.startswith("TOLERANCE_EXCEEDED: fourier diff")
+        assert (out / "fourier.csv").exists()
+
     def test_uncertain_model_rejected(self, capsys, tmp_path):
         out = tmp_path / "art"
         code, _, err = _run(capsys, "fourier-check", "--out", str(out),
@@ -217,6 +242,16 @@ class TestTransformCommand:
         lines = (out / "k.csv").read_text().splitlines()
         assert lines[0] == "y,k"
         assert len(lines) == 1 + 2 * 41
+
+    def test_power_family_is_a_dilation(self, capsys, tmp_path):
+        out = tmp_path / "art"
+        code, _, _ = _run(capsys, "transform", "--out", str(out), "--set", "transform.family=power")
+        assert code == 0
+        t = parse_config("")["transform"]
+        scale = (t["c_target"] / t["c_reference"]) ** (1.0 / t["alpha"])
+        rows = [tuple(map(float, line.split(","))) for line in (out / "k.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 41
+        assert max(abs(k - y * scale) for y, k in rows) <= 1e-9
 
     def test_tolerance_exceeded_keeps_artifacts(self, capsys, tmp_path):
         out = tmp_path / "art"
@@ -249,6 +284,13 @@ class TestDppCheckCommand:
         lines = (out / "dpp.csv").read_text().splitlines()
         assert lines[0] == "x,u_direct,u_restart,diff"
         assert len(lines) > 1
+
+    def test_tolerance_exceeded_keeps_artifacts(self, capsys, tmp_path):
+        out = tmp_path / "art"
+        code, _, err = _run(capsys, "dpp-check", "--out", str(out), "--set", "dpp.tolerance=1e-9", *FAST_SOLVE)
+        assert code == 1
+        assert err.startswith("TOLERANCE_EXCEEDED: dpp gap")
+        assert (out / "dpp.csv").exists()
 
 
 class TestTanhPayoff:

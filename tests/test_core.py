@@ -106,6 +106,10 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             Quadrature(nodes=np.array([0.0, 0.0]), weights=np.array([1.0, 1.0]), z_cut=1.0)
 
+    def test_one_weight_per_node(self):
+        with pytest.raises(ValueError, match="matching"):
+            Quadrature(nodes=np.array([0.0, 1.0]), weights=np.array([1.0]), z_cut=1.0)
+
     def test_simpson_mass_matches_analytic_tails(self):
         z = 10.0
         truth = 2.0 * (1.0 - math.exp(-z))

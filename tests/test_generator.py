@@ -32,6 +32,10 @@ class TestTestFunction:
             assert np.allclose(f.gradient(xs), fd_g, rtol=0, atol=1e-8)
             assert np.allclose(f.hessian(xs), fd_h, rtol=0, atol=1e-3)
 
+    def test_gaussian_bump_needs_a_positive_width(self):
+        with pytest.raises(ValueError, match="width"):
+            gaussian_bump(width=0)
+
     def test_constant_function(self):
         f = constant_function(3.5)
         xs = np.linspace(-4, 4, 9)
@@ -97,6 +101,15 @@ class TestApplyGenerator:
         )
         with pytest.raises(ValueError, match="non-finite"):
             apply_generator(field, grid.points[0], gaussian_bump(), 0.0)
+
+    def test_non_finite_test_function_diagnosed(self):
+        # finite coefficients, but a Hessian of inf makes the diffusion term inf
+        field = constant_drift_field(0.0, sigma=1.0)
+        bump = gaussian_bump()
+        phi = GenTestFunction(value=bump.value, gradient=bump.gradient,
+                              hessian=lambda x: np.inf + 0.0 * np.asarray(x, dtype=float))
+        with pytest.raises(ValueError, match="non-finite generator value"):
+            apply_generator(field, field.control_grid.points[0], phi, 0.0)
 
 
 class TestHamiltonian:
@@ -194,6 +207,10 @@ class TestSmallSymbolSup:
     def test_radius_must_be_positive(self, kou_field):
         with pytest.raises(ValueError):
             small_symbol_sup(kou_field, 0.0)
+
+    def test_sample_budget_must_be_positive(self, kou_field):
+        with pytest.raises(ValueError, match="sample_budget"):
+            small_symbol_sup(kou_field, 0.5, sample_budget=0)
 
     def test_decreases_with_radius(self, kou_field):
         sups = [small_symbol_sup(kou_field, r) for r in (0.4, 0.1, 0.025)]

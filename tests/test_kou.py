@@ -61,6 +61,10 @@ class TestKouSpec:
             KouSpec(b_lo=0.0, b_hi=0.0, a_lo=0.0, a_hi=0.0,
                     lam_lo=1.0, lam_hi=1.0, lam_star=1.0, lam_floor=0.0).validate()
 
+    def test_lam_star_positive(self):
+        with pytest.raises(ValueError, match="lam_star must be positive"):
+            _spec_with(lam_star=0.0).validate()
+
     def test_validate_alone_samples_no_state(self):
         # bounds that are state functions are build_field's to check, across its state box
         spec = KouSpec(b_lo=lambda x: np.sin(np.asarray(x, dtype=float)), b_hi=0.0,

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sublevy.cli import AUDIT_TABLE_MAX, parse_config
-from sublevy.core import ControlGrid, QuadratureError
+from sublevy.core import ControlGrid, QuadratureError, _jump_table
 from sublevy.kou import GaussianBump, KouSpec, build_field
 from sublevy.pide import (
     PolicySchedule,
@@ -24,6 +25,8 @@ from sublevy.pide import (
 )
 from sublevy.simulate import _coefficients, _Plan
 from tests.conftest import constant_drift_field, every_step_argmax
+
+BENCH_CFG = Path(__file__).parents[1] / "perfbench" / "cli.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +226,7 @@ class TestLandings:
 
     def test_no_step_exceeds_dt(self):
         # random steps and horizons within 2 ulps of a multiple of the step, each with
-        # and without random checkpoints below it; the worst step is dt (1 + 3 eps)
+        # and without random checkpoints below it; the worst step is dt
         rng = np.random.default_rng(20261020)
         eps = np.finfo(float).eps
         worst = 0.0
@@ -232,17 +235,18 @@ class TestLandings:
             T = int(rng.integers(1, 2000)) * dt * (1.0 + int(rng.integers(-2, 3)) * eps)
             checkpoints = rng.uniform(0.0, T, size=int(rng.integers(1, 6))).tolist()
             for stops in ((), checkpoints):
-                worst = max(worst, self._largest_step(T, stops, dt) / dt)
-        assert 1.0 <= worst <= 1.0 + 4.0 * eps
+                largest = self._largest_step(T, stops, dt)
+                assert largest <= dt
+                worst = max(worst, largest / dt)
+        assert worst == 1.0
 
-    def test_a_span_within_the_ceilings_slack_takes_the_lower_count(self):
-        # a span over k steps by less than 1e-12 of a step takes k steps, each at most
-        # dt (1 + 1e-12)
+    def test_a_span_within_the_ceilings_slack_takes_one_more_step(self):
+        # a span over k steps by less than 1e-12 of a step takes k + 1 steps, each at most dt
         for k in (1, 7, 1000):
             dt = 0.1
             T = dt * (k + 0.9e-12)
-            assert [n for _, n in _landings(T, (), dt)] == [k]
-            assert self._largest_step(T, (), dt) <= dt * (1.0 + 1e-12)
+            assert [n for _, n in _landings(T, (), dt)] == [k + 1]
+            assert self._largest_step(T, (), dt) <= dt
 
 
 class TestSolve:
@@ -349,6 +353,18 @@ class TestSolve:
                 solve(kou_field, psi, 0.5, grid, every_step=True)
             with pytest.raises(RuntimeError, match="non-finite value by step 1, t = "):
                 solve(kou_field, psi, 0.5, grid, checkpoints=[0.5 / n_steps])
+
+    def test_a_horizon_just_over_whole_steps_keeps_the_cfl_step(self):
+        # at safety 1.0, three steps over dt (3 + 0.9e-12) each exceeded the CFL step, with
+        # cfl_ratio 1 + 3.0e-13; the march takes a fourth step instead
+        cfg = parse_config(BENCH_CFG.read_text() + "pide.nx = 201\n")
+        field, grid = cfg.field(), cfg.grid()
+        dt = cfl_timestep(field, grid, 1.0)
+        md = solve(field, GaussianBump().value, dt * (3 + 0.9e-12), grid, 1.0).metadata
+        assert md["dt"] == dt
+        assert md["n_steps"] == 4
+        assert md["max_substep"] <= dt
+        assert md["cfl_ratio"] <= 1.0
 
     def test_metadata_records_scheme(self, kou_field):
         grid = SpatialGrid(-10.0, 10.0, 101)
@@ -515,6 +531,9 @@ def _envelope_case(case, kou_spec, degenerate_spec):
         "overshoot": (lambda: build_field(kou_spec, 2), (-2.0, 2.0, 101), ["conv"]),
         # lam_lo controls take conv and lam_hi controls gather
         "mixed": (lambda: _mixed_route_field(kou_spec), (-10.0, 10.0, 801), ["conv", "gather"]),
+        # one-sided jumps: the jump rows have different compensators, which couple drift and jump
+        "coupled": (lambda: _drift_and_intensity_vary_field(build_field(kou_spec, 2)), (-10.0, 10.0, 801),
+                    ["gather"]),
     }[case]
     grid = SpatialGrid(*grid)
     xs = grid.xs()
@@ -522,7 +541,14 @@ def _envelope_case(case, kou_spec, degenerate_spec):
     return field(), grid, routes, psi - psi[grid.nx // 2]
 
 
-ENVELOPE_CASES = ["march", "cli", "state-dependent", "zero-mass", "overshoot", "mixed"]
+ENVELOPE_CASES = ["march", "cli", "state-dependent", "zero-mass", "overshoot", "mixed", "coupled"]
+
+
+def _one_compensator(field, grid):
+    """Whether every control's jump table has the same compensator, by its bytes."""
+    weights = field.reference.quadrature.weights
+    comps = [_compensator(field, _jump_table(field, f, grid.xs()), weights) for f in field.control_grid.points]
+    return len({np.broadcast_to(c, (grid.nx,)).tobytes() for c in comps}) == 1
 
 
 class TestEnvelope:
@@ -624,7 +650,8 @@ class TestPerAxisLayout:
         tol = 1e-13 * float(np.max(np.abs(w)))
         declared = _Envelope(field, grid)
         per_control = _Envelope(_without_the_axes(field), grid)
-        assert declared.per_axis == (field.control_axes is not None and len(field.control_grid.points) > 1)
+        assert declared.per_axis == (field.control_axes is not None and len(field.control_grid.points) > 1
+                                     and _one_compensator(field, grid))
         assert not per_control.per_axis
         assert declared.routes == per_control.routes
         assert declared.denom == per_control.denom
@@ -661,6 +688,25 @@ class TestPerAxisLayout:
         assert env._ca.shape[0] == 2
         assert env._stacks is None  # until the first apply
 
+    def test_the_benchmark_fields_take_one_group(self, kou_spec):
+        # the march spec splits by axis, its compensators all 0.0; the CLI's field has one control
+        grid = SpatialGrid(-10.0, 10.0, 1601)
+        for resolution in (2, 3):
+            env = _Envelope(build_field(kou_spec, resolution), grid)
+            assert env.per_axis and len(env._groups) == 1
+        cfg = parse_config(BENCH_CFG.read_text())
+        field = cfg.field()
+        env = _Envelope(field, cfg.grid())
+        assert len(field.control_grid.points) == 1
+        assert not env.per_axis and len(env._groups) == 1
+
+    def test_jump_rows_with_different_compensators_take_the_per_control_rows(self, kou_spec, degenerate_spec):
+        field, grid, _, _ = _envelope_case("coupled", kou_spec, degenerate_spec)
+        env = _Envelope(field, grid)
+        assert not _one_compensator(field, grid) and not env.per_axis
+        # one group per jump row, each with the drift rows of its four controls
+        assert [(g.stop - g.start, len(jumps)) for g, jumps in env._groups] == [(4, 1), (4, 1)]
+
     def test_cfl_step_does_not_build_per_control_arrays(self, kou_spec):
         # 1,000 controls: one (controls, nx) array is 6.4 MB, and the step
         # used to build several of them (58 MB at its peak)
@@ -696,7 +742,8 @@ class TestSymmetricJumps:
         cfg.validate()
         field = cfg.field()
         assert field.reference.quadrature.nodes.size >= AUDIT_TABLE_MAX
-        comps = _preflight(field, cfg.grid())[2][3]
+        weights = field.reference.quadrature.weights
+        comps = [_compensator(field, t, weights) for t in _preflight(field, cfg.grid())[2][2]]
         assert comps and all(c == 0.0 for c in comps)
 
     @pytest.mark.parametrize("shift", [1e-12, -1e-12])
@@ -895,7 +942,7 @@ def _held_bytes(obj, held=None):
 
 
 class TestPreflight:
-    @pytest.mark.parametrize("case", ["march", "mixed", "state-dependent"])
+    @pytest.mark.parametrize("case", ["march", "mixed", "state-dependent", "coupled"])
     def test_count_bounds_the_bytes_the_envelope_holds(self, case, kou_spec, degenerate_spec):
         # conv, mixed and gather fields.  The count takes 8 B an entry and covers every
         # array the envelope holds after its first apply; it also counts the build's

@@ -267,6 +267,14 @@ class TestEstimateValue:
         assert mean == 1.0
         assert stderr == 0.0
 
+    def test_a_payoff_that_returns_a_plain_number(self, degenerate_field):
+        # a psi without a state axis is broadcast over the paths
+        policy = PolicySchedule.constant(degenerate_field.control_grid.points)
+        mean, stderr = estimate_value(degenerate_field, policy, lambda x: 0.7,
+                                      0.0, 0.5, 0.1, 32, seed=0)
+        assert abs(mean - 0.7) <= 1e-15
+        assert stderr < 1e-15
+
     def test_constant_payoff(self, degenerate_field):
         policy = PolicySchedule.constant(degenerate_field.control_grid.points)
         mean, stderr = estimate_value(degenerate_field, policy,

@@ -62,6 +62,16 @@ class TestQuantileK:
         with pytest.raises(ValueError):
             quantile_k(exponential_tails(1.0, 1.0), 1.0, 0.0)
 
+    def test_tail_not_finite_at_the_probe_diagnosed(self):
+        tails = TailPair(
+            target_upper=lambda z: math.inf,
+            target_lower=lambda z: 1.0,
+            reference_upper=lambda y: 0.5,
+            reference_lower=lambda y: 0.5,
+        )
+        with pytest.raises(ValueError, match="tail not finite at z = 1e-09"):
+            quantile_k(tails, 1.0, 1e-6)
+
     def test_cap_returns_z_max(self):
         # target tail never drops below the matched level inside the cap
         tails = TailPair(
