@@ -44,9 +44,8 @@ MARCH_NODE_STEPS_MAX = 3 * 10**7
 
 # Largest control grid accepted.  Its cost grows with the controls: at 1,000,
 # validate takes 0.2-0.3 s at the default audit budget and about 1 s at the
-# audit-table cap, and simulate (400 paths, dt 0.01) 4.2-4.6 s on 2 cores, all
-# but about 0.03 s of it the policy march; at 1e6, the audit alone ran for 4
-# minutes.
+# audit-table cap, and simulate (10 values an axis, 400 paths, dt 0.01)
+# 0.38-0.51 s on 2 cores; at 1e6, the audit alone ran for 4 minutes.
 CONTROLS_MAX = 1000
 
 # Largest share of the jump mass the window [-pide.z_cut, pide.z_cut] may miss.
@@ -71,11 +70,14 @@ AUDIT_TABLE_MAX = 4 * 10**6
 # Largest PIDE envelope accepted, in the entries pide._preflight counts from the
 # coefficient reads before the envelope is built: the drift, ca and jump rows, the
 # compensator rows its build forms (the envelope holds none), the conv block, each
-# gather table's three (nx, nz) arrays and the policy march's two (controls, nx)
-# stacks, counted for every subcommand.
-# The peak resident size measured up to 6.5 B per entry for solve and 10.4 B for
-# simulate (1,000 variance values, whose policy march also copies its stack for
-# the argmax): at the cap simulate peaked at 1,461 MiB and solve at 911 MiB.
+# gather table's three (nx, nz) arrays and the three rows the policy march picks
+# with, counted for every subcommand.
+# Peak resident sizes at 3e7 entries, a fifth of the cap, less the 36-46 MiB a
+# process holds without the envelope: solve and simulate took up to 2.5 B per
+# entry with 1,000 drift values, 6.6 B with 1,000 intensities, 7.8 B with 1,000
+# variance values and 5.3 B on a 10 x 10 x 10 grid.  With one control
+# (nx = 1,152,000) simulate took 8.2 B and solve 12-14 B, most of it u.csv's
+# text, whose resident size follows glibc's moving mmap threshold.
 ENVELOPE_ENTRIES_MAX = 15 * 10**7
 
 # Largest fourier.n_xi accepted: fourier-check holds about 79 B per frequency,

@@ -22,13 +22,13 @@ the grid are folded into edge weights, and is a 5-smooth multiple of 4
 zero-mass measure has no jump term at all.  The jump rate is one more node
 of every table, at 0 with weight -mass, so a jump row holds J w - mass*w.
 The envelope applies itself into buffers it owns and ``solve`` sizes its
-timeline before it marches, so no step allocates a new stack or row,
-except on the gather route: each gather term forms (nx, nz + 1)
-temporaries and a new row at every step.  The sup makes 1-D numpy calls
-only, as numpy allocates an iterator buffer the size of its output for a
-2-D broadcast or strided call; the conv block multiplies and adds its rows
-one at a time.  A march that records the policy forms the full stack and
-its argmax, which are 2-D calls.
+timeline before it marches, so no step allocates a new row, except on the
+gather route: each gather term forms (nx, nz + 1) temporaries and a new
+row at every step.  The sup makes 1-D numpy calls only, as numpy
+allocates an iterator buffer the size of its output for a 2-D broadcast
+or strided call; the conv block multiplies and adds its rows one at a
+time.  A march that records the policy reads it off the same sup, with
+1-D calls too, and never forms the (controls, nx) stack of full sums.
 
 The envelope is built in two parts.  The preflight, ``_preflight``, reads
 the controls through ``core._sources``, takes the distinct jump tables and
@@ -71,11 +71,14 @@ g of jump_g plus the max of the drift rows of g's controls.  Round-to-nearest
 of the max of the full per-control sums; and ``fl(ca * s)`` is monotone in
 ca for s of either sign, so max_a diff_a is the larger of the products of s
 = dp + dm with the pointwise largest and smallest ca, Peng's G-heat
-nonlinearity, whatever the number of variance values.  A march that records
-the policy forms the full sums and takes their max and their argmax: a1 < a2
-can round to a tie once a shared row is added, so only the full sums break
-ties as the per-control operators do.  The record is a ``PolicySchedule``,
-the feedback rule that the Monte Carlo in ``simulate`` runs its paths under.
+nonlinearity, whatever the number of variance values.  The same
+monotonicity gives the policy: on a field split by axis, the control of
+the first drift row, the first variance row and the first jump row that
+attain their part's max has a full sum equal to the sup, bit for bit, and
+a table keyed by the three rows names it; on any other field, it is the
+first control in grid order whose full sum (its drift row plus its jump
+row) equals the sup.  The record is a ``PolicySchedule``, the feedback rule
+that the Monte Carlo in ``simulate`` runs its paths under.
 
 Stepping is performed on w = u - u[mid] so a constant payoff propagates
 bitwise unchanged regardless of quadrature summation order.  The march
@@ -142,9 +145,18 @@ class PolicySchedule:
     ``grid`` None there is one cell and every state uses column 0.  Knots
     start at 0 and increase strictly.  ``controls`` are the points the
     indices name.  The rule ``solve(..., policy=True)`` records takes, from
-    knot m on, the argmax of the march's step at remaining time
-    T - knots[m], ties to the first control in grid order, with one byte
-    per entry while there are at most 256 controls.
+    knot m on, a control whose full sum attains the march's step at
+    remaining time T - knots[m], bit for bit, with one byte per entry while
+    there are at most 256 controls.  Where several attain it, a field that
+    splits by axis (``pide``'s module docstring) takes the first drift
+    value, the first variance and the first jump table to attain their
+    part's max, each in the order of the first control to read it
+    (state-free tables before the others), and the first control in grid
+    order with those three; any other field takes the first control in grid
+    order.  So the split field takes the first control in grid order too,
+    unless full sums tie only after rounding, or the grid's order does not
+    follow its axes' (a state-dependent table read before a state-free one,
+    or points out of axis order).
     """
 
     time_knots: np.ndarray
@@ -348,19 +360,18 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
     sup of |drift| + |compensator|, pointwise, over the (jump row, drift
     read) pairs; a denominator that overflows a float raises ``ValueError``.
     ``entries`` counts the floats of the envelope built on ``layout``: the
-    arrays it holds after its first ``apply``, the policy march's two
-    (n_controls, nx) stacks included, and its build's compensator rows and
-    conv taps.  ``layout`` is what ``_Envelope`` allocates from: the
-    effective drift rows, the dispersion rows, the distinct jump tables,
-    whether the field splits by axis, and each control's jump, drift and
-    dispersion row.  The reads are those of ``core._sources``, each
-    distinct read once.  A field splits by axis where its grid holds more
-    than one control and every combination of the sources, and every jump
-    row has the same compensator (the same bytes): its drift rows are the
-    drift reads less that compensator.  Any other field has one drift and
-    one dispersion row per control, its drift less its own jump row's
-    compensator, stably sorted by jump row.  Nothing of size (rows, nx) is
-    formed when the reads are state-free.
+    arrays it holds, its rows of picks for the policy march included, and
+    its build's compensator rows and conv taps.  ``layout`` is what
+    ``_Envelope`` allocates from: the effective drift rows, the dispersion
+    rows, the distinct jump tables, whether the field splits by axis, and
+    each control's jump, drift and dispersion row.  The reads are those of
+    ``core._sources``, each distinct read once.  A field splits by axis
+    where its grid holds more than one control and every combination of the
+    sources, and every jump row has the same compensator (the same bytes):
+    its drift rows are the drift reads less that compensator.  Any other
+    field has one drift and one dispersion row per control, its drift less
+    its own jump row's compensator, stably sorted by jump row.  Nothing of
+    size (rows, nx) is formed when the reads are state-free.
     """
     dx, nx = grid.dx, grid.nx
     quad = field.reference.quadrature
@@ -373,7 +384,7 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
     distinct = dict(zip(names, tables))
     row_of_table = {k: i for i, k in enumerate(sorted(distinct, key=lambda k: len(distinct[k]) > 1))}
     kappas = [distinct[k] for k in row_of_table]
-    # with no jump term, one jump row of zeros: apply adds 0.0
+    # with no jump term, one jump row of zeros: the sup adds 0.0
     comps = [_compensator(field, t, quad.weights) for t in kappas] or [0.0]
     jump_rows = [row_of_table[names[j]] for j in jump_at] if kappas else [0] * n
     # the one CFL denominator, checked before the upwind weights divide by dx
@@ -394,14 +405,17 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
         effs = [drifts[drift_at[c]] - comps[jump_rows[c]] for c in order]
         disps = [disps[disp_at[c]] for c in order]
         drift_at = disp_at = np.argsort(order).tolist()  # control c's drift and dispersion row
-    n_conv, n_fft = sum(len(t) == 1 for t in kappas), _fft_length(2 * nx - 1)
+    n_conv = sum(len(t) == 1 for t in kappas)
+    # the conv FFT's length, from the farthest on-grid tap a conv table reaches (see _ConvBlock)
+    n_fft = _fft_length(nx + min(nx - 1, max((int(np.abs(t).max() / dx) + 1 for t in kappas[:n_conv]), default=1)))
     # rows of nx: the drift rows and their two upwind weights; per jump row, its compensator,
-    # which the preflight forms for a gather table, its jump row and a best row; the ca rows
-    # and their product with s; the two stacks; 8 scratch rows.  Each conv row's taps, edge
-    # weights, kernel, spectra and correlation take at most 4 (nx + n_fft + 2), and each
-    # gather table, with its node for the jump rate, three (nx, nz + 1) arrays
-    entries = (nx * (3 * len(effs) + 3 * len(comps) + 2 * len(disps) + 2 * n + 8)
-               + 4 * n_conv * (nx + n_fft + 2) + 3 * nx * (quad.nodes.size + 1) * (len(kappas) - n_conv))
+    # which the preflight forms for a gather table, and its jump row; the ca rows; split by
+    # axis, one best row and the least and largest ca, and otherwise a best row per jump row;
+    # 3 rows of picks; 6 scratch rows.  Each conv row's taps, edge weights, kernel, spectra and
+    # correlation take at most 4 (nx + n_fft + 2), and each gather table, with its node for
+    # the jump rate, three (nx, nz + 1) arrays
+    rows = 3 * len(effs) + 2 * len(comps) + len(disps) + (3 if per_axis else len(comps)) + 3 + 6
+    entries = nx * rows + 4 * n_conv * (nx + n_fft + 2) + 3 * nx * (quad.nodes.size + 1) * (len(kappas) - n_conv)
     return denom, entries, (effs, disps, kappas, per_axis, jump_rows, drift_at, disp_at, n_conv)
 
 
@@ -452,9 +466,9 @@ class _Envelope:
     ``_groups`` holds each jump row with the slice of ``_drift`` of its
     controls.
 
-    ``apply`` forms the (n_controls, nx) stack in control order; ``sup`` is
-    its max over the controls, bit for bit, and never forms it.  The stacks
-    are allocated at the first ``apply``.
+    ``sup`` is the max of the full per-control sums, bit for bit, and never
+    forms them all: with a pick row it also records a control that attains
+    it, from the maxes it takes (``_index``, ``_table``; see ``sup``).
     """
 
     def __init__(self, field: CoefficientField, grid: SpatialGrid):
@@ -463,10 +477,7 @@ class _Envelope:
         self.denom, _, layout = _preflight(field, grid)
         effs, disps, kappas, self.per_axis, jump_rows, drift_at, disp_at, n_conv = layout
         self.routes = sorted({"conv" if len(t) == 1 else "gather" for t in kappas}) or ["none"]
-        eff = np.array([np.broadcast_to(v, (nx,)) for v in effs])
-        sig = np.array([np.broadcast_to(v, (nx,)) for v in disps])
-        a = sig * sig
-        # with no jump term, one jump row of zeros: apply adds 0.0
+        # with no jump term, one jump row of zeros: the sup adds 0.0
         self._jumps = np.zeros((len(kappas) or 1, nx))
         # the jump rate is one more node, at 0 with weight -mass: a jump row holds J w - mass*w
         weights = np.append(quad.weights, -quad.mass)
@@ -474,9 +485,7 @@ class _Envelope:
         self._conv = _ConvBlock(conv, weights, dx, self._jumps[:n_conv]) if conv else None
         self._gathers = [(row, _gather_term(np.pad(t, ((0, 0), (0, 1))), weights, dx, nx))
                          for row, t in zip(self._jumps[n_conv:], kappas[n_conv:])]
-        bps = np.maximum(eff, 0.0) / dx
-        bms = np.maximum(-eff, 0.0) / dx
-        ca = a / (2.0 * dx * dx)
+        ca = np.array([np.broadcast_to(v * v / (2.0 * dx * dx), (nx,)) for v in disps])
         if self.per_axis:
             self._ca = ca
             # a row of ca*s is monotone in ca, so its max over the rows takes one of these two,
@@ -486,28 +495,41 @@ class _Envelope:
                 self._ca_lo, self._ca_hi = float(self._ca_lo[0]), float(self._ca_hi[0])
             self._groups = [(slice(None), list(self._jumps))]
         else:  # one drift row per control: its diffusion folds into the upwind weights
-            bps += ca
-            bms += ca
             self._ca = None
             # each jump row with the slice of its controls' drift rows
             ends = list(itertools.accumulate(map(jump_rows.count, range(len(self._jumps)))))
             self._groups = [(slice(lo, hi), [row]) for lo, hi, row in zip([0, *ends], ends, self._jumps)]
-        # the dm = -d[:-1] term of a drift row is the coefficient -bm on d[:-1]
-        np.negative(bms, out=bms)
-        self._at = np.array([drift_at, disp_at, jump_rows])
         self._d = np.zeros(nx + 1)  # first differences of w, d[0] = d[nx] = 0
         self._rows = np.zeros((4, nx))
-        self._drift = np.zeros_like(eff)  # a row without terms stays 0
+        self._drift = np.zeros((len(effs), nx))  # a row without terms stays 0
         self._upwind = []  # each drift row with its (coefficient, difference) terms
-        for row, bp, bm, v in zip(self._drift, bps, bms, effs):
-            terms = [(bp, self._d[1:]), (bm, self._d[:-1])]
-            if self.per_axis and np.ndim(v) == 0:
+        for k, (row, v) in enumerate(zip(self._drift, effs)):
+            bp, bm = np.maximum(v, 0.0) / dx, np.maximum(-v, 0.0) / dx
+            if self._ca is None:
+                bp, bm = bp + ca[k], bm + ca[k]
+            # the dm = -d[:-1] term of a drift row is the coefficient -bm on d[:-1]
+            terms = [(bp, self._d[1:]), (-bm, self._d[:-1])]
+            if np.ndim(bp) == 0:
                 # a state-free effective drift is upwind on one side only, and one of 0 on none
-                terms = [(c[0], d) for c, d in terms if c[0] != 0.0]
+                terms = [(c, d) for c, d in terms if c != 0.0]
             if terms:
                 self._upwind.append((row, terms))
         self._best = np.empty((len(self._groups), nx))
-        self._stacks = None  # the (n_controls, nx) buffers, from the first apply
+        # a pick is ``_table`` at a key, the sum of three labels, each that of the first row of
+        # its part to attain the part's max.  Split by axis, the parts are the drift, ca and
+        # jump rows, each labelled by its index times a stride; otherwise one part, the full
+        # sums, each labelled by its control's drift row, and the other two labels stay 0
+        self._index, self._mask = np.zeros((3, nx), dtype=np.intp), np.empty(nx, dtype=bool)
+        if self.per_axis:  # each part's (label, row) pairs, last first
+            n_ca, n_jump = len(self._ca), len(self._jumps)
+            keys = [(d * n_ca + a) * n_jump + g for d, a, g in zip(drift_at, disp_at, jump_rows)]
+            self._scans = [[(k * stride, row) for k, row in enumerate(rows)][::-1]
+                           for rows, stride in zip((self._drift, self._ca, self._jumps), (n_ca * n_jump, n_jump, 1))]
+        else:  # each control's drift row and jump row, last first
+            keys = drift_at
+            self._scans = [(r, self._drift[r], self._jumps[g]) for r, g in zip(drift_at, jump_rows)][::-1]
+        # each key's first control
+        self._table = np.unique(keys, return_index=True)[1].astype(np.min_scalar_type(len(keys) - 1))
 
     def _fill_rows(self, u):
         """Fill the jump and drift rows; return s = dp + dm = d[1:] - d[:-1]."""
@@ -525,24 +547,17 @@ class _Envelope:
                 row += np.multiply(c, x, out=tmp)
         return np.subtract(d[1:], d[:-1], out=s)
 
-    def apply(self, u):
-        """The (n_controls, nx) stack of L_f u, in control order, in a buffer the next call overwrites."""
-        s = self._fill_rows(u)
-        if self._stacks is None:
-            stack = np.empty((self._at.shape[1], u.size))
-            self._stacks = stack, np.empty_like(stack), None if self._ca is None else np.empty_like(self._ca)
-        out, tmp, diff = self._stacks
-        at_drift, at_disp, at_jump = self._at
-        # every index is valid; mode="raise" would copy through a buffer
-        np.take(self._drift, at_drift, axis=0, out=out, mode="clip")
-        if self._ca is not None:
-            np.multiply(self._ca, s, out=diff)
-            out += np.take(diff, at_disp, axis=0, out=tmp, mode="clip")
-        out += np.take(self._jumps, at_jump, axis=0, out=tmp, mode="clip")
-        return out
+    def sup(self, u, out, pick=None):
+        """max_f L_f u into ``out``; with a ``pick`` row, the index of a control that attains it.
 
-    def sup(self, u, out):
-        """max_f L_f u into ``out``: bit for bit ``apply(u).max(axis=0)``."""
+        ``out`` has the bits of the max of the full per-control sums, and the
+        same calls form it whether or not a pick is recorded.  On a field that
+        splits by axis, the pick is the control of the first drift row, the
+        first ``ca`` row (by its product with s) and the first jump row that
+        attain their part's max; rounding an addition is monotone, so its full
+        sum is the max.  On any other field it is the first control in grid
+        order whose full sum, its drift row plus its jump row, equals the max.
+        """
         s = self._fill_rows(u)
         diff, tmp = self._rows[2:]
         if self._ca is not None:
@@ -551,13 +566,37 @@ class _Envelope:
         # one group writes its sup into out directly
         best = self._best if len(self._groups) > 1 else out[None]
         for (drifts, jumps), row in zip(self._groups, best):
+            jump = jumps[0] if len(jumps) == 1 else _max_rows(jumps, tmp)
             _max_rows(self._drift[drifts], row)
-            if self._ca is not None:
+            if self._ca is not None:  # split by axis: one group, every drift row and jump row
+                if pick is not None:  # each part's max is whole here; w's row is free
+                    drift_rows, ca_rows, jump_rows = self._scans
+                    products = ((k, np.multiply(ca, s, out=self._rows[1])) for k, ca in ca_rows)
+                    for index, part, rows in zip(self._index, (row, diff, jump), (drift_rows, products, jump_rows)):
+                        _first(index, self._mask, part, rows)
                 row += diff
-            row += jumps[0] if len(jumps) == 1 else _max_rows(jumps, tmp)
+            row += jump
         if len(self._groups) > 1:
             _max_rows(best, out)
+        if pick is not None:
+            key, at_ca, at_jump = self._index
+            if self._ca is None:
+                _first(key, self._mask, out, ((r, np.add(b, j, out=tmp)) for r, b, j in self._scans))
+            key += at_ca
+            key += at_jump
+            # every key is valid; mode="raise" would copy through a buffer
+            np.take(self._table, key, out=pick, mode="clip")
         return out
+
+
+def _first(index, mask, best, rows):
+    """Write into ``index``, at each node, the label of the first of ``rows`` that equals ``best``.
+
+    ``rows`` yields (label, row) pairs last first, so the first row's write
+    lands last; a row may be formed as it is read, into one scratch row.
+    """
+    for label, row in rows:
+        np.copyto(index, label, where=np.equal(row, best, out=mask))
 
 
 def _max_rows(rows, out):
@@ -619,16 +658,18 @@ def solve(
     times (and T itself) are landed on exactly by shortening steps.  Rows
     are stored at 0, at each landed checkpoint and at T; ``every_step``
     stores every step taken instead, so the timeline resolution is the CFL
-    step.  ``policy`` records the argmax control of every step, and of the
-    row at T, as the field's ``PolicySchedule``: (steps + 1) * nx bytes with
-    at most 256 controls, where the every-step timeline takes 8 bytes per
-    entry.  The march, its values and ``metadata`` are the same whatever
-    is kept.  The envelope's reads check the jump quadrature
-    (``core._sources``): one that misses the measure's mass on its window,
-    or a measure of infinite mass, raises ``QuadratureError``.  A march
-    whose values leave the floats raises ``RuntimeError`` at the first
-    stored row that is not finite; the step it names is that row's, not the
-    step where the values first left the floats.
+    step.  ``policy`` records a control that attains the sup of every step,
+    and of the row at T, as the field's ``PolicySchedule`` (its docstring
+    gives the rule): (steps + 1) * nx bytes with at most 256 controls, where
+    the every-step timeline takes 8 bytes per entry.  The envelope's sup
+    records it as it takes the max, so both marches make one call a step.
+    The march, its values and ``metadata`` are the same whatever is kept.
+    The envelope's reads check the jump quadrature (``core._sources``): one
+    that misses the measure's mass on its window, or a measure of infinite
+    mass, raises ``QuadratureError``.  A march whose values leave the floats
+    raises ``RuntimeError`` at the first stored row that is not finite; the
+    step it names is that row's, not the step where the values first left
+    the floats.
     """
     checkpoints = [float(c) for c in checkpoints]
     if not (0.0 <= T < math.inf and all(map(math.isfinite, checkpoints))):
@@ -660,23 +701,14 @@ def solve(
     row_of = dict(zip(kept, values))  # step index -> its stored row
     # a step not kept lands in the scratch row its predecessor does not hold
     scratch = np.empty((2, grid.nx))
-    sup = env.sup
-    if policy:
-        controls = field.control_grid.points
-        picks = np.empty((len(times), grid.nx), dtype=np.min_scalar_type(len(controls) - 1))
-        rows = iter(picks[::-1])  # the march runs in remaining time, the policy in elapsed time
-        pick = np.empty(grid.nx, dtype=np.intp)  # np.argmax writes intp only
-
-        def sup(u, out):
-            """env.sup(u, out) as the max of the full sums; their argmax is the next policy row."""
-            stack = env.apply(u)
-            np.argmax(stack, axis=0, out=pick)
-            next(rows)[:] = pick
-            return np.max(stack, axis=0, out=out)
-
+    controls = field.control_grid.points
+    picks = np.empty((len(times), grid.nx), dtype=np.min_scalar_type(len(controls) - 1)) if policy else None
+    # each step's pick row, none without the policy; the march runs in remaining time, the
+    # policy in elapsed time
+    rows = iter(picks[::-1]) if policy else itertools.repeat(None)
     for k, sub_dt in enumerate(sub_dts, start=1):
         stored = row_of.get(k)
-        step = sup(u, scratch[k % 2] if stored is None else stored)
+        step = env.sup(u, scratch[k % 2] if stored is None else stored, next(rows))
         step *= sub_dt
         u = np.add(u, step, out=step)
         # checked where a row is stored: a node that is not finite stays so, as u + dt*S is
@@ -685,7 +717,7 @@ def solve(
             raise RuntimeError(f"non-finite value by step {k}, t = {times[k]}")
     recorded = None
     if policy:
-        sup(u, scratch[0])  # the row at T
+        env.sup(u, scratch[0], next(rows))  # the row at T
         knots = times[-1] - np.array(times[::-1])
         knots[0] = 0.0
         recorded = PolicySchedule(knots, picks, grid, controls)

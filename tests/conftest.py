@@ -20,7 +20,6 @@ from sublevy.core import (
     zero_jump_measure,
 )
 from sublevy.kou import KouSpec, build_field
-from sublevy.pide import _Envelope
 
 
 def constant_drift_field(b, sigma=0.0, controls=None):
@@ -50,19 +49,6 @@ def doubled_weights(field):
     q = field.reference.quadrature
     doubled = Quadrature(nodes=q.nodes, weights=2.0 * q.weights, z_cut=q.z_cut)
     return dataclasses.replace(field, reference=dataclasses.replace(field.reference, quadrature=doubled))
-
-
-def every_step_argmax(field, fieldU):
-    """(knots, indices) of the argmax policy, by a second pass over every stored row.
-
-    ``fieldU`` holds every step; row m is the argmax of the full per-control
-    sums at remaining time T - knots[m], ties to the first control.
-    """
-    env = _Envelope(field, fieldU.grid)
-    indices = np.array([env.apply(u).argmax(axis=0) for u in fieldU.values[::-1]])
-    knots = fieldU.times[-1] - fieldU.times[::-1]
-    knots[0] = 0.0
-    return knots, indices
 
 
 @pytest.fixture(scope="session")

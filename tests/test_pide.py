@@ -24,7 +24,7 @@ from sublevy.pide import (
     solve,
 )
 from sublevy.simulate import _coefficients, _Plan
-from tests.conftest import constant_drift_field, every_step_argmax
+from tests.conftest import constant_drift_field
 
 BENCH_CFG = Path(__file__).parents[1] / "perfbench" / "cli.cfg"
 
@@ -509,6 +509,43 @@ def _reference_stack(field, grid, w):
     return np.asarray(rows)
 
 
+def _envelope_stacks(field, grid, ws):
+    """For each w of ``ws``, the (controls, nx) stack of L_f w in control order, from the envelope's rows.
+
+    Control f's row is its drift row, plus its ca row times s on a field
+    split by axis, plus its jump row, added in that order: the bits of f's
+    full sum.  Each stack is overwritten by the next.
+    """
+    env = _Envelope(field, grid)
+    *_, jump_at, drift_at, disp_at, _ = _preflight(field, grid)[2]
+    stack = np.empty((len(drift_at), grid.nx))
+    for w in ws:
+        env.sup(w, np.empty(grid.nx))  # fills the rows
+        np.take(env._drift, drift_at, axis=0, out=stack)
+        if env._ca is not None:
+            stack += (env._ca * env._rows[0])[disp_at]
+        stack += env._jumps[jump_at]
+        yield stack
+
+
+def every_step_argmax(field, fieldU):
+    """(knots, indices) of the argmax policy, by a second pass over every stored row.
+
+    ``fieldU`` holds every step; row m is the argmax of the full per-control
+    sums at remaining time T - knots[m], ties to the first control.
+    """
+    stacks = _envelope_stacks(field, fieldU.grid, fieldU.values[::-1])
+    indices = np.array([stack.argmax(axis=0) for stack in stacks])
+    knots = fieldU.times[-1] - fieldU.times[::-1]
+    knots[0] = 0.0
+    return knots, indices
+
+
+def _pick_row(field, grid):
+    """A row for ``sup``'s pick, of the index type ``solve`` records in."""
+    return np.empty(grid.nx, dtype=np.min_scalar_type(len(field.control_grid.points) - 1))
+
+
 def _mixed_route_field(kou_spec):
     """Uncertain Kou whose lam_hi controls return their jump table with a state axis."""
     field = build_field(kou_spec, 2)
@@ -522,6 +559,8 @@ def _envelope_case(case, kou_spec, degenerate_spec):
     """(field, grid, routes, w) of one named envelope case: w is smooth and 0 at mid."""
     field, grid, routes = {
         "march": (lambda: build_field(kou_spec, 2), (-10.0, 10.0, 1601), ["conv"]),
+        # 125 controls, five values an axis
+        "march-5": (lambda: build_field(kou_spec, 5), (-10.0, 10.0, 1601), ["conv"]),
         "cli": (lambda: build_field(degenerate_spec, 2), (-10.0, 10.0, 801), ["conv"]),
         "state-dependent": (_state_dependent_field, (-10.0, 10.0, 801), ["gather"]),
         "zero-mass": (lambda: constant_drift_field(
@@ -557,7 +596,7 @@ class TestEnvelope:
         field, grid, routes, w = _envelope_case(case, kou_spec, degenerate_spec)
         tol = 1e-13 * float(np.max(np.abs(w)))
         env = _Envelope(field, grid)
-        stack = env.apply(w)
+        stack, = _envelope_stacks(field, grid, [w])
         want = _reference_stack(field, grid, w)
         assert stack.shape == (len(field.control_grid.points), grid.nx)
         assert float(np.max(np.abs(stack - want))) <= tol
@@ -567,15 +606,31 @@ class TestEnvelope:
     def test_sup_is_the_max_of_the_stack(self, case, kou_spec, degenerate_spec):
         field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
         env = _Envelope(field, grid)
-        want = env.apply(w).max(axis=0)
+        stack, = _envelope_stacks(field, grid, [w])
         got = env.sup(w, np.empty(grid.nx))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
         if case == "mixed":
-            # gather rows follow every conv row, so the group order is not
-            # the control order; apply still returns control order, and on
-            # w = 0 every row ties, so the argmax is the first control
-            zero = np.zeros(grid.nx)
-            assert not np.any(env.apply(zero).argmax(axis=0))
+            # gather rows follow every conv row, so the jump row order is not
+            # the control order; on w = 0 every row ties, and the pick is the
+            # first control
+            pick = _pick_row(field, grid)
+            env.sup(np.zeros(grid.nx), np.empty(grid.nx), pick)
+            assert not np.any(pick)
+
+    @pytest.mark.parametrize("case", ENVELOPE_CASES)
+    def test_a_policy_sup_picks_a_control_that_attains_it(self, case, kou_spec, degenerate_spec):
+        field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
+        env = _Envelope(field, grid)
+        plain = env.sup(w, np.empty(grid.nx))
+        pick = _pick_row(field, grid)
+        got = env.sup(w, np.empty(grid.nx), pick)
+        # the pick does not move the bits of the sup, and its full sum is the sup, bit for bit
+        assert np.array_equal(got.view(np.int64), plain.view(np.int64))
+        stack, = _envelope_stacks(field, grid, [w])
+        attained = stack[pick, np.arange(grid.nx)]
+        assert np.array_equal(attained.view(np.int64), got.view(np.int64))
+        # on these fields it is also the first control in grid order that attains it
+        assert np.array_equal(pick, stack.argmax(axis=0))
 
     def test_controls_with_one_jump_table_share_one_term(self, kou_spec):
         grid = SpatialGrid(-10.0, 10.0, 201)
@@ -618,13 +673,19 @@ class TestEnvelope:
         for n in range(1, 5001):
             assert _fft_length(n) == next(m for m in smooth if m >= n), n
 
-    def test_apply_reuses_its_buffer(self, kou_field):
+    def test_a_policy_sup_reuses_its_buffers(self, kou_field):
         grid = SpatialGrid(-10.0, 10.0, 201)
-        env = _Envelope(kou_field, grid)
         w = np.sin(grid.xs())
-        first = env.apply(w).copy()
-        assert env.apply(2.0 * w) is env.apply(w)
-        assert np.array_equal(env.apply(w), first)
+        for field in (kou_field, _without_the_axes(kou_field)):  # both layouts
+            env = _Envelope(field, grid)
+            out, pick = np.empty(grid.nx), _pick_row(field, grid)
+            env.sup(w, out, pick)
+            first, held = (out.copy(), pick.copy()), _held_arrays(env)
+            env.sup(2.0 * w, out, pick)
+            env.sup(w, out, pick)
+            # the same arrays, no new one, and the same sup and picks
+            assert _held_arrays(env).keys() == held.keys()
+            assert np.array_equal(out, first[0]) and np.array_equal(pick, first[1])
 
     def test_state_dependent_intensity_is_not_mistaken_for_state_free(self):
         # the tent equals 1 at every sample state a coarse probe set would
@@ -655,7 +716,9 @@ class TestPerAxisLayout:
         assert not per_control.per_axis
         assert declared.routes == per_control.routes
         assert declared.denom == per_control.denom
-        assert float(np.max(np.abs(declared.apply(w) - per_control.apply(w)))) <= tol
+        stack, = _envelope_stacks(field, grid, [w])
+        per_control_stack, = _envelope_stacks(_without_the_axes(field), grid, [w])
+        assert float(np.max(np.abs(stack - per_control_stack))) <= tol
         got = declared.sup(w, np.empty(grid.nx))
         assert float(np.max(np.abs(got - per_control.sup(w, np.empty(grid.nx))))) <= tol
 
@@ -670,7 +733,7 @@ class TestPerAxisLayout:
         w -= w[grid.nx // 2]
         env = _Envelope(field, grid)
         assert not env.per_axis
-        stack = env.apply(w).copy()  # the next call overwrites the buffer
+        stack, = _envelope_stacks(field, grid, [w])
         assert stack.shape == (7, grid.nx)
         want = _reference_stack(field, grid, w)
         assert float(np.max(np.abs(stack - want))) <= 1e-13 * float(np.max(np.abs(w)))
@@ -686,7 +749,8 @@ class TestPerAxisLayout:
         assert env._jumps.shape[0] == 3 and env._drift.shape[0] == 3
         assert len(env._groups) == 1
         assert env._ca.shape[0] == 2
-        assert env._stacks is None  # until the first apply
+        # a policy sup picks with three rows whatever the controls
+        assert env._index.shape == (3, 201) and env._table.size == 18
 
     def test_the_benchmark_fields_take_one_group(self, kou_spec):
         # the march spec splits by axis, its compensators all 0.0; the CLI's field has one control
@@ -835,8 +899,9 @@ class TestUpwindTerms:
         xs = grid.xs()
         w = np.exp(-0.5 * (xs - 0.3) ** 2) + 0.2 * np.tanh(xs)
         w -= w[grid.nx // 2]
-        stack = env.apply(w).copy()  # the next call overwrites the buffer
-        want = _reference_stack(_drift_interval_field(*interval), grid, w)
+        field = _drift_interval_field(*interval)
+        stack, = _envelope_stacks(field if axes else _without_the_axes(field), grid, [w])
+        want = _reference_stack(field, grid, w)
         assert float(np.max(np.abs(stack - want))) <= 1e-13 * float(np.max(np.abs(w)))
         got = env.sup(w, np.empty(grid.nx))
         assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
@@ -882,6 +947,23 @@ class TestStepAllocation:
             tracemalloc.stop()
         assert peak < out.nbytes
 
+    @pytest.mark.parametrize("resolution", [2, 3])
+    def test_a_policy_sup_allocates_less_than_one_grid_row(self, kou_spec, resolution):
+        # 8 and 27 controls: the pick is read off the rows the sup already forms
+        field, grid = build_field(kou_spec, resolution), SpatialGrid(-10.0, 10.0, 1601)
+        w = np.tanh(grid.xs())
+        env = _Envelope(field, grid)
+        out, pick = np.empty(grid.nx), _pick_row(field, grid)
+        for _ in range(3):
+            env.sup(w, out, pick)
+        tracemalloc.start()
+        try:
+            env.sup(w, out, pick)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes
+
 
 def _oracle_field(b, a, lam, lam_star):
     """Kou field at three values an axis on the state box [-40, 40], jumps cut at 30."""
@@ -922,45 +1004,47 @@ class TestUncertainOracle:
         assert float(np.max(lipschitz - lipschitz[0])) == 0.0
 
 
-def _held_bytes(obj, held=None):
-    """Bytes of the distinct arrays an object reaches: its attributes, lists and closures."""
+def _held_arrays(obj, held=None):
+    """The distinct arrays an object reaches, by id: its attributes, lists and closures."""
     held = {} if held is None else held
     if isinstance(obj, np.ndarray):
         while isinstance(obj.base, np.ndarray):
             obj = obj.base
-        held[id(obj)] = obj.nbytes
+        held[id(obj)] = obj
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            _held_bytes(item, held)
+            _held_arrays(item, held)
     elif callable(obj) and getattr(obj, "__closure__", None):
         for cell in obj.__closure__:
-            _held_bytes(cell.cell_contents, held)
+            _held_arrays(cell.cell_contents, held)
     elif hasattr(obj, "__dict__"):
         for item in vars(obj).values():
-            _held_bytes(item, held)
-    return sum(held.values())
+            _held_arrays(item, held)
+    return held
 
 
 class TestPreflight:
     @pytest.mark.parametrize("case", ["march", "mixed", "state-dependent", "coupled"])
     def test_count_bounds_the_bytes_the_envelope_holds(self, case, kou_spec, degenerate_spec):
         # conv, mixed and gather fields.  The count takes 8 B an entry and covers every
-        # array the envelope holds after its first apply; it also counts the build's
+        # array the envelope holds after a policy sup; it also counts the build's
         # compensator rows and conv taps, and the longest conv FFT the grid allows, so it
         # may exceed them, but by less than half
         field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
         for f in (field, _without_the_axes(field)):
             denom, entries, _ = _preflight(f, grid)
             env = _Envelope(f, grid)
-            env.apply(w)
-            held = _held_bytes(env)
+            env.sup(w, np.empty(grid.nx), _pick_row(f, grid))
+            held = sum(a.nbytes for a in _held_arrays(env).values())
             assert held <= 8 * entries <= 1.5 * held
             assert denom == env.denom
 
 
 class TestRecordedPolicy:
-    @pytest.mark.parametrize("case", ["march", "mixed"])
+    @pytest.mark.parametrize("case", [*ENVELOPE_CASES, "march-5"])
     def test_matches_the_argmax_of_every_step(self, case, kou_spec, degenerate_spec):
+        # the picks of the sup equal the first control in grid order whose full sum attains
+        # it, at every node and step of these fields, both layouts
         field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
         full = solve(field, w, 0.1, grid, checkpoints=(0.05,), every_step=True)
         recorded = solve(field, w, 0.1, grid, checkpoints=(0.05,), policy=True)
@@ -969,7 +1053,9 @@ class TestRecordedPolicy:
         assert policy.indices.dtype == np.uint8
         assert np.array_equal(policy.indices, indices)
         assert np.array_equal(policy.time_knots, knots)
-        assert len(np.unique(indices)) > 1
+        assert len(np.unique(indices)) > 1 or len(field.control_grid.points) == 1
+        per_control = solve(_without_the_axes(field), w, 0.1, grid, checkpoints=(0.05,), policy=True)
+        assert np.array_equal(per_control.policy.indices, indices)
         # the values and what is stored do not move
         assert recorded.times.tolist() == [0.0, 0.05, 0.1]
         rows = np.searchsorted(full.times, recorded.times)

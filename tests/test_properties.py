@@ -13,7 +13,7 @@ from sublevy.generator import TestFunction as GenTestFunction
 from sublevy.kou import KouSpec, build_field, clamp_jump, double_exponential_measure
 from sublevy.pide import SpatialGrid, _Envelope, _step, cfl_timestep, solve
 from sublevy.transform import exponential_tails, quantile_k
-from tests.test_pide import _one_compensator, _reference_stack
+from tests.test_pide import _envelope_stacks, _one_compensator, _pick_row, _reference_stack
 
 GRID = SpatialGrid(-8.0, 8.0, 101)
 
@@ -329,12 +329,15 @@ class TestEnvelopeOracle:
         env = _Envelope(field, grid)
         # split by axis where there is more than one control and one compensator
         assert env.per_axis == (len(field.control_grid.points) > 1 and _one_compensator(field, grid))
-        stack = env.apply(w).copy()
+        stack, = _envelope_stacks(field, grid, [w])
         scale = float(np.max(np.abs(w)))
         tol = 1e-13 * scale
-        # sup is the max of the stack, bit for bit
+        # sup is the max of the stack, bit for bit, and its pick's full sum is the sup
         got = env.sup(w, np.empty(grid.nx))
         assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
+        pick = _pick_row(field, grid)
+        env.sup(w, np.empty(grid.nx), pick)
+        assert np.array_equal(stack[pick, np.arange(grid.nx)].view(np.int64), got.view(np.int64))
         assert float(np.max(np.abs(stack - _reference_stack(field, grid, w)))) <= tol
         # the route is conv exactly when the table has one row
         tables = [_jump_table(field, f, grid.xs()) for f in field.control_grid.points]
@@ -342,7 +345,8 @@ class TestEnvelopeOracle:
         # the same field without its declaration: per-control rows, the same operator
         plain = _Envelope(dataclasses.replace(field, control_axes=None), grid)
         assert not plain.per_axis and plain.denom == env.denom and plain.routes == env.routes
-        assert float(np.max(np.abs(plain.apply(w) - stack))) <= tol
+        plain_stack, = _envelope_stacks(dataclasses.replace(field, control_axes=None), grid, [w])
+        assert float(np.max(np.abs(plain_stack - stack))) <= tol
         assert float(np.max(np.abs(plain.sup(w, np.empty(grid.nx)) - got))) <= tol
         dt = _step(env.denom, 0.9, 1.0)
 

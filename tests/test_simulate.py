@@ -29,7 +29,8 @@ from sublevy.simulate import (
     estimate_value,
     mc_lower_bound,
 )
-from tests.conftest import constant_drift_field, every_step_argmax
+from tests.conftest import constant_drift_field
+from tests.test_pide import every_step_argmax
 
 
 def _linear_decay_field():
