@@ -70,14 +70,15 @@ AUDIT_TABLE_MAX = 4 * 10**6
 # Largest PIDE envelope accepted, in the entries pide._preflight counts from the
 # coefficient reads before the envelope is built: the drift, ca and jump rows, the
 # compensator rows its build forms (the envelope holds none), the conv block, each
-# gather table's three (nx, nz) arrays and the three rows the policy march picks
-# with, counted for every subcommand.
+# gather table's three (nx, nz) arrays, the three rows the policy march picks with
+# and the step's bound calls, counted for every subcommand.
 # Peak resident sizes at 3e7 entries, a fifth of the cap, less the 36-46 MiB a
 # process holds without the envelope: solve and simulate took up to 2.5 B per
 # entry with 1,000 drift values, 6.6 B with 1,000 intensities, 7.8 B with 1,000
 # variance values and 5.3 B on a 10 x 10 x 10 grid.  With one control
 # (nx = 1,152,000) simulate took 8.2 B and solve 12-14 B, most of it u.csv's
-# text, whose resident size follows glibc's moving mmap threshold.
+# text while its writer held a whole row's (about 210 B a node); the writer holds
+# one chunk's now, and solve's figure has not been taken again.
 ENVELOPE_ENTRIES_MAX = 15 * 10**7
 
 # Largest fourier.n_xi accepted: fourier-check holds about 79 B per frequency,

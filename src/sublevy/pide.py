@@ -21,14 +21,20 @@ the grid are folded into edge weights, and is a 5-smooth multiple of 4
 (``_fft_length``); any other table is interpolated node by node (gather), and a
 zero-mass measure has no jump term at all.  The jump rate is one more node
 of every table, at 0 with weight -mass, so a jump row holds J w - mass*w.
-The envelope applies itself into buffers it owns and ``solve`` sizes its
-timeline before it marches, so no step allocates a new row, except on the
-gather route: each gather term forms (nx, nz + 1) temporaries and a new
-row at every step.  The sup makes 1-D numpy calls only, as numpy
-allocates an iterator buffer the size of its output for a 2-D broadcast
-or strided call; the conv block multiplies and adds its rows one at a
-time.  A march that records the policy reads it off the same sup, with
-1-D calls too, and never forms the (controls, nx) stack of full sums.
+The envelope builds its step once, as a flat list of numpy calls bound
+(``functools.partial``) to the rows and views it owns, and a step forms
+w and runs that list into a row the envelope owns: no step re-walks the
+layout.  The calls take their output positionally, as a keyword costs
+each call a dict, except ``np.maximum``, whose third positional argument
+is deprecated.  ``solve`` sizes its timeline before it marches, so no
+step allocates a new row, except on the gather route: each gather term
+forms (nx, nz + 1) temporaries and a new row at every step.  Every call
+but the FFTs and the conv edges' matmul is 1-D, as numpy allocates an
+iterator buffer the size of its output for a 2-D broadcast or strided
+call; the conv block multiplies and adds its rows one at a time.  A march
+that records the policy runs a second list, the same calls with the pick
+calls among them, so it reads the policy off the same maxes and never
+forms the (controls, nx) stack of full sums.
 
 The envelope is built in two parts.  The preflight, ``_preflight``, reads
 the controls through ``core._sources``, takes the distinct jump tables and
@@ -91,6 +97,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 
@@ -216,6 +223,10 @@ class PolicySchedule:
         return row.take(np.rint(u, out=u).astype(np.intp))
 
 
+# nodes of u.csv formed and written at a time: about 170 KB of text, 0.7 MB traced
+_CSV_CHUNK = 4096
+
+
 @dataclasses.dataclass(frozen=True)
 class ValueField:
     """Solved timeline: values[i] approximates the semigroup image at times[i].
@@ -247,14 +258,20 @@ class ValueField:
         return np.interp(np.asarray(x, dtype=float), self.grid.xs(), self.values[-1])
 
     def write_csv(self, path) -> None:
-        """Write ``t,x,u``, one line per (time, node), every float via repr."""
-        xs = [f"{x!r}," for x in self.grid.xs().tolist()]
+        """Write ``t,x,u``, one line per (time, node), every float via repr.
+
+        Each row goes out in chunks of ``_CSV_CHUNK`` nodes, each chunk's
+        text formed as it is written, so the writer holds the grid's nodes
+        and one chunk's text, not a row's.
+        """
+        xs = self.grid.xs()
         with open(path, "w") as fh:
             fh.write("t,x,u\n")
-            # row by row: the whole timeline as Python floats costs ~19 MB more
             for t, row in zip(self.times.tolist(), self.values):
                 head = f"{t!r},"
-                fh.write("".join([f"{head}{x}{v!r}\n" for x, v in zip(xs, row.tolist())]))
+                for at in range(0, row.size, _CSV_CHUNK):
+                    chunk = zip(xs[at : at + _CSV_CHUNK].tolist(), row[at : at + _CSV_CHUNK].tolist())
+                    fh.write("".join([f"{head}{x!r},{v!r}\n" for x, v in chunk]))
 
 
 def _fft_length(n: int) -> int:
@@ -283,13 +300,14 @@ class _ConvBlock:
     weights of ``left[i] * w[0] + right[i] * w[-1]``, held stacked as
     ``edges[j] = (left, right)``.  On-grid offsets reach at most nx - 1
     nodes, so ``n_fft`` is at most ``_fft_length(2 nx - 1)`` whatever the
-    jump sizes.  The kernel multiply and the correlation add go one row at a
-    time, on 1-D views built once, so a call allocates no iterator buffer.
+    jump sizes.  ``calls`` fill ``out`` from the row ``w``, bound once to
+    views built here: the ``rfft`` of w, the kernel multiply a row, the
+    batched ``irfft``, the edge ``matmul`` and the correlation add a row.
+    The multiplies and adds are 1-D, so a call allocates no iterator buffer.
     """
 
-    def __init__(self, kappas, weights, dx, out):
+    def __init__(self, kappas, weights, dx, w, out):
         nx = out.shape[1]
-        self.out = out  # (rows, nx), overwritten by every call
         taps = np.zeros((len(kappas), 2 * nx + 1))  # interpolation taps at offsets -nx..nx
         for row, kappa in zip(taps, kappas):
             pos = kappa / dx
@@ -300,38 +318,31 @@ class _ConvBlock:
             np.add.at(row, at, np.concatenate([weights * (1.0 - frac), weights * frac]))
         left = np.cumsum(taps[:, :nx], axis=1)[:, ::-1]  # offsets < -i
         right = np.cumsum(taps[:, :nx:-1], axis=1)  # offsets > nx - 1 - i
-        self._edges = np.stack([left, right], axis=1)
+        edges = np.stack([left, right], axis=1)
         on_grid = np.flatnonzero(np.any(taps[:, 1:-1] != 0.0, axis=0)) - (nx - 1)
-        self.n_fft = _fft_length(nx + int(np.abs(on_grid).max(initial=0)))
-        kernel = np.zeros((len(kappas), self.n_fft))
+        self.n_fft = n = _fft_length(nx + int(np.abs(on_grid).max(initial=0)))
+        kernel = np.zeros((len(kappas), n))
         kernel[:, :nx] = taps[:, nx:-1]  # offsets 0..nx-1
-        kernel[:, self.n_fft - nx + 1 :] += taps[:, 1:nx]  # offsets 1-nx..-1, wrapped
+        kernel[:, n - nx + 1 :] += taps[:, 1:nx]  # offsets 1-nx..-1, wrapped
         spectrum = np.conj(np.fft.rfft(kernel))
-        self._spec = np.empty(spectrum.shape[1], dtype=complex)
-        self._prod = np.empty_like(spectrum)
-        self._corr = np.empty_like(kernel)
-        self._mul = list(zip(spectrum, self._prod))
-        self._add = list(zip(out, self._corr[:, :nx]))
-
-    def __call__(self, w):
-        np.fft.rfft(w, self.n_fft, out=self._spec)
-        for kernel, prod in self._mul:
-            np.multiply(kernel, self._spec, out=prod)
-        np.fft.irfft(self._prod, self.n_fft, out=self._corr)
-        np.matmul(w[:: w.size - 1], self._edges, out=self.out)
-        for out, corr in self._add:
-            out += corr
+        spec, prod, corr = np.empty(spectrum.shape[1], dtype=complex), np.empty_like(spectrum), np.empty_like(kernel)
+        self.calls = [partial(np.fft.rfft, w, n, -1, None, spec),
+                      *(partial(np.multiply, k, spec, p) for k, p in zip(spectrum, prod)),
+                      partial(np.fft.irfft, prod, n, -1, None, corr),
+                      partial(np.matmul, w[:: nx - 1], edges, out),
+                      *(partial(np.add, row, c, row) for row, c in zip(out, corr[:, :nx]))]
 
 
-def _gather_term(ktab, weights, dx, nx):
-    """Jump term of a state-dependent table: interpolate w at every x + jump."""
+def _gather_term(ktab, weights, dx, w, row):
+    """Jump term of a state-dependent table into ``row``: interpolate w at every x + jump."""
+    nx = w.size
     pos = np.clip(np.arange(nx)[:, None] + ktab / dx, 0.0, nx - 1.0)
     idx = np.minimum(np.floor(pos).astype(int), nx - 2)
     frac = pos - idx
     lo = 1.0 - frac
 
-    def term(w):
-        return (w[idx] * lo + w[idx + 1] * frac) @ weights
+    def term():
+        row[:] = (w[idx] * lo + w[idx + 1] * frac) @ weights
 
     return term
 
@@ -413,9 +424,14 @@ def _preflight(field: CoefficientField, grid: SpatialGrid):
     # axis, one best row and the least and largest ca, and otherwise a best row per jump row;
     # 3 rows of picks; 6 scratch rows.  Each conv row's taps, edge weights, kernel, spectra and
     # correlation take at most 4 (nx + n_fft + 2), and each gather table, with its node for
-    # the jump rate, three (nx, nz + 1) arrays
+    # the jump rate, three (nx, nz + 1) arrays.  The step's bound calls take about 320 B (40
+    # entries) each, their views included: at most six a drift row (its upwind terms, its max
+    # and, split by axis, its pick), three a ca row or, where the field does not split, a
+    # control's pick, four a jump row, two a conv row, and 12 more
     rows = 3 * len(effs) + 2 * len(comps) + len(disps) + (3 if per_axis else len(comps)) + 3 + 6
-    entries = nx * rows + 4 * n_conv * (nx + n_fft + 2) + 3 * nx * (quad.nodes.size + 1) * (len(kappas) - n_conv)
+    calls = 6 * len(effs) + 3 * (len(disps) if per_axis else n) + 4 * len(comps) + 2 * n_conv + 12
+    entries = (nx * rows + 4 * n_conv * (nx + n_fft + 2) + 3 * nx * (quad.nodes.size + 1) * (len(kappas) - n_conv)
+               + 40 * calls)
     return denom, entries, (effs, disps, kappas, per_axis, jump_rows, drift_at, disp_at, n_conv)
 
 
@@ -445,7 +461,7 @@ class _Envelope:
     + ca*(dp + dm)) + jump, where bp and bm are the upwind weights of its
     effective drift (drift minus the compensator of its jump table), ca =
     a / (2 dx^2) and jump = J w - mass*w.  The step holds one difference
-    row ``_d``, with dp = d[1:] and dm = -d[:-1], so each drift row's
+    row d, with dp = d[1:] and dm = -d[:-1], so each drift row's
     terms are (bp, d[1:]) and (-bm, d[:-1]).  The rows come from
     ``_preflight``: the effective drift rows, and one list of the distinct
     jump tables, by their bytes, one-row (conv) tables first, each one row
@@ -466,9 +482,18 @@ class _Envelope:
     ``_groups`` holds each jump row with the slice of ``_drift`` of its
     controls.
 
-    ``sup`` is the max of the full per-control sums, bit for bit, and never
-    forms them all: with a pick row it also records a control that attains
-    it, from the maxes it takes (``_index``, ``_table``; see ``sup``).
+    The build binds the step as a list of calls, ``_calls``, in the order
+    of the sums above: the difference row, the conv block's calls
+    (``_ConvBlock``), each gather term, the upwind terms, s and the ``ca``
+    max where the field splits by axis, then each group's jump max, its
+    drift max (none for a lone row, which is its own max) and its sum, and
+    the max over the groups into ``_out``, the first group's row.
+    ``_pick_calls`` is the same list with the pick calls among them: between
+    the part maxes and the sums on a field split by axis, after the max over
+    the groups otherwise.  ``sup`` is the max of the full per-control sums,
+    bit for bit, and never forms them all: with a pick row it also records
+    a control that attains it, from the maxes it takes (``_index``,
+    ``_table``; see ``sup``).
     """
 
     def __init__(self, field: CoefficientField, grid: SpatialGrid):
@@ -479,132 +504,129 @@ class _Envelope:
         self.routes = sorted({"conv" if len(t) == 1 else "gather" for t in kappas}) or ["none"]
         # with no jump term, one jump row of zeros: the sup adds 0.0
         self._jumps = np.zeros((len(kappas) or 1, nx))
+        d = np.zeros(nx + 1)  # first differences of w, d[0] = d[nx] = 0
+        dp, dm = d[1:], d[:-1]
+        self._rows = np.zeros((4, nx))
+        s, w, diff, tmp = self._rows
+        self._w = w
+        self._mid = nx // 2
+        # the step: each call bound once to the rows it reads and writes, out positionally but
+        # for np.maximum (a third positional argument is deprecated there)
+        calls = [partial(np.subtract, w[1:], w[:-1], d[1:-1])]
         # the jump rate is one more node, at 0 with weight -mass: a jump row holds J w - mass*w
         weights = np.append(quad.weights, -quad.mass)
         conv = [np.append(t[0], 0.0) for t in kappas[:n_conv]]
-        self._conv = _ConvBlock(conv, weights, dx, self._jumps[:n_conv]) if conv else None
-        self._gathers = [(row, _gather_term(np.pad(t, ((0, 0), (0, 1))), weights, dx, nx))
-                         for row, t in zip(self._jumps[n_conv:], kappas[n_conv:])]
+        self._conv = _ConvBlock(conv, weights, dx, w, self._jumps[:n_conv]) if conv else None
+        calls += self._conv.calls if conv else []
+        calls += [_gather_term(np.pad(t, ((0, 0), (0, 1))), weights, dx, w, row)
+                  for row, t in zip(self._jumps[n_conv:], kappas[n_conv:])]
         ca = np.array([np.broadcast_to(v * v / (2.0 * dx * dx), (nx,)) for v in disps])
-        if self.per_axis:
-            self._ca = ca
-            # a row of ca*s is monotone in ca, so its max over the rows takes one of these two,
-            # plain numbers when every dispersion read is state-free
-            self._ca_lo, self._ca_hi = ca.min(axis=0), ca.max(axis=0)
-            if all(np.ndim(v) == 0 for v in disps):
-                self._ca_lo, self._ca_hi = float(self._ca_lo[0]), float(self._ca_hi[0])
-            self._groups = [(slice(None), list(self._jumps))]
-        else:  # one drift row per control: its diffusion folds into the upwind weights
-            self._ca = None
-            # each jump row with the slice of its controls' drift rows
-            ends = list(itertools.accumulate(map(jump_rows.count, range(len(self._jumps)))))
-            self._groups = [(slice(lo, hi), [row]) for lo, hi, row in zip([0, *ends], ends, self._jumps)]
-        self._d = np.zeros(nx + 1)  # first differences of w, d[0] = d[nx] = 0
-        self._rows = np.zeros((4, nx))
+        self._ca = ca if self.per_axis else None
         self._drift = np.zeros((len(effs), nx))  # a row without terms stays 0
-        self._upwind = []  # each drift row with its (coefficient, difference) terms
         for k, (row, v) in enumerate(zip(self._drift, effs)):
             bp, bm = np.maximum(v, 0.0) / dx, np.maximum(-v, 0.0) / dx
-            if self._ca is None:
+            if self._ca is None:  # one drift row per control: its diffusion folds into the upwind weights
                 bp, bm = bp + ca[k], bm + ca[k]
             # the dm = -d[:-1] term of a drift row is the coefficient -bm on d[:-1]
-            terms = [(bp, self._d[1:]), (-bm, self._d[:-1])]
+            terms = [(bp, dp), (-bm, dm)]
             if np.ndim(bp) == 0:
                 # a state-free effective drift is upwind on one side only, and one of 0 on none
-                terms = [(c, d) for c, d in terms if c != 0.0]
+                terms = [(c, x) for c, x in terms if c != 0.0]
             if terms:
-                self._upwind.append((row, terms))
-        self._best = np.empty((len(self._groups), nx))
+                (c, x), *rest = terms
+                calls.append(partial(np.multiply, c, x, row))
+                for c, x in rest:
+                    calls += [partial(np.multiply, c, x, tmp), partial(np.add, row, tmp, row)]
+        if self.per_axis:
+            # a row of ca*s is monotone in ca, so its max over the rows takes the least or the
+            # largest ca, plain numbers when every dispersion read is state-free
+            lo, hi = ca.min(axis=0), ca.max(axis=0)
+            if all(np.ndim(v) == 0 for v in disps):
+                lo, hi = float(lo[0]), float(hi[0])
+            calls += [partial(np.subtract, dp, dm, s), partial(np.multiply, hi, s, diff),
+                      partial(np.multiply, lo, s, tmp), partial(np.maximum, diff, tmp, out=diff)]
+            self._groups = [(slice(None), list(self._jumps))]
+        else:  # each jump row with the slice of its controls' drift rows
+            ends = list(itertools.accumulate(map(jump_rows.count, range(len(self._jumps)))))
+            self._groups = [(slice(lo, hi), [row]) for lo, hi, row in zip([0, *ends], ends, self._jumps)]
+        # the sup is the max of the groups' sums, written into the first
+        best = np.empty((len(self._groups), nx))
+        self._out = best[0]
         # a pick is ``_table`` at a key, the sum of three labels, each that of the first row of
         # its part to attain the part's max.  Split by axis, the parts are the drift, ca and
         # jump rows, each labelled by its index times a stride; otherwise one part, the full
-        # sums, each labelled by its control's drift row, and the other two labels stay 0
-        self._index, self._mask = np.zeros((3, nx), dtype=np.intp), np.empty(nx, dtype=bool)
-        if self.per_axis:  # each part's (label, row) pairs, last first
-            n_ca, n_jump = len(self._ca), len(self._jumps)
+        # sums, each labelled by its control's drift row, and the other two labels stay 0.
+        # Each row is compared last first, so the first row's label lands last
+        self._index, mask = np.zeros((3, nx), dtype=np.intp), np.empty(nx, dtype=bool)
+        key, at_ca, at_jump = self._index
+        n_ca, n_jump = len(ca), len(self._jumps)
+
+        def first(index, label, row, best):  # label into index where row equals best
+            return [partial(np.equal, row, best, mask), partial(np.copyto, index, label, "same_kind", mask)]
+
+        picks, split = [], None
+        for (drifts, jumps), row in zip(self._groups, best):
+            jump_calls, jump = _max_calls(jumps, tmp)
+            drift_calls, top = _max_calls(self._drift[drifts], row)
+            calls += jump_calls + drift_calls
+            if self.per_axis:  # one group, every drift row and jump row; its part maxes are whole
+                for k in reversed(range(len(self._drift))):
+                    picks += first(key, k * n_ca * n_jump, self._drift[k], top)
+                for k in reversed(range(n_ca)):  # w is free by now: each ca*s is formed into it
+                    picks += [partial(np.multiply, ca[k], s, w), *first(at_ca, k * n_jump, w, diff)]
+                for k in reversed(range(n_jump)):
+                    picks += first(at_jump, k, self._jumps[k], jump)
+                picks += [partial(np.add, key, at_ca, key), partial(np.add, key, at_jump, key)]
+                split = len(calls)  # the picks go between the part maxes and the sums
+                calls += [partial(np.add, top, diff, row), partial(np.add, row, jump, row)]
+            else:
+                calls.append(partial(np.add, top, jump, row))
+        calls += _max_calls(best, self._out)[0]
+        if self.per_axis:
             keys = [(d * n_ca + a) * n_jump + g for d, a, g in zip(drift_at, disp_at, jump_rows)]
-            self._scans = [[(k * stride, row) for k, row in enumerate(rows)][::-1]
-                           for rows, stride in zip((self._drift, self._ca, self._jumps), (n_ca * n_jump, n_jump, 1))]
-        else:  # each control's drift row and jump row, last first
+        else:  # each control's full sum, its drift row plus its jump row, against the sup
             keys = drift_at
-            self._scans = [(r, self._drift[r], self._jumps[g]) for r, g in zip(drift_at, jump_rows)][::-1]
+            for r, g in reversed(list(zip(drift_at, jump_rows))):
+                picks += [partial(np.add, self._drift[r], self._jumps[g], tmp), *first(key, r, tmp, self._out)]
         # each key's first control
         self._table = np.unique(keys, return_index=True)[1].astype(np.min_scalar_type(len(keys) - 1))
+        self._calls = calls
+        split = len(calls) if split is None else split
+        self._pick_calls = [*calls[:split], *picks, *calls[split:]]
 
-    def _fill_rows(self, u):
-        """Fill the jump and drift rows; return s = dp + dm = d[1:] - d[:-1]."""
-        s, w, _, tmp = self._rows
-        d = self._d
-        np.subtract(u, u[u.size // 2], out=w)
-        np.subtract(w[1:], w[:-1], out=d[1:-1])
-        if self._conv is not None:
-            self._conv(w)
-        for row, term in self._gathers:
-            row[:] = term(w)
-        for row, ((c, x), *rest) in self._upwind:
-            np.multiply(c, x, out=row)
-            for c, x in rest:
-                row += np.multiply(c, x, out=tmp)
-        return np.subtract(d[1:], d[:-1], out=s)
+    def sup(self, u, pick=None):
+        """max_f L_f u, into a row the envelope owns; with a ``pick`` row, the index of a control that attains it.
 
-    def sup(self, u, out, pick=None):
-        """max_f L_f u into ``out``; with a ``pick`` row, the index of a control that attains it.
-
-        ``out`` has the bits of the max of the full per-control sums, and the
-        same calls form it whether or not a pick is recorded.  On a field that
-        splits by axis, the pick is the control of the first drift row, the
-        first ``ca`` row (by its product with s) and the first jump row that
-        attain their part's max; rounding an addition is monotone, so its full
-        sum is the max.  On any other field it is the first control in grid
-        order whose full sum, its drift row plus its jump row, equals the max.
+        The row is overwritten by the next call.  A call forms w = u - u[mid]
+        and runs the step's calls, bound once at build; with a pick row it
+        runs the same calls with the pick calls among them, so the row has
+        the same bits, those of the max of the full per-control sums.  On a
+        field that splits by axis, the pick is the control of the first drift
+        row, the first ``ca`` row (by its product with s) and the first jump
+        row that attain their part's max; rounding an addition is monotone, so
+        its full sum is the max.  On any other field it is the first control
+        in grid order whose full sum, its drift row plus its jump row, equals
+        the max.
         """
-        s = self._fill_rows(u)
-        diff, tmp = self._rows[2:]
-        if self._ca is not None:
-            np.multiply(self._ca_hi, s, out=diff)
-            np.maximum(diff, np.multiply(self._ca_lo, s, out=tmp), out=diff)
-        # one group writes its sup into out directly
-        best = self._best if len(self._groups) > 1 else out[None]
-        for (drifts, jumps), row in zip(self._groups, best):
-            jump = jumps[0] if len(jumps) == 1 else _max_rows(jumps, tmp)
-            _max_rows(self._drift[drifts], row)
-            if self._ca is not None:  # split by axis: one group, every drift row and jump row
-                if pick is not None:  # each part's max is whole here; w's row is free
-                    drift_rows, ca_rows, jump_rows = self._scans
-                    products = ((k, np.multiply(ca, s, out=self._rows[1])) for k, ca in ca_rows)
-                    for index, part, rows in zip(self._index, (row, diff, jump), (drift_rows, products, jump_rows)):
-                        _first(index, self._mask, part, rows)
-                row += diff
-            row += jump
-        if len(self._groups) > 1:
-            _max_rows(best, out)
+        np.subtract(u, u[self._mid], self._w)
+        for call in self._calls if pick is None else self._pick_calls:
+            call()
         if pick is not None:
-            key, at_ca, at_jump = self._index
-            if self._ca is None:
-                _first(key, self._mask, out, ((r, np.add(b, j, out=tmp)) for r, b, j in self._scans))
-            key += at_ca
-            key += at_jump
             # every key is valid; mode="raise" would copy through a buffer
-            np.take(self._table, key, out=pick, mode="clip")
-        return out
+            np.take(self._table, self._index[0], out=pick, mode="clip")
+        return self._out
 
 
-def _first(index, mask, best, rows):
-    """Write into ``index``, at each node, the label of the first of ``rows`` that equals ``best``.
+def _max_calls(rows, out):
+    """The calls that take the max over the first axis into ``out``, and the row that holds it.
 
-    ``rows`` yields (label, row) pairs last first, so the first row's write
-    lands last; a row may be formed as it is read, into one scratch row.
+    One ``np.maximum`` a row is faster than a reduction.  A lone row is its
+    own max, with no call: max(r, r) is r, bit for bit.
     """
-    for label, row in rows:
-        np.copyto(index, label, where=np.equal(row, best, out=mask))
-
-
-def _max_rows(rows, out):
-    """Max over the first axis into ``out``, one ``np.maximum`` per row: faster than a reduction."""
-    np.maximum(rows[0], rows[-1], out=out)
-    for row in rows[1:-1]:
-        np.maximum(out, row, out=out)
-    return out
+    if len(rows) == 1:
+        return [], rows[0]
+    return [partial(np.maximum, rows[0], rows[-1], out=out),
+            *(partial(np.maximum, out, row, out=out) for row in rows[1:-1])], out
 
 
 def cfl_timestep(field: CoefficientField, grid: SpatialGrid, safety: float) -> float:
@@ -708,16 +730,16 @@ def solve(
     rows = iter(picks[::-1]) if policy else itertools.repeat(None)
     for k, sub_dt in enumerate(sub_dts, start=1):
         stored = row_of.get(k)
-        step = env.sup(u, scratch[k % 2] if stored is None else stored, next(rows))
-        step *= sub_dt
-        u = np.add(u, step, out=step)
+        target = scratch[k % 2] if stored is None else stored
+        np.multiply(env.sup(u, next(rows)), sub_dt, out=target)
+        u = np.add(u, target, out=target)
         # checked where a row is stored: a node that is not finite stays so, as u + dt*S is
         # not finite wherever u is
         if stored is not None and not np.all(np.isfinite(u)):
             raise RuntimeError(f"non-finite value by step {k}, t = {times[k]}")
     recorded = None
     if policy:
-        env.sup(u, scratch[0], next(rows))  # the row at T
+        env.sup(u, next(rows))  # the row at T
         knots = times[-1] - np.array(times[::-1])
         knots[0] = 0.0
         recorded = PolicySchedule(knots, picks, grid, controls)

@@ -602,3 +602,18 @@ class TestImports:
         unread = [k for k, own in members.items()
                   if k not in exempt and refs[k.rsplit(".", 1)[1]] == own]
         assert unread == []
+
+
+class TestFlatStep:
+    def test_the_envelope_step_is_one_flat_loop(self):
+        # _Envelope.sup forms w and runs the calls its build bound, in one loop; a second
+        # loop re-walks the layout at every step, and a call that unpacks keywords costs
+        # every step a dict
+        tree = ast.parse((Path(sublevy.__file__).parent / "pide.py").read_text())
+        envelope = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Envelope")
+        sup = next(n for n in envelope.body if isinstance(n, ast.FunctionDef) and n.name == "sup")
+        loops = [n for n in ast.walk(sup) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+        assert len(loops) == 1
+        unpacked = [ast.unparse(n) for n in ast.walk(sup)
+                    if isinstance(n, ast.Call) and any(k.arg is None for k in n.keywords)]
+        assert unpacked == []

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from sublevy.pide import (
     SpatialGrid,
     ValueField,
     _compensator,
+    _CSV_CHUNK,
     _Envelope,
     _fft_length,
     _landings,
@@ -133,6 +136,21 @@ class TestWriteCsv:
         fieldU = timelines[case]
         fieldU.write_csv(tmp_path / "u.csv")
         assert (tmp_path / "u.csv").read_bytes() == _serial_csv(fieldU)
+
+    def test_rows_of_many_chunks_keep_their_bytes_and_a_bounded_peak(self, tmp_path):
+        grid = SpatialGrid(-10.0, 10.0, 5 * _CSV_CHUNK + 3)
+        xs = grid.xs()
+        fieldU = ValueField(grid=grid, times=np.array([0.0, 0.5]), values=np.vstack([np.sin(xs), np.cos(3.0 * xs)]),
+                            metadata={})
+        tracemalloc.start()
+        try:
+            fieldU.write_csv(tmp_path / "u.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "u.csv").read_bytes() == _serial_csv(fieldU)
+        # the grid's nodes and one chunk's text: a whole row's text takes about 210 B a node
+        assert peak < 8 * grid.nx + 320 * _CSV_CHUNK
 
 
 def _drift_and_intensity_vary_field(kou_field):
@@ -520,7 +538,7 @@ def _envelope_stacks(field, grid, ws):
     *_, jump_at, drift_at, disp_at, _ = _preflight(field, grid)[2]
     stack = np.empty((len(drift_at), grid.nx))
     for w in ws:
-        env.sup(w, np.empty(grid.nx))  # fills the rows
+        env.sup(w)  # fills the rows
         np.take(env._drift, drift_at, axis=0, out=stack)
         if env._ca is not None:
             stack += (env._ca * env._rows[0])[disp_at]
@@ -559,7 +577,8 @@ def _envelope_case(case, kou_spec, degenerate_spec):
     """(field, grid, routes, w) of one named envelope case: w is smooth and 0 at mid."""
     field, grid, routes = {
         "march": (lambda: build_field(kou_spec, 2), (-10.0, 10.0, 1601), ["conv"]),
-        # 125 controls, five values an axis
+        # 27 and 125 controls, three and five values an axis
+        "march-3": (lambda: build_field(kou_spec, 3), (-10.0, 10.0, 1601), ["conv"]),
         "march-5": (lambda: build_field(kou_spec, 5), (-10.0, 10.0, 1601), ["conv"]),
         "cli": (lambda: build_field(degenerate_spec, 2), (-10.0, 10.0, 801), ["conv"]),
         "state-dependent": (_state_dependent_field, (-10.0, 10.0, 801), ["gather"]),
@@ -607,23 +626,23 @@ class TestEnvelope:
         field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
         env = _Envelope(field, grid)
         stack, = _envelope_stacks(field, grid, [w])
-        got = env.sup(w, np.empty(grid.nx))
+        got = env.sup(w)
         assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
         if case == "mixed":
             # gather rows follow every conv row, so the jump row order is not
             # the control order; on w = 0 every row ties, and the pick is the
             # first control
             pick = _pick_row(field, grid)
-            env.sup(np.zeros(grid.nx), np.empty(grid.nx), pick)
+            env.sup(np.zeros(grid.nx), pick)
             assert not np.any(pick)
 
     @pytest.mark.parametrize("case", ENVELOPE_CASES)
     def test_a_policy_sup_picks_a_control_that_attains_it(self, case, kou_spec, degenerate_spec):
         field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
         env = _Envelope(field, grid)
-        plain = env.sup(w, np.empty(grid.nx))
+        plain = env.sup(w).copy()  # the next call overwrites the row
         pick = _pick_row(field, grid)
-        got = env.sup(w, np.empty(grid.nx), pick)
+        got = env.sup(w, pick)
         # the pick does not move the bits of the sup, and its full sum is the sup, bit for bit
         assert np.array_equal(got.view(np.int64), plain.view(np.int64))
         stack, = _envelope_stacks(field, grid, [w])
@@ -678,14 +697,25 @@ class TestEnvelope:
         w = np.sin(grid.xs())
         for field in (kou_field, _without_the_axes(kou_field)):  # both layouts
             env = _Envelope(field, grid)
-            out, pick = np.empty(grid.nx), _pick_row(field, grid)
-            env.sup(w, out, pick)
+            pick = _pick_row(field, grid)
+            out = env.sup(w, pick)
             first, held = (out.copy(), pick.copy()), _held_arrays(env)
-            env.sup(2.0 * w, out, pick)
-            env.sup(w, out, pick)
-            # the same arrays, no new one, and the same sup and picks
+            env.sup(2.0 * w, pick)
+            # the same arrays, no new one, the same row returned, and the same sup and picks
+            assert env.sup(w, pick) is out
             assert _held_arrays(env).keys() == held.keys()
             assert np.array_equal(out, first[0]) and np.array_equal(pick, first[1])
+
+    @pytest.mark.parametrize("case", ENVELOPE_CASES)
+    def test_every_call_returns_the_one_row_it_owns(self, case, kou_spec, degenerate_spec):
+        # plain or with a pick, a call overwrites the row the last one returned
+        field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
+        env = _Envelope(field, grid)
+        out = env.sup(w)
+        want = out.copy()
+        assert env.sup(2.0 * w) is out and not np.array_equal(out, want)
+        assert env.sup(w, _pick_row(field, grid)) is out
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
 
     def test_state_dependent_intensity_is_not_mistaken_for_state_free(self):
         # the tent equals 1 at every sample state a coarse probe set would
@@ -719,8 +749,8 @@ class TestPerAxisLayout:
         stack, = _envelope_stacks(field, grid, [w])
         per_control_stack, = _envelope_stacks(_without_the_axes(field), grid, [w])
         assert float(np.max(np.abs(stack - per_control_stack))) <= tol
-        got = declared.sup(w, np.empty(grid.nx))
-        assert float(np.max(np.abs(got - per_control.sup(w, np.empty(grid.nx))))) <= tol
+        got = declared.sup(w)
+        assert float(np.max(np.abs(got - per_control.sup(w)))) <= tol
 
     def test_a_grid_that_misses_a_combination_takes_the_per_control_rows(self, kou_spec):
         field = build_field(kou_spec, 2)
@@ -737,7 +767,7 @@ class TestPerAxisLayout:
         assert stack.shape == (7, grid.nx)
         want = _reference_stack(field, grid, w)
         assert float(np.max(np.abs(stack - want))) <= 1e-13 * float(np.max(np.abs(w)))
-        got = env.sup(w, np.empty(grid.nx))
+        got = env.sup(w)
         assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
 
     def test_rows_grow_with_the_axes_values_not_the_controls(self, kou_spec):
@@ -858,12 +888,12 @@ class TestMonotoneStep:
         env = _Envelope(field, grid)
         dt = _step(env.denom, 0.9, 1.0)
         u = np.random.default_rng(7).uniform(-1.0, 1.0, grid.nx)
-        base = u + dt * env.sup(u, np.empty(grid.nx))
+        base = u + dt * env.sup(u)
         worst, up = np.inf, np.inf
         for j in range(grid.nx):
             bumped = u.copy()
             bumped[j] += 0.5
-            gain = bumped + dt * env.sup(bumped, np.empty(grid.nx)) - base
+            gain = bumped + dt * env.sup(bumped) - base
             worst, up = min(worst, float(gain.min())), min(up, float(gain[j]))
         assert worst >= -1e-14
         assert up > 0.0
@@ -903,14 +933,14 @@ class TestUpwindTerms:
         stack, = _envelope_stacks(field if axes else _without_the_axes(field), grid, [w])
         want = _reference_stack(field, grid, w)
         assert float(np.max(np.abs(stack - want))) <= 1e-13 * float(np.max(np.abs(w)))
-        got = env.sup(w, np.empty(grid.nx))
+        got = env.sup(w)
         assert np.array_equal(got.view(np.int64), stack.max(axis=0).view(np.int64))
 
     @pytest.mark.parametrize("interval, axes", DRIFT_CASES)
     def test_one_step_keeps_a_constant_exactly(self, interval, axes):
         env, grid = _drift_case(interval, axes)
         u = np.full(grid.nx, 0.7)
-        step = _step(env.denom, 0.9, 1.0) * env.sup(u, np.empty(grid.nx))
+        step = _step(env.denom, 0.9, 1.0) * env.sup(u)
         assert np.array_equal(u + step, u)
 
     @pytest.mark.parametrize("interval, axes", DRIFT_CASES)
@@ -918,51 +948,59 @@ class TestUpwindTerms:
         env, grid = _drift_case(interval, axes)
         dt = _step(env.denom, 0.9, 1.0)
         u = np.random.default_rng(7).uniform(-1.0, 1.0, grid.nx)
-        base = u + dt * env.sup(u, np.empty(grid.nx))
+        base = u + dt * env.sup(u)
         worst, up = np.inf, np.inf
         for j in range(grid.nx):
             bumped = u.copy()
             bumped[j] += 0.5
-            gain = bumped + dt * env.sup(bumped, np.empty(grid.nx)) - base
+            gain = bumped + dt * env.sup(bumped) - base
             worst, up = min(worst, float(gain.min())), min(up, float(gain[j]))
         assert worst >= -1e-14
         assert up > 0.0
 
 
-class TestStepAllocation:
-    def test_sup_allocates_less_than_one_grid_row(self, kou_spec, degenerate_spec):
-        # numpy allocates an iterator buffer the size of its output for a 2-D broadcast or
-        # strided ufunc call; the step makes 1-D calls only
-        field, grid, _, w = _envelope_case("march", kou_spec, degenerate_spec)
-        env = _Envelope(field, grid)
-        out = np.empty(grid.nx)
-        for _ in range(3):
-            env.sup(w, out)
-        tracemalloc.start()
-        try:
-            for _ in range(100):
-                env.sup(w, out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < out.nbytes
+# every case but those on the gather route, which forms (nx, nz + 1) temporaries and a new row
+# at every step by design
+ALLOCATION_FREE_CASES = ["march", "march-3", "march-5", "cli", "zero-mass", "overshoot"]
 
-    @pytest.mark.parametrize("resolution", [2, 3])
-    def test_a_policy_sup_allocates_less_than_one_grid_row(self, kou_spec, resolution):
-        # 8 and 27 controls: the pick is read off the rows the sup already forms
-        field, grid = build_field(kou_spec, resolution), SpatialGrid(-10.0, 10.0, 1601)
-        w = np.tanh(grid.xs())
-        env = _Envelope(field, grid)
-        out, pick = np.empty(grid.nx), _pick_row(field, grid)
-        for _ in range(3):
-            env.sup(w, out, pick)
-        tracemalloc.start()
-        try:
-            env.sup(w, out, pick)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < out.nbytes
+
+def _traced_peak(case, kou_spec, degenerate_spec, policy, calls):
+    """The traced peak of ``calls`` sups on a case after three, and a grid row's bytes.
+
+    The grid keeps the case's box but takes at least 801 nodes: numpy's FFT
+    wrappers form about 1.5 KB of Python objects a call, more than a row of
+    the overshoot case's 101 nodes.
+    """
+    field, grid, _, _ = _envelope_case(case, kou_spec, degenerate_spec)
+    grid = SpatialGrid(grid.x_min, grid.x_max, max(grid.nx, 801))
+    w = np.tanh(grid.xs())
+    env = _Envelope(field, grid)
+    pick = _pick_row(field, grid) if policy else None
+    for _ in range(3):
+        env.sup(w, pick)
+    tracemalloc.start()
+    try:
+        for _ in range(calls):
+            env.sup(w, pick)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, 8 * grid.nx
+
+
+class TestStepAllocation:
+    # numpy allocates an iterator buffer the size of its output for a 2-D broadcast or strided
+    # ufunc call; the step makes 1-D calls only, and the pick is read off the rows the sup
+    # already forms
+    @pytest.mark.parametrize("case", ALLOCATION_FREE_CASES)
+    def test_sup_allocates_less_than_one_grid_row(self, case, kou_spec, degenerate_spec):
+        peak, row = _traced_peak(case, kou_spec, degenerate_spec, False, 100)
+        assert peak < row
+
+    @pytest.mark.parametrize("case", ALLOCATION_FREE_CASES)
+    def test_a_policy_sup_allocates_less_than_one_grid_row(self, case, kou_spec, degenerate_spec):
+        peak, row = _traced_peak(case, kou_spec, degenerate_spec, True, 1)
+        assert peak < row
 
 
 def _oracle_field(b, a, lam, lam_star):
@@ -1005,7 +1043,7 @@ class TestUncertainOracle:
 
 
 def _held_arrays(obj, held=None):
-    """The distinct arrays an object reaches, by id: its attributes, lists and closures."""
+    """The distinct arrays an object reaches, by id: its attributes, lists, bound calls and closures."""
     held = {} if held is None else held
     if isinstance(obj, np.ndarray):
         while isinstance(obj.base, np.ndarray):
@@ -1014,6 +1052,8 @@ def _held_arrays(obj, held=None):
     elif isinstance(obj, (list, tuple)):
         for item in obj:
             _held_arrays(item, held)
+    elif isinstance(obj, functools.partial):
+        _held_arrays([*obj.args, *obj.keywords.values()], held)
     elif callable(obj) and getattr(obj, "__closure__", None):
         for cell in obj.__closure__:
             _held_arrays(cell.cell_contents, held)
@@ -1023,19 +1063,32 @@ def _held_arrays(obj, held=None):
     return held
 
 
+def _bound_call_bytes(env):
+    """The bytes of the envelope's bound calls: their lists, each call, its arguments and each view it binds."""
+    seen = {}
+    for calls in (env._calls, env._pick_calls):
+        for obj in [calls, *calls]:
+            seen[id(obj)] = obj
+            if isinstance(obj, functools.partial):
+                args = [*obj.args, *obj.keywords.values()]
+                seen.update({id(a): a for a in [obj.args, obj.keywords, *args]
+                             if not isinstance(a, np.ndarray) or a.base is not None})
+    return sum(map(sys.getsizeof, seen.values()))
+
+
 class TestPreflight:
     @pytest.mark.parametrize("case", ["march", "mixed", "state-dependent", "coupled"])
     def test_count_bounds_the_bytes_the_envelope_holds(self, case, kou_spec, degenerate_spec):
         # conv, mixed and gather fields.  The count takes 8 B an entry and covers every
-        # array the envelope holds after a policy sup; it also counts the build's
-        # compensator rows and conv taps, and the longest conv FFT the grid allows, so it
-        # may exceed them, but by less than half
+        # array the envelope holds after a policy sup, and its bound calls; it also counts
+        # the build's compensator rows and conv taps, and the longest conv FFT the grid
+        # allows, so it may exceed them, but by less than half
         field, grid, _, w = _envelope_case(case, kou_spec, degenerate_spec)
         for f in (field, _without_the_axes(field)):
             denom, entries, _ = _preflight(f, grid)
             env = _Envelope(f, grid)
-            env.sup(w, np.empty(grid.nx), _pick_row(f, grid))
-            held = sum(a.nbytes for a in _held_arrays(env).values())
+            env.sup(w, _pick_row(f, grid))
+            held = sum(a.nbytes for a in _held_arrays(env).values()) + _bound_call_bytes(env)
             assert held <= 8 * entries <= 1.5 * held
             assert denom == env.denom
 
